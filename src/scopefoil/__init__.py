@@ -44,7 +44,6 @@ from .names import (
     name_of,
     set_debug_scopes,
     sink,
-    sink_subst,
     with_refreshed,
 )
 from .patterns import (
@@ -52,7 +51,6 @@ from .patterns import (
     PatternPair,
     PatternVar,
     PatternWildcard,
-    extend_renaming,
     extend_scope_pattern,
     names_of_pattern,
     with_pattern,
@@ -74,7 +72,6 @@ __all__ = [
     "add_rename",
     "add_subst",
     "debug_scopes_enabled",
-    "extend_renaming",
     "extend_scope",
     "extend_scope_pattern",
     "fresh_binder",
@@ -85,7 +82,6 @@ __all__ = [
     "names_of_pattern",
     "set_debug_scopes",
     "sink",
-    "sink_subst",
     "with_pattern",
     "with_refreshed",
 ]

@@ -97,35 +97,52 @@ def to_foil_pattern(
 
 
 def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term:
-    """Convert a surface term to the scope-indexed direct representation."""
+    """Convert a surface term to the scope-indexed direct representation.
 
-    def go(scope: Scope, env: dict[str, Name], t: naive.Term) -> terms.Term:
+    Identifiers resolve through one mutable environment: a binder's
+    identifiers are set on the way into its body and the shadowed entries
+    put back on the way out, so entering a binder never copies it.
+    """
+    env: dict[str, Name] = {}
+
+    def under(
+        scope: Scope, pattern: naive.Pattern, body: naive.Term
+    ) -> tuple[Pattern, terms.Term]:
+        pattern2, ext = to_foil_pattern(scope, pattern)
+        saved = [(ident, env.get(ident)) for ident in ext]
+        env.update(ext)
+        body2 = go(extend_scope_pattern(pattern2, scope), body)
+        for ident, old in saved:
+            if old is None:
+                del env[ident]
+            else:
+                env[ident] = old
+        return pattern2, body2
+
+    def go(scope: Scope, t: naive.Term) -> terms.Term:
         match t:
             case naive.Var(ident):
                 name = env.get(ident.text)
                 return Var(rename(ident) if name is None else name)
             case naive.Pair(left, right):
-                return terms.Pair(go(scope, env, left), go(scope, env, right))
+                return terms.Pair(go(scope, left), go(scope, right))
             case naive.First(inner):
-                return terms.First(go(scope, env, inner))
+                return terms.First(go(scope, inner))
             case naive.Second(inner):
-                return terms.Second(go(scope, env, inner))
+                return terms.Second(go(scope, inner))
             case naive.App(fun, arg):
-                return terms.App(go(scope, env, fun), go(scope, env, arg))
+                return terms.App(go(scope, fun), go(scope, arg))
             case naive.Lam(pattern, naive.ScopedTerm(body)):
-                pattern2, ext = to_foil_pattern(scope, pattern)
-                scope2 = extend_scope_pattern(pattern2, scope)
-                return terms.Lam(pattern2, go(scope2, {**env, **ext}, body))
+                return terms.Lam(*under(scope, pattern, body))
             case naive.Pi(pattern, domain, naive.ScopedTerm(codomain)):
-                domain2 = go(scope, env, domain)
-                pattern2, ext = to_foil_pattern(scope, pattern)
-                scope2 = extend_scope_pattern(pattern2, scope)
-                return terms.Pi(pattern2, domain2, go(scope2, {**env, **ext}, codomain))
+                domain2 = go(scope, domain)
+                pattern2, codomain2 = under(scope, pattern, codomain)
+                return terms.Pi(pattern2, domain2, codomain2)
             case naive.Universe():
                 return terms.Universe()
         raise TypeError(f"not a term: {t!r}")
 
-    return go(scope, {}, term)
+    return go(scope, term)
 
 
 def to_foil_closed(term: naive.Term) -> terms.Term:

@@ -28,7 +28,6 @@ from .names import (
     extend_scope,
     lookup_subst,
     name_of,
-    sink_subst,
     with_refreshed,
 )
 
@@ -106,7 +105,7 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
 
             def f_scoped(scoped: ScopedAST) -> ScopedAST:
                 binder2 = with_refreshed(scope, name_of(scoped.binder))
-                subst2 = add_rename(sink_subst(subst), scoped.binder, name_of(binder2))
+                subst2 = add_rename(subst, scoped.binder, name_of(binder2))
                 scope2 = extend_scope(binder2, scope)
                 return ScopedAST(binder2, substitute(scope2, subst2, scoped.body))
 

@@ -126,23 +126,38 @@ def pattern_idents(pattern: Pattern) -> list[VarIdent]:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-def free_idents(term: Term) -> frozenset[str]:
-    """Free identifier texts of a term."""
+def free_idents(term: Term, memo: dict | None = None) -> frozenset[str]:
+    """Free identifier texts of a term.
+
+    With ``memo``, each node's set is computed once and cached under
+    ``id(node)``; the entry holds the node itself, so its id cannot be
+    reused by another object while the memo lives.
+    """
+    if memo is not None:
+        hit = memo.get(id(term))
+        if hit is not None:
+            return hit[1]
     match term:
         case Var(ident):
-            return frozenset({ident.text})
+            out = frozenset({ident.text})
         case Pair(left, right):
-            return free_idents(left) | free_idents(right)
+            out = free_idents(left, memo) | free_idents(right, memo)
         case First(t) | Second(t):
-            return free_idents(t)
+            out = free_idents(t, memo)
         case App(fun, arg):
-            return free_idents(fun) | free_idents(arg)
+            out = free_idents(fun, memo) | free_idents(arg, memo)
         case Lam(pattern, ScopedTerm(body)):
             bound = {i.text for i in pattern_idents(pattern)}
-            return frozenset(free_idents(body) - bound)
+            out = frozenset(free_idents(body, memo) - bound)
         case Pi(pattern, domain, ScopedTerm(codomain)):
             bound = {i.text for i in pattern_idents(pattern)}
-            return free_idents(domain) | frozenset(free_idents(codomain) - bound)
+            out = free_idents(domain, memo) | frozenset(
+                free_idents(codomain, memo) - bound
+            )
         case Universe():
-            return frozenset()
-    raise TypeError(f"not a term: {term!r}")
+            out = frozenset()
+        case _:
+            raise TypeError(f"not a term: {term!r}")
+    if memo is not None:
+        memo[id(term)] = (term, out)
+    return out

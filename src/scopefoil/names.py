@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 # Raw names are plain machine integers (>= 0).  Everything else is a thin,
 # immutable wrapper around them.
@@ -69,27 +69,29 @@ class Var:
 
 
 class Scope:
-    """An immutable set of raw names with a cached maximum.
+    """An immutable set of raw names, stored as an int bitmask.
 
-    The cached maximum makes :func:`fresh_raw_name` O(1); extension copies
-    the member set, which is fine because scopes only ever grow by one
-    binder at a time along a recursion path.
+    Raw names are dense small integers (a fresh name is max+1), so bit
+    ``raw`` of the mask records whether ``raw`` is in scope.  Membership is
+    ``mask >> raw & 1``, extension is ``mask | 1 << raw`` and the maximum is
+    ``mask.bit_length() - 1``: entering a binder never copies a member set.
     """
 
-    __slots__ = ("_members", "_max")
+    __slots__ = ("_mask",)
 
     def __init__(self, raws: Iterable[RawName] = ()):
-        members = frozenset(raws)
-        object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_max", max(members) if members else None)
+        mask = 0
+        for raw in raws:
+            mask |= 1 << raw
+        self._mask = mask
 
     @property
     def members(self) -> frozenset[RawName]:
-        return self._members
+        return frozenset(self)
 
     @property
     def max_raw(self) -> RawName | None:
-        return self._max
+        return self._mask.bit_length() - 1 if self._mask else None
 
     def add(self, raw: RawName) -> "Scope":
         """Extension without a distinctness check (shadowing allowed).
@@ -99,37 +101,38 @@ class Scope:
         its *output* may shadow even though every binder it creates is fresh.
         """
         new = Scope.__new__(Scope)
-        object.__setattr__(new, "_members", self._members | {raw})
-        object.__setattr__(
-            new, "_max", raw if self._max is None or raw > self._max else self._max
-        )
+        new._mask = self._mask | 1 << raw
         return new
 
     def __contains__(self, raw: RawName) -> bool:
-        return raw in self._members
+        return self._mask >> raw & 1 == 1
 
     def __iter__(self) -> Iterator[RawName]:
-        return iter(self._members)
+        """Members in increasing order."""
+        mask = self._mask
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
 
     def __len__(self) -> int:
-        return len(self._members)
+        return self._mask.bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scope):
             return NotImplemented
-        return self._members == other._members
+        return self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self._mask)
 
     def __repr__(self) -> str:
-        return f"Scope({{{', '.join(map(str, sorted(self._members)))}}})"
+        return f"Scope({{{', '.join(map(str, self))}}})"
 
 
 def fresh_raw_name(scope: Scope) -> RawName:
     """Smallest-above-maximum freshness: 0 for the empty scope, else max+1."""
-    m = scope.max_raw
-    return 0 if m is None else m + 1
+    return scope._mask.bit_length()
 
 
 def fresh_binder(scope: Scope) -> NameBinder:
@@ -174,7 +177,7 @@ def sink(value: Any, source: Scope | None = None, target: Scope | None = None) -
     extend the source.
     """
     if _debug and source is not None and target is not None:
-        if not source.members <= target.members:
+        if source._mask & ~target._mask:
             raise ScopeViolationError(
                 f"sink target {target!r} does not extend source {source!r}"
             )
@@ -210,27 +213,12 @@ def add_subst(subst: Subst, binder: NameBinder, expr: Any) -> Subst:
 
 
 def add_rename(subst: Subst, binder: NameBinder, name: Name) -> Subst:
-    return add_subst(subst, binder, Var(name))
+    """Substitution extended with ``binder -> name``.
 
-
-def sink_subst(subst: Subst) -> Subst:
-    """Sink a substitution along a scope extension (representation identity)."""
-    return subst
-
-
-def is_identity_subst(subst: Subst) -> bool:
-    """True when every entry maps a raw name to itself.
-
-    Normalizers use this to skip rebuilding a body when entering a binder
-    required no renaming.
+    A reused binder (``name`` is the binder's own raw name) with no stale
+    entry for that raw already maps to itself, so the same substitution is
+    returned without copying its map.
     """
-    return all(
-        type(expr) is Var and expr.name.raw == raw for raw, expr in subst.env.items()
-    )
-
-
-RenamingFn = Callable[[Name], Name]
-
-
-def identity_renaming(name: Name) -> Name:
-    return name
+    if name.raw == binder.raw and binder.raw not in subst.env:
+        return subst
+    return add_subst(subst, binder, Var(name))

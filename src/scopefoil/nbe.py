@@ -125,8 +125,20 @@ class VUniverse:
 
 Value = Union[VNeutral, VLam, VPi, VPair, VUniverse]
 
-# Environments map raw names to thunks (or already-forced values).
-Env = dict
+# Environments are persistent linked cells ``(raw, value, rest)``, newest
+# first, ending in ``None``; a value is a thunk or an already-forced value.
+# Entering a binder conses one cell, so closures share their outer
+# environment instead of copying it; lookup walks to the nearest binding,
+# which is the innermost one, so shadowing works.
+Env = Union[tuple, None]
+
+
+def _lookup(env: Env, raw: int):  # type: ignore[no-untyped-def]
+    while env is not None:
+        if env[0] == raw:
+            return env[1]
+        env = env[2]
+    return None
 
 
 def _force(v) -> Value:  # type: ignore[no-untyped-def]
@@ -136,7 +148,7 @@ def _force(v) -> Value:  # type: ignore[no-untyped-def]
 def apply_value(fun: Value, arg: Thunk) -> Value:
     match fun:
         case VLam(env, binder, body):
-            return eval_term({**env, binder.raw: arg}, body)
+            return eval_term((binder.raw, arg, env), body)
         case VNeutral(head, spine):
             return VNeutral(head, spine + (EApp(arg),))
     raise EvalError("cannot apply a non-function value")
@@ -154,7 +166,7 @@ def _project(value: Value, which: int) -> Value:
 def eval_term(env: Env, term: Term) -> Value:
     match term:
         case Var(name):
-            hit = env.get(name.raw)
+            hit = _lookup(env, name.raw)
             return VNeutral(name, ()) if hit is None else _force(hit)
         case Node(InL(AppSig(fun, arg))):
             return apply_value(eval_term(env, fun), Thunk(arg, env))
@@ -195,14 +207,14 @@ def quote(scope: Scope, value: Value) -> Term:
             binder2 = with_refreshed(scope, name_of(binder))
             scope2 = extend_scope(binder2, scope)
             body_value = eval_term(
-                {**env, binder.raw: VNeutral(name_of(binder2), ())}, body
+                (binder.raw, VNeutral(name_of(binder2), ()), env), body
             )
             return mk_lam(binder2, quote(scope2, body_value))
         case VPi(env, domain, binder, codomain):
             binder2 = with_refreshed(scope, name_of(binder))
             scope2 = extend_scope(binder2, scope)
             codomain_value = eval_term(
-                {**env, binder.raw: VNeutral(name_of(binder2), ())}, codomain
+                (binder.raw, VNeutral(name_of(binder2), ()), env), codomain
             )
             return mk_pi(binder2, quote(scope, domain), quote(scope2, codomain_value))
     raise TypeError(f"not a value: {value!r}")
@@ -210,4 +222,4 @@ def quote(scope: Scope, value: Value) -> Term:
 
 def nf_nbe(scope: Scope, term: Term) -> Term:
     """Normal form by evaluate-then-quote; never substitutes into a tree."""
-    return quote(scope, eval_term({}, term))
+    return quote(scope, eval_term(None, term))

@@ -44,18 +44,19 @@ def _fresh_ident(base: str, avoid: set[str]) -> naive.VarIdent:
 
 
 def _pattern_refresh(
-    pattern: naive.Pattern, sub: dict[str, naive.Term], body: naive.Term
+    pattern: naive.Pattern, sub: dict[str, naive.Term], body: naive.Term, memo: dict
 ) -> tuple[naive.Pattern, dict[str, naive.Term]]:
     """Prepare to substitute under ``pattern``: drop shadowed entries, rename
-    any binder that would capture a free variable of the remaining values."""
+    any binder that would capture a free variable of the remaining values.
+    Free-identifier sets come from ``memo`` (see :func:`subst_named`)."""
     bound = {i.text for i in naive.pattern_idents(pattern)}
-    body_free = naive.free_idents(body)
+    body_free = naive.free_idents(body, memo)
     live = {k: v for k, v in sub.items() if k in body_free and k not in bound}
     if not live:
         return pattern, {}
     value_free: set[str] = set()
     for v in live.values():
-        value_free |= naive.free_idents(v)
+        value_free |= naive.free_idents(v, memo)
     avoid = value_free | set(body_free) | bound
     sub2 = dict(live)
 
@@ -77,29 +78,40 @@ def _pattern_refresh(
     return rebuild(pattern), sub2
 
 
-def subst_named(sub: dict[str, naive.Term], term: naive.Term) -> naive.Term:
-    """Capture-avoiding parallel substitution on surface terms."""
+def subst_named(
+    sub: dict[str, naive.Term], term: naive.Term, memo: dict | None = None
+) -> naive.Term:
+    """Capture-avoiding parallel substitution on surface terms.
+
+    One free-identifier memo (see :func:`naive.free_idents`) serves the whole
+    substitution, so each node's free set, and each substituted value's, is
+    computed once rather than at every binder the substitution passes.
+    """
     if not sub:
         return term
+    if memo is None:
+        memo = {}
     match term:
         case naive.Var(ident):
             return sub.get(ident.text, term)
         case naive.Pair(left, right):
-            return naive.Pair(subst_named(sub, left), subst_named(sub, right))
+            return naive.Pair(
+                subst_named(sub, left, memo), subst_named(sub, right, memo)
+            )
         case naive.First(t):
-            return naive.First(subst_named(sub, t))
+            return naive.First(subst_named(sub, t, memo))
         case naive.Second(t):
-            return naive.Second(subst_named(sub, t))
+            return naive.Second(subst_named(sub, t, memo))
         case naive.App(fun, arg):
-            return naive.App(subst_named(sub, fun), subst_named(sub, arg))
+            return naive.App(subst_named(sub, fun, memo), subst_named(sub, arg, memo))
         case naive.Lam(pattern, naive.ScopedTerm(body)):
-            pattern2, sub2 = _pattern_refresh(pattern, sub, body)
-            return naive.Lam(pattern2, naive.ScopedTerm(subst_named(sub2, body)))
+            pattern2, sub2 = _pattern_refresh(pattern, sub, body, memo)
+            return naive.Lam(pattern2, naive.ScopedTerm(subst_named(sub2, body, memo)))
         case naive.Pi(pattern, domain, naive.ScopedTerm(codomain)):
-            domain2 = subst_named(sub, domain)
-            pattern2, sub2 = _pattern_refresh(pattern, sub, codomain)
+            domain2 = subst_named(sub, domain, memo)
+            pattern2, sub2 = _pattern_refresh(pattern, sub, codomain, memo)
             return naive.Pi(
-                pattern2, domain2, naive.ScopedTerm(subst_named(sub2, codomain))
+                pattern2, domain2, naive.ScopedTerm(subst_named(sub2, codomain, memo))
             )
         case naive.Universe():
             return term
@@ -405,7 +417,12 @@ def from_debruijn(term: DBTerm) -> naive.Term:
 
 
 def shift_db(term: DBTerm, by: int, cutoff: int = 0) -> DBTerm:
-    """Add ``by`` to every index >= ``cutoff`` (free in the current prefix)."""
+    """Add ``by`` to every index >= ``cutoff`` (free in the current prefix).
+
+    A shift by 0 returns ``term`` itself: there is nothing to copy.
+    """
+    if by == 0:
+        return term
     match term:
         case BVar(index):
             return BVar(index + by) if index >= cutoff else term

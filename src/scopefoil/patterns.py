@@ -14,14 +14,11 @@ from typing import Union
 from .names import (
     Name,
     NameBinder,
-    RenamingFn,
     Scope,
     Subst,
     add_rename,
     extend_scope,
-    identity_renaming,
     name_of,
-    sink_subst,
     with_refreshed,
 )
 
@@ -75,35 +72,23 @@ def extend_scope_pattern(pattern: Pattern, scope: Scope) -> Scope:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-def extend_renaming(
-    pattern: Pattern, rename: RenamingFn = identity_renaming
-) -> tuple[Pattern, RenamingFn]:
-    """Extend a renaming over the pattern's bound names.
-
-    Pattern-bound names rename to themselves, so both the pattern and the
-    renaming come back unchanged — this is the zero-cost counterpart of
-    :func:`with_pattern` for the case where only the ambient scope changed
-    (sinking), no collision handling required.
-    """
-    return pattern, rename
-
-
 def with_pattern(
     scope: Scope, pattern: Pattern, subst: Subst
 ) -> tuple[Pattern, Subst, Scope]:
     """Refresh a pattern against ``scope``, threading a substitution under it.
 
     Each binder is refreshed with the reuse rule (:func:`with_refreshed`),
-    the substitution gains the old-binder -> new-name renaming, and the
-    scope gains the new binder.  Returns the rebuilt pattern, the
+    the substitution gains the old-binder -> new-name renaming (unless
+    :func:`add_rename` finds a reused binder that already maps to itself),
+    and the scope gains the new binder.  Returns the rebuilt pattern, the
     substitution to apply to the pattern's body, and the body's scope.
     """
     match pattern:
         case PatternWildcard():
-            return pattern, sink_subst(subst), scope
+            return pattern, subst, scope
         case PatternVar(binder):
             binder2 = with_refreshed(scope, name_of(binder))
-            subst2 = add_rename(sink_subst(subst), binder, name_of(binder2))
+            subst2 = add_rename(subst, binder, name_of(binder2))
             scope2 = extend_scope(binder2, scope)
             return PatternVar(binder2), subst2, scope2
         case PatternPair(left, right):

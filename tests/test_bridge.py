@@ -40,6 +40,20 @@ def test_shadowing_resolves_to_innermost():
     assert alpha_eq(back, parse_term("lam a . lam b . b"))
 
 
+def test_binder_scope_ends_with_its_body():
+    # the outer x is back in force after the inner binder's body
+    src = "lam x . (lam x . x) x"
+    back = from_foil_term(default_ident, to_foil_closed(parse_term(src)))
+    assert alpha_eq(back, parse_term("lam a . (lam b . b) a"))
+    # sibling binders each see their own name, and the enclosing ones
+    src = "lam z . ((lam x . x z) (lam y . y z), (lam x . x) z)"
+    back = from_foil_term(default_ident, to_foil_closed(parse_term(src)))
+    assert alpha_eq(back, parse_term(src))
+    # a sibling's name does not leak out of its body
+    with pytest.raises(UnboundVariableError):
+        to_foil_closed(parse_term("((lam x . x), x)"))
+
+
 def test_unbound_variable_raises_with_location():
     term = parse_term("lam x . y")
     with pytest.raises(UnboundVariableError) as err:

@@ -32,6 +32,7 @@ from scopefoil.names import (
     ScopeViolationError,
     Var,
     add_subst,
+    debug_scopes_enabled,
     identity_subst,
     set_debug_scopes,
 )
@@ -156,6 +157,7 @@ def test_check_scope():
 def test_sink_ast_is_identity_and_checks_in_debug():
     term = mk_lam(NameBinder(0), mk_var(Name(0)))
     assert sink_ast(term) is term
+    previous = debug_scopes_enabled()
     set_debug_scopes(True)
     try:
         assert sink_ast(term, Scope(), Scope().add(3)) is term
@@ -163,7 +165,14 @@ def test_sink_ast_is_identity_and_checks_in_debug():
         with pytest.raises(ScopeViolationError):
             sink_ast(leaky, Scope(), Scope().add(3))
     finally:
-        set_debug_scopes(False)
+        set_debug_scopes(previous)
+
+
+def test_substitute_does_not_reach_under_shadowing_binder():
+    # [#0 := U] (lam #0 . #0): the reused binder shadows the entry
+    subst = add_subst(identity_subst(), NameBinder(0), mk_universe())
+    term = mk_lam(NameBinder(0), mk_var(Name(0)))
+    assert substitute(Scope(), subst, term) == term
 
 
 def test_substitute_random_roundtrip_with_identity():

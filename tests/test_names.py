@@ -12,6 +12,7 @@ from scopefoil.names import (
     Var,
     add_rename,
     add_subst,
+    debug_scopes_enabled,
     extend_scope,
     fresh_binder,
     fresh_raw_name,
@@ -20,7 +21,6 @@ from scopefoil.names import (
     name_of,
     set_debug_scopes,
     sink,
-    sink_subst,
     with_refreshed,
 )
 
@@ -30,6 +30,30 @@ def test_empty_scope():
     assert len(scope) == 0
     assert 0 not in scope
     assert scope.max_raw is None
+
+
+def test_scope_bitmask_is_order_independent_and_unbounded():
+    raws = [10_000, 3, 0, 517, 64]
+    rng = random.Random(202)
+    built = [Scope(raws), Scope(reversed(raws)), Scope(raws + raws)]
+    for _ in range(5):
+        order = rng.sample(raws, len(raws))
+        scope = Scope()
+        for raw in order:
+            scope = scope.add(raw)
+        built.append(scope)
+    for scope in built:
+        assert scope == built[0]
+        assert hash(scope) == hash(built[0])
+        assert len(scope) == len(raws)
+        assert scope.max_raw == 10_000
+        assert fresh_raw_name(scope) == 10_001
+        assert scope.members == frozenset(raws)
+        assert list(scope) == sorted(raws)
+        assert all(raw in scope for raw in raws)
+        assert not any(raw in scope for raw in (1, 2, 63, 65, 9_999, 10_001))
+    assert Scope(raws) != Scope(raws[1:])
+    assert repr(Scope([2, 0])) == "Scope({0, 2})"
 
 
 def test_fresh_raw_name_is_max_plus_one():
@@ -59,13 +83,14 @@ def test_extend_scope():
 
 
 def test_extend_scope_rejects_collision_in_debug_mode():
+    previous = debug_scopes_enabled()
     set_debug_scopes(True)
     try:
         scope = extend_scope(NameBinder(3), Scope())
         with pytest.raises(ScopeViolationError):
             extend_scope(NameBinder(3), scope)
     finally:
-        set_debug_scopes(False)
+        set_debug_scopes(previous)
 
 
 def test_with_refreshed_reuses_when_free():
@@ -108,6 +133,7 @@ def test_sink_is_identity():
 
 
 def test_sink_debug_checks_superset():
+    previous = debug_scopes_enabled()
     set_debug_scopes(True)
     try:
         small = Scope().add(4)
@@ -116,7 +142,7 @@ def test_sink_debug_checks_superset():
         with pytest.raises(ScopeViolationError):
             sink(Var(Name(4)), source=big, target=small)
     finally:
-        set_debug_scopes(False)
+        set_debug_scopes(previous)
 
 
 def test_substitution_lookup_defaults_to_variable():
@@ -140,9 +166,14 @@ def test_add_rename():
     assert lookup_subst(subst, Name(0)) == Var(Name(5))
 
 
-def test_sink_subst_is_identity():
+def test_add_rename_of_reused_binder_shares_the_subst():
     subst = add_subst(identity_subst(), NameBinder(1), Var(Name(9)))
-    assert sink_subst(subst) is subst
+    assert add_rename(subst, NameBinder(4), Name(4)) is subst
+    # a reused binder that shadows an entry must override it
+    shadowed = add_rename(subst, NameBinder(1), Name(1))
+    assert shadowed is not subst
+    assert lookup_subst(shadowed, Name(1)) == Var(Name(1))
+    assert lookup_subst(subst, Name(1)) == Var(Name(9))
 
 
 def test_names_and_binders_are_hashable_values():

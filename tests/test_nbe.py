@@ -6,7 +6,13 @@ import pytest
 
 from scopefoil import generic, lambda_pi
 from scopefoil.bench import gen_random
-from scopefoil.bridge import default_ident, from_foil_term, to_foil_closed
+from scopefoil.bridge import (
+    default_ident,
+    from_foil_term,
+    rename_from_env,
+    to_foil_closed,
+    to_foil_term,
+)
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
 from scopefoil.names import Name, NameBinder, Scope
 from scopefoil.nbe import EvalError, Thunk, eval_term, nf_nbe, quote
@@ -60,7 +66,7 @@ def test_unforced_pair_component_converges():
 
 def test_thunks_memoize():
     term = _free("(lam x . x) U")
-    thunk = Thunk(term, {})
+    thunk = Thunk(term, None)
     first = thunk.force()
     assert thunk.force() is first
 
@@ -70,6 +76,16 @@ def test_open_terms_evaluate_to_neutrals():
     term = lambda_pi.mk_app(lambda_pi.mk_var(Name(0)), lambda_pi.mk_universe())
     out = nf_nbe(scope, term)
     assert out == term  # x0 U is already normal
+
+
+def test_linked_environment_resolves_to_innermost_binding():
+    # (lam x . lam x . x) a b  is  b: the inner x shadows the outer one
+    env = {"a": Name(0), "b": Name(1)}
+    scope = Scope([0, 1])
+    term = direct_to_free(
+        to_foil_term(rename_from_env(env), scope, parse_term("(lam x . lam x . x) a b"))
+    )
+    assert nf_nbe(scope, term) == lambda_pi.mk_var(Name(1))
 
 
 def test_quote_refreshes_against_scope():
@@ -113,7 +129,7 @@ def test_eval_then_quote_composes():
     for _ in range(30):
         surface = gen_random(rng.randrange(10_000), 10)
         free = direct_to_free(to_foil_closed(surface))
-        value = eval_term({}, free)
+        value = eval_term(None, free)
         out = quote(Scope(), value)
         # quoting is stable: normalizing the quoted form changes nothing
         assert alpha_eq(nf_nbe(Scope(), out), out)

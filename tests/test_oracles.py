@@ -91,6 +91,17 @@ def test_named_substitution_avoids_capture():
     assert "lam y ." not in pretty_term(out)
 
 
+def test_named_substitution_renames_only_a_colliding_binder():
+    # [y := x] (lam x . lam z . y x z): x collides with the value and is
+    # renamed to the first fresh variant; z is kept
+    out = subst_named({"y": _v("x")}, parse_term("lam x . lam z . y x z"))
+    assert pretty_term(out) == "lam x1 . lam z . x x1 z"
+    # under a binder where nothing substituted is free, the body is kept
+    closed = parse_term("lam w . w")
+    out = subst_named({"y": _v("x")}, naive.App(_v("y"), closed))
+    assert out.arg.body.term is closed.body.term
+
+
 def test_named_substitution_respects_shadowing():
     term = parse_term("lam x . x")
     assert subst_named({"x": naive.Universe()}, term) == term

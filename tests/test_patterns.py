@@ -9,7 +9,6 @@ from scopefoil.names import (
     NameBinder,
     Scope,
     Var,
-    identity_renaming,
     identity_subst,
     lookup_subst,
 )
@@ -17,7 +16,6 @@ from scopefoil.patterns import (
     PatternPair,
     PatternVar,
     PatternWildcard,
-    extend_renaming,
     extend_scope_pattern,
     names_of_pattern,
     with_pattern,
@@ -37,13 +35,6 @@ def test_extend_scope_pattern():
     scope = extend_scope_pattern(pattern, Scope())
     assert set(scope) == {1, 3}
     assert extend_scope_pattern(PatternWildcard(), Scope()) == Scope()
-
-
-def test_extend_renaming_is_zero_cost():
-    pattern = PatternPair(PatternVar(NameBinder(0)), PatternWildcard())
-    pattern2, rename = extend_renaming(pattern, identity_renaming)
-    assert pattern2 is pattern
-    assert rename is identity_renaming
 
 
 def test_with_pattern_no_collision_keeps_names():

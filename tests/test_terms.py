@@ -127,6 +127,13 @@ def test_subst_direct_inserts_and_skips():
     assert subst_direct(scope, subst, term) == Pair(Universe(), Var(Name(1)))
 
 
+def test_no_substitution_under_shadowing_binder():
+    # [#0 := U] (lam #0 . #0): the reused binder shadows the entry
+    subst = add_subst(identity_subst(), NameBinder(0), Universe())
+    term = Lam(PatternVar(NameBinder(0)), Var(Name(0)))
+    assert subst_direct(Scope(), subst, term) == term
+
+
 def test_check_scope_accepts_and_rejects():
     scope = Scope().add(0)
     check_scope_direct(Var(Name(0)), scope)
