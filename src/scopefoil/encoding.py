@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 
 from . import oracles, terms
-from .generic import AST, InL, InR, Node, ScopedAST
+from .generic import AST, ScopedAST, children
 from .lambda_pi import (
     AppSig,
     FirstSig,
@@ -110,38 +110,34 @@ def encode_direct(term: terms.Term) -> bytes:
     return bytes(out)
 
 
+# Every scope-indexed node: its tag, the binder of each scoped child, then
+# each child (a scoped child's body) in field order.
+_FREE_TAGS = {
+    PairSig: 0x02,
+    FirstSig: 0x03,
+    SecondSig: 0x04,
+    AppSig: 0x05,
+    LamSig: 0x06,
+    PiSig: 0x07,
+    UniverseSig: 0x08,
+}
+
+
 def _encode_free(term: AST, out: bytearray) -> None:
-    match term:
-        case Var(name):
-            out.append(0x01)
-            _varint(name.raw, out)
-        case Node(InR(PairSig(left, right))):
-            out.append(0x02)
-            _encode_free(left, out)
-            _encode_free(right, out)
-        case Node(InR(FirstSig(t))):
-            out.append(0x03)
-            _encode_free(t, out)
-        case Node(InR(SecondSig(t))):
-            out.append(0x04)
-            _encode_free(t, out)
-        case Node(InL(AppSig(fun, arg))):
-            out.append(0x05)
-            _encode_free(fun, out)
-            _encode_free(arg, out)
-        case Node(InL(LamSig(ScopedAST(binder, body)))):
-            out.append(0x06)
-            _varint(binder.raw, out)
-            _encode_free(body, out)
-        case Node(InL(PiSig(domain, ScopedAST(binder, codomain)))):
-            out.append(0x07)
-            _varint(binder.raw, out)
-            _encode_free(domain, out)
-            _encode_free(codomain, out)
-        case Node(InL(UniverseSig())):
-            out.append(0x08)
-        case _:
-            raise TypeError(f"not a term: {term!r}")
+    if type(term) is Var:
+        out.append(0x01)
+        _varint(term.name.raw, out)
+        return
+    tag = _FREE_TAGS.get(type(term))
+    if tag is None:
+        raise TypeError(f"not a term: {term!r}")
+    out.append(tag)
+    fields = children(term)
+    for child in fields:
+        if type(child) is ScopedAST:
+            _varint(child.binder.raw, out)
+    for child in fields:
+        _encode_free(child.body if type(child) is ScopedAST else child, out)
 
 
 def encode_free(term: AST) -> bytes:

@@ -1,26 +1,26 @@
 """Lambda-Pi with pairs, assembled on the signature-generic AST.
 
-The language is the sum of two independent signature fragments: the core
-(application, single-binder lambda, Pi, universe) on the left and pairs with
-projections on the right.  Binding constructs here bind exactly one variable;
-the direct representation's richer patterns convert only when they are single
-variables (:class:`UnsupportedPatternError` otherwise).
+The signature classes below are the tree nodes: application, single-binder
+lambda, Pi and the universe, plus pairs with projections.  Every field is a
+term or a :class:`~scopefoil.generic.ScopedAST`, so substitution, scope
+checking, the congruence part of normalization and the canonical encoding
+are derived from the fields, with no code per constructor.  Binding
+constructs here bind exactly one variable; the direct representation's
+richer patterns convert only when they are single variables
+(:class:`UnsupportedPatternError` otherwise).
 
-Smart constructors (``mk_*``) hide the injections; the ``as_*`` views undo
-them and return ``None`` on mismatch, so callers can pattern-match without
-naming the sum.
+``mk_lam``/``mk_pi`` build the scoped child; the ``as_*`` views return a
+node's fields, or ``None`` on mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from . import terms
 from .fuel import Fuel
-from .generic import AST, InL, InR, Node, ScopedAST, substitute
+from .generic import AST, ScopedAST, children, substitute
 from .names import (
-    Name,
     NameBinder,
     Scope,
     Var,
@@ -39,7 +39,7 @@ class UnsupportedPatternError(Exception):
 
 
 # --------------------------------------------------------------------------
-# signature fragments
+# signature classes
 # --------------------------------------------------------------------------
 
 
@@ -48,16 +48,10 @@ class AppSig:
     fun: AST
     arg: AST
 
-    def map_node(self, f_scoped, f_term):  # type: ignore[no-untyped-def]
-        return AppSig(f_term(self.fun), f_term(self.arg))
-
 
 @dataclass(frozen=True, slots=True)
 class LamSig:
     scoped: ScopedAST
-
-    def map_node(self, f_scoped, f_term):  # type: ignore[no-untyped-def]
-        return LamSig(f_scoped(self.scoped))
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,14 +59,10 @@ class PiSig:
     domain: AST
     codomain: ScopedAST
 
-    def map_node(self, f_scoped, f_term):  # type: ignore[no-untyped-def]
-        return PiSig(f_term(self.domain), f_scoped(self.codomain))
-
 
 @dataclass(frozen=True, slots=True)
 class UniverseSig:
-    def map_node(self, f_scoped, f_term):  # type: ignore[no-untyped-def]
-        return self
+    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,117 +70,64 @@ class PairSig:
     left: AST
     right: AST
 
-    def map_node(self, f_scoped, f_term):  # type: ignore[no-untyped-def]
-        return PairSig(f_term(self.left), f_term(self.right))
-
 
 @dataclass(frozen=True, slots=True)
 class FirstSig:
     term: AST
-
-    def map_node(self, f_scoped, f_term):  # type: ignore[no-untyped-def]
-        return FirstSig(f_term(self.term))
 
 
 @dataclass(frozen=True, slots=True)
 class SecondSig:
     term: AST
 
-    def map_node(self, f_scoped, f_term):  # type: ignore[no-untyped-def]
-        return SecondSig(f_term(self.term))
 
-
-LambdaPiNode = Union[AppSig, LamSig, PiSig, UniverseSig]
-PairNode = Union[PairSig, FirstSig, SecondSig]
-
-# A lambda-Pi term is the generic AST over the summed signature.
+# Every node class of the language; a lambda-Pi term is a ``Var`` or an
+# instance of one of them.
+SIGNATURE = (AppSig, LamSig, PiSig, UniverseSig, PairSig, FirstSig, SecondSig)
 Term = AST
 
 
 # --------------------------------------------------------------------------
-# smart constructors and views
+# binder constructors and views
 # --------------------------------------------------------------------------
 
 
-def mk_var(name: Name) -> Term:
-    return Var(name)
-
-
-def mk_app(fun: Term, arg: Term) -> Term:
-    return Node(InL(AppSig(fun, arg)))
-
-
 def mk_lam(binder: NameBinder, body: Term) -> Term:
-    return Node(InL(LamSig(ScopedAST(binder, body))))
+    return LamSig(ScopedAST(binder, body))
 
 
 def mk_pi(binder: NameBinder, domain: Term, codomain: Term) -> Term:
-    return Node(InL(PiSig(domain, ScopedAST(binder, codomain))))
-
-
-def mk_universe() -> Term:
-    return Node(InL(UniverseSig()))
-
-
-def mk_pair(left: Term, right: Term) -> Term:
-    return Node(InR(PairSig(left, right)))
-
-
-def mk_first(term: Term) -> Term:
-    return Node(InR(FirstSig(term)))
-
-
-def mk_second(term: Term) -> Term:
-    return Node(InR(SecondSig(term)))
+    return PiSig(domain, ScopedAST(binder, codomain))
 
 
 def as_app(term: Term) -> tuple[Term, Term] | None:
-    match term:
-        case Node(InL(AppSig(fun, arg))):
-            return fun, arg
-    return None
+    return (term.fun, term.arg) if type(term) is AppSig else None
 
 
 def as_lam(term: Term) -> tuple[NameBinder, Term] | None:
-    match term:
-        case Node(InL(LamSig(ScopedAST(binder, body)))):
-            return binder, body
-    return None
+    return (term.scoped.binder, term.scoped.body) if type(term) is LamSig else None
 
 
 def as_pi(term: Term) -> tuple[NameBinder, Term, Term] | None:
-    match term:
-        case Node(InL(PiSig(domain, ScopedAST(binder, codomain)))):
-            return binder, domain, codomain
-    return None
+    if type(term) is not PiSig:
+        return None
+    return term.codomain.binder, term.domain, term.codomain.body
 
 
 def is_universe(term: Term) -> bool:
-    match term:
-        case Node(InL(UniverseSig())):
-            return True
-    return False
+    return type(term) is UniverseSig
 
 
 def as_pair(term: Term) -> tuple[Term, Term] | None:
-    match term:
-        case Node(InR(PairSig(left, right))):
-            return left, right
-    return None
+    return (term.left, term.right) if type(term) is PairSig else None
 
 
 def as_first(term: Term) -> Term | None:
-    match term:
-        case Node(InR(FirstSig(t))):
-            return t
-    return None
+    return term.term if type(term) is FirstSig else None
 
 
 def as_second(term: Term) -> Term | None:
-    match term:
-        case Node(InR(SecondSig(t))):
-            return t
-    return None
+    return term.term if type(term) is SecondSig else None
 
 
 # --------------------------------------------------------------------------
@@ -200,29 +137,20 @@ def as_second(term: Term) -> Term | None:
 
 def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     match term:
-        case Node(InR(FirstSig(t))):
+        case FirstSig(t) | SecondSig(t):
             t2 = _whnf(scope, t, fuel)
-            pair = as_pair(t2)
-            if pair is not None:
-                fuel.spend()
-                return _whnf(scope, pair[0], fuel)
-            return term if t2 is t else mk_first(t2)
-        case Node(InR(SecondSig(t))):
-            t2 = _whnf(scope, t, fuel)
-            pair = as_pair(t2)
-            if pair is not None:
-                fuel.spend()
-                return _whnf(scope, pair[1], fuel)
-            return term if t2 is t else mk_second(t2)
-        case Node(InL(AppSig(fun, arg))):
+            if type(t2) is not PairSig:
+                return term if t2 is t else type(term)(t2)
+            fuel.spend()
+            component = t2.left if type(term) is FirstSig else t2.right
+            return _whnf(scope, component, fuel)
+        case AppSig(fun, arg):
             fun2 = _whnf(scope, fun, fuel)
-            lam = as_lam(fun2)
-            if lam is not None:
-                binder, body = lam
+            if type(fun2) is LamSig:
                 fuel.spend()
-                subst = add_subst(identity_subst(), binder, arg)
-                return _whnf(scope, substitute(scope, subst, body), fuel)
-            return term if fun2 is fun else mk_app(fun2, arg)
+                subst = add_subst(identity_subst(), fun2.scoped.binder, arg)
+                return _whnf(scope, substitute(scope, subst, fun2.scoped.body), fuel)
+            return term if fun2 is fun else AppSig(fun2, arg)
         case _:
             return term
 
@@ -233,35 +161,24 @@ def whnf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 
 
 def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
+    """After whnf, normalize every child; a scoped child's binder is
+    refreshed against ``scope`` and its body renamed only on a collision."""
     term = _whnf(scope, term, fuel)
-    match term:
-        case Var():
-            return term
-        case Node(InL(AppSig(fun, arg))):
-            return mk_app(_nf(scope, fun, fuel), _nf(scope, arg, fuel))
-        case Node(InL(LamSig(ScopedAST(binder, body)))):
+    if type(term) is Var:
+        return term
+    new = []
+    for child in children(term):
+        if type(child) is ScopedAST:
+            binder, body = child.binder, child.body
             binder2 = with_refreshed(scope, name_of(binder))
             scope2 = extend_scope(binder2, scope)
             if binder2.raw != binder.raw:
                 rename = add_rename(identity_subst(), binder, name_of(binder2))
                 body = substitute(scope2, rename, body)
-            return mk_lam(binder2, _nf(scope2, body, fuel))
-        case Node(InL(PiSig(domain, ScopedAST(binder, codomain)))):
-            binder2 = with_refreshed(scope, name_of(binder))
-            scope2 = extend_scope(binder2, scope)
-            if binder2.raw != binder.raw:
-                rename = add_rename(identity_subst(), binder, name_of(binder2))
-                codomain = substitute(scope2, rename, codomain)
-            return mk_pi(binder2, _nf(scope, domain, fuel), _nf(scope2, codomain, fuel))
-        case Node(InL(UniverseSig())):
-            return term
-        case Node(InR(PairSig(left, right))):
-            return mk_pair(_nf(scope, left, fuel), _nf(scope, right, fuel))
-        case Node(InR(FirstSig(t))):
-            return mk_first(_nf(scope, t, fuel))
-        case Node(InR(SecondSig(t))):
-            return mk_second(_nf(scope, t, fuel))
-    raise TypeError(f"not a term: {term!r}")
+            new.append(ScopedAST(binder2, _nf(scope2, body, fuel)))
+        else:
+            new.append(_nf(scope, child, fuel))
+    return type(term)(*new)
 
 
 def nf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
@@ -289,13 +206,13 @@ def direct_to_free(term: terms.Term) -> Term:
         case Var():
             return term
         case terms.Pair(left, right):
-            return mk_pair(direct_to_free(left), direct_to_free(right))
+            return PairSig(direct_to_free(left), direct_to_free(right))
         case terms.First(t):
-            return mk_first(direct_to_free(t))
+            return FirstSig(direct_to_free(t))
         case terms.Second(t):
-            return mk_second(direct_to_free(t))
+            return SecondSig(direct_to_free(t))
         case terms.App(fun, arg):
-            return mk_app(direct_to_free(fun), direct_to_free(arg))
+            return AppSig(direct_to_free(fun), direct_to_free(arg))
         case terms.Lam(pattern, body):
             return mk_lam(_single_binder(pattern), direct_to_free(body))
         case terms.Pi(pattern, domain, codomain):
@@ -305,7 +222,7 @@ def direct_to_free(term: terms.Term) -> Term:
                 direct_to_free(codomain),
             )
         case terms.Universe():
-            return mk_universe()
+            return UniverseSig()
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -313,22 +230,22 @@ def free_to_direct(term: Term) -> terms.Term:
     match term:
         case Var():
             return term
-        case Node(InL(AppSig(fun, arg))):
+        case AppSig(fun, arg):
             return terms.App(free_to_direct(fun), free_to_direct(arg))
-        case Node(InL(LamSig(ScopedAST(binder, body)))):
+        case LamSig(ScopedAST(binder, body)):
             return terms.Lam(PatternVar(binder), free_to_direct(body))
-        case Node(InL(PiSig(domain, ScopedAST(binder, codomain)))):
+        case PiSig(domain, ScopedAST(binder, codomain)):
             return terms.Pi(
                 PatternVar(binder),
                 free_to_direct(domain),
                 free_to_direct(codomain),
             )
-        case Node(InL(UniverseSig())):
+        case UniverseSig():
             return terms.Universe()
-        case Node(InR(PairSig(left, right))):
+        case PairSig(left, right):
             return terms.Pair(free_to_direct(left), free_to_direct(right))
-        case Node(InR(FirstSig(t))):
+        case FirstSig(t):
             return terms.First(free_to_direct(t))
-        case Node(InR(SecondSig(t))):
+        case SecondSig(t):
             return terms.Second(free_to_direct(t))
     raise TypeError(f"not a term: {term!r}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .generic import InL, InR, Node, ScopedAST
+from .generic import ScopedAST
 from .lambda_pi import (
     AppSig,
     FirstSig,
@@ -32,13 +32,8 @@ from .lambda_pi import (
     SecondSig,
     Term,
     UniverseSig,
-    mk_app,
-    mk_first,
     mk_lam,
-    mk_pair,
     mk_pi,
-    mk_second,
-    mk_universe,
 )
 from .names import (
     Name,
@@ -168,19 +163,19 @@ def eval_term(env: Env, term: Term) -> Value:
         case Var(name):
             hit = _lookup(env, name.raw)
             return VNeutral(name, ()) if hit is None else _force(hit)
-        case Node(InL(AppSig(fun, arg))):
+        case AppSig(fun, arg):
             return apply_value(eval_term(env, fun), Thunk(arg, env))
-        case Node(InL(LamSig(ScopedAST(binder, body)))):
+        case LamSig(ScopedAST(binder, body)):
             return VLam(env, binder, body)
-        case Node(InL(PiSig(domain, ScopedAST(binder, codomain)))):
+        case PiSig(domain, ScopedAST(binder, codomain)):
             return VPi(env, eval_term(env, domain), binder, codomain)
-        case Node(InL(UniverseSig())):
+        case UniverseSig():
             return VUniverse()
-        case Node(InR(PairSig(left, right))):
+        case PairSig(left, right):
             return VPair(Thunk(left, env), Thunk(right, env))
-        case Node(InR(FirstSig(t))):
+        case FirstSig(t):
             return _project(eval_term(env, t), 0)
-        case Node(InR(SecondSig(t))):
+        case SecondSig(t):
             return _project(eval_term(env, t), 1)
     raise TypeError(f"not a term: {term!r}")
 
@@ -189,19 +184,19 @@ def quote(scope: Scope, value: Value) -> Term:
     """Read a value back as a normal-form term under ``scope``."""
     match value:
         case VUniverse():
-            return mk_universe()
+            return UniverseSig()
         case VPair(left, right):
-            return mk_pair(quote(scope, _force(left)), quote(scope, _force(right)))
+            return PairSig(quote(scope, _force(left)), quote(scope, _force(right)))
         case VNeutral(head, spine):
             acc: Term = Var(head)
             for elim in spine:
                 match elim:
                     case EApp(arg):
-                        acc = mk_app(acc, quote(scope, _force(arg)))
+                        acc = AppSig(acc, quote(scope, _force(arg)))
                     case EFirst():
-                        acc = mk_first(acc)
+                        acc = FirstSig(acc)
                     case ESecond():
-                        acc = mk_second(acc)
+                        acc = SecondSig(acc)
             return acc
         case VLam(env, binder, body):
             binder2 = with_refreshed(scope, name_of(binder))

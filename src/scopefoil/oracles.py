@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from . import bridge, generic, lambda_pi, naive, terms
+from . import bridge, lambda_pi, naive, terms
 from .fuel import Fuel
 from .names import Var as FoilVar
 
@@ -306,35 +306,55 @@ def _shape_paths(shape: Shape) -> list[tuple[int, ...]]:
 
 
 def to_debruijn(term: naive.Term) -> DBTerm:
-    """Convert surface syntax to de Bruijn form; free variables stay named."""
+    """Convert surface syntax to de Bruijn form; free variables stay named.
 
-    def go(t: naive.Term, ctx: list[str]) -> DBTerm:
+    Bound identifiers resolve through one identifier -> level map, set on
+    the way into a binder's body and put back on the way out, so entering a
+    binder costs its pattern's size, not the depth.
+    """
+    levels: dict[str, int] = {}
+
+    def under(
+        pattern: naive.Pattern, body: naive.Term, depth: int
+    ) -> tuple[Shape, DBTerm]:
+        shape, names = _shape_of(pattern)
+        saved = [(name, levels.get(name)) for name in names]
+        for level, name in enumerate(names, depth):
+            levels[name] = level
+        body2 = go(body, depth + len(names))
+        for name, old in saved:
+            if old is None:
+                levels.pop(name, None)
+            else:
+                levels[name] = old
+        return shape, body2
+
+    def go(t: naive.Term, depth: int) -> DBTerm:
         match t:
             case naive.Var(ident):
-                text = ident.text
-                for depth, name in enumerate(reversed(ctx)):
-                    if name == text:
-                        return BVar(depth)
-                return FVar(naive.VarIdent(text))
+                level = levels.get(ident.text)
+                if level is None:
+                    return FVar(naive.VarIdent(ident.text))
+                return BVar(depth - 1 - level)
             case naive.Pair(left, right):
-                return DBPair(go(left, ctx), go(right, ctx))
+                return DBPair(go(left, depth), go(right, depth))
             case naive.First(inner):
-                return DBFirst(go(inner, ctx))
+                return DBFirst(go(inner, depth))
             case naive.Second(inner):
-                return DBSecond(go(inner, ctx))
+                return DBSecond(go(inner, depth))
             case naive.App(fun, arg):
-                return DBApp(go(fun, ctx), go(arg, ctx))
+                return DBApp(go(fun, depth), go(arg, depth))
             case naive.Lam(pattern, naive.ScopedTerm(body)):
-                shape, names = _shape_of(pattern)
-                return DBLam(shape, go(body, ctx + names))
+                return DBLam(*under(pattern, body, depth))
             case naive.Pi(pattern, domain, naive.ScopedTerm(codomain)):
-                shape, names = _shape_of(pattern)
-                return DBPi(shape, go(domain, ctx), go(codomain, ctx + names))
+                domain2 = go(domain, depth)
+                shape, codomain2 = under(pattern, codomain, depth)
+                return DBPi(shape, domain2, codomain2)
             case naive.Universe():
                 return DBUniverse()
         raise TypeError(f"not a term: {t!r}")
 
-    return go(term, [])
+    return go(term, 0)
 
 
 def from_debruijn(term: DBTerm) -> naive.Term:
@@ -386,34 +406,42 @@ def from_debruijn(term: DBTerm) -> naive.Term:
                 return naive.PatternPair(lp, rp), ln + rn
         raise TypeError(f"not a shape: {shape!r}")
 
-    def go(t: DBTerm, ctx: list[naive.VarIdent]) -> naive.Term:
+    # The identifiers of the enclosing binders, innermost last: a binder
+    # pushes its pattern's identifiers for its body and pops them after.
+    ctx: list[naive.VarIdent] = []
+
+    def under(shape: Shape, body: DBTerm) -> tuple[naive.Pattern, naive.ScopedTerm]:
+        pattern, names = pattern_of(shape)
+        ctx.extend(names)
+        body2 = go(body)
+        del ctx[len(ctx) - len(names) :]
+        return pattern, naive.ScopedTerm(body2)
+
+    def go(t: DBTerm) -> naive.Term:
         match t:
             case BVar(index):
                 return naive.Var(ctx[-1 - index])
             case FVar(ident):
                 return naive.Var(ident)
             case DBApp(fun, arg):
-                return naive.App(go(fun, ctx), go(arg, ctx))
+                return naive.App(go(fun), go(arg))
             case DBLam(shape, body):
-                pattern, names = pattern_of(shape)
-                return naive.Lam(pattern, naive.ScopedTerm(go(body, ctx + names)))
+                return naive.Lam(*under(shape, body))
             case DBPi(shape, domain, codomain):
-                domain2 = go(domain, ctx)
-                pattern, names = pattern_of(shape)
-                return naive.Pi(
-                    pattern, domain2, naive.ScopedTerm(go(codomain, ctx + names))
-                )
+                domain2 = go(domain)
+                pattern, codomain2 = under(shape, codomain)
+                return naive.Pi(pattern, domain2, codomain2)
             case DBPair(left, right):
-                return naive.Pair(go(left, ctx), go(right, ctx))
+                return naive.Pair(go(left), go(right))
             case DBFirst(inner):
-                return naive.First(go(inner, ctx))
+                return naive.First(go(inner))
             case DBSecond(inner):
-                return naive.Second(go(inner, ctx))
+                return naive.Second(go(inner))
             case DBUniverse():
                 return naive.Universe()
         raise TypeError(f"not a term: {t!r}")
 
-    return go(term, [])
+    return go(term)
 
 
 def shift_db(term: DBTerm, by: int, cutoff: int = 0) -> DBTerm:
@@ -497,7 +525,7 @@ def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
 
 
 def _db_size(term: DBTerm) -> int:
-    """Node count, used to charge beta steps by the work they cause."""
+    """The number of nodes, used to charge beta steps by the work they cause."""
     match term:
         case BVar() | FVar() | DBUniverse():
             return 1
@@ -616,7 +644,7 @@ def as_debruijn(term: object) -> DBTerm:
         return to_debruijn(term)
     if isinstance(term, (FoilVar, *_DIRECT_CLASSES)):
         return to_debruijn(bridge.from_foil_term(bridge.default_ident, term))
-    if isinstance(term, generic.Node):
+    if isinstance(term, lambda_pi.SIGNATURE):
         direct = lambda_pi.free_to_direct(term)
         return to_debruijn(bridge.from_foil_term(bridge.default_ident, direct))
     raise TypeError(f"no known term representation: {term!r}")

@@ -29,6 +29,13 @@ def test_frozen_byte_formats():
     assert encode_debruijn(to_debruijn(term)).hex() == "231123112220012000"
 
 
+def test_frozen_generic_bytes_for_every_constructor():
+    # Pi's binder comes before its domain: scoped children's binders follow the tag
+    term = parse_term("fun (a : U) -> lam b . (first (a, b), second (b a))")
+    free = direct_to_free(to_foil_closed(term))
+    assert encode_free(free).hex() == "070008060102030201000101040501010100"
+
+
 def test_pattern_and_free_ident_bytes():
     term = parse_term("(lam (a, _) . (a, U)) q")
     assert encode_debruijn(to_debruijn(term)).hex() == "222312111025200028210171"

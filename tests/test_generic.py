@@ -1,30 +1,13 @@
-"""The signature-generic layer: map_node laws, the shared substitution,
-scope checking, and signature sums."""
+"""The signature-generic layer: the shared substitution and scope checking,
+for the lambda-Pi signature and for one defined here."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from scopefoil.generic import (
-    InL,
-    InR,
-    Node,
-    ScopedAST,
-    check_scope,
-    map_node,
-    sink_ast,
-    substitute,
-)
-from scopefoil.lambda_pi import (
-    AppSig,
-    LamSig,
-    PairSig,
-    mk_app,
-    mk_lam,
-    mk_pair,
-    mk_universe,
-    mk_var,
-)
+from scopefoil.generic import AST, ScopedAST, check_scope, sink_ast, substitute
+from scopefoil.lambda_pi import AppSig, LamSig, PairSig, UniverseSig, mk_lam
 from scopefoil.names import (
     Name,
     NameBinder,
@@ -38,99 +21,99 @@ from scopefoil.names import (
 )
 
 
-def _id_scoped(scoped: ScopedAST) -> ScopedAST:
-    return ScopedAST(scoped.binder, scoped.body)
+@dataclass(frozen=True, slots=True)
+class LetSig:
+    """``let x = value in body``: a signature class known only to this file."""
+
+    value: AST
+    body: ScopedAST
 
 
-def _id_term(t):
-    return t
+def test_generic_operations_cover_a_signature_defined_elsewhere():
+    """Substitution and scope checking are written once, for every
+    signature: a constructor the package has never seen needs no code."""
+    scope = Scope([0, 1])
+    subst = add_subst(identity_subst(), NameBinder(0), Var(Name(1)))
+    # [x0 := x1] (let x1 = x0 in x0 x1): the binder collides with the live x1
+    colliding = LetSig(
+        Var(Name(0)), ScopedAST(NameBinder(1), AppSig(Var(Name(0)), Var(Name(1))))
+    )
+    assert substitute(scope, subst, colliding) == LetSig(
+        Var(Name(1)), ScopedAST(NameBinder(2), AppSig(Var(Name(1)), Var(Name(2))))
+    )
+    # [x0 := x1] (let x7 = x0 in x0 x7): a binder that collides with nothing is reused
+    free = LetSig(
+        Var(Name(0)), ScopedAST(NameBinder(7), AppSig(Var(Name(0)), Var(Name(7))))
+    )
+    assert substitute(scope, subst, free) == LetSig(
+        Var(Name(1)), ScopedAST(NameBinder(7), AppSig(Var(Name(1)), Var(Name(7))))
+    )
+
+    check_scope(free, Scope([0]))
+    with pytest.raises(ScopeViolationError):
+        check_scope(free, Scope())  # the value's x0 is free
+    escaping = LetSig(UniverseSig(), ScopedAST(NameBinder(0), Var(Name(3))))
+    with pytest.raises(ScopeViolationError):
+        check_scope(escaping, Scope([0]))
 
 
-SAMPLE_SIGS = [
-    AppSig(mk_var(Name(0)), mk_universe()),
-    LamSig(ScopedAST(NameBinder(1), mk_var(Name(1)))),
-    PairSig(mk_var(Name(0)), mk_var(Name(2))),
-    InL(AppSig(mk_universe(), mk_universe())),
-    InR(PairSig(mk_universe(), mk_var(Name(3)))),
-]
-
-
-def test_map_node_identity_law():
-    for sig in SAMPLE_SIGS:
-        assert map_node(sig, _id_scoped, _id_term) == sig
-
-
-def test_map_node_composition_law():
-    def f_term(t):
-        return mk_pair(t, t)
-
-    def g_term(t):
-        return mk_app(t, mk_universe())
-
-    def f_scoped(s):
-        return ScopedAST(s.binder, f_term(s.body))
-
-    def g_scoped(s):
-        return ScopedAST(s.binder, g_term(s.body))
-
-    for sig in SAMPLE_SIGS:
-        composed = map_node(sig, lambda s: f_scoped(g_scoped(s)), lambda t: f_term(g_term(t)))
-        staged = map_node(map_node(sig, g_scoped, g_term), f_scoped, f_term)
-        assert composed == staged
-
-
-def test_map_node_preserves_injection_side():
-    sig = InL(AppSig(mk_universe(), mk_universe()))
-    out = map_node(sig, _id_scoped, _id_term)
-    assert isinstance(out, InL)
-    out2 = map_node(InR(sig.node), _id_scoped, _id_term)
-    assert isinstance(out2, InR)
+@pytest.mark.parametrize("not_a_tree", [42, "x0", None, (Var(Name(0)),)])
+def test_non_trees_are_type_errors(not_a_tree):
+    subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
+    with pytest.raises(TypeError):
+        substitute(Scope(), subst, not_a_tree)
+    with pytest.raises(TypeError):
+        check_scope(not_a_tree, Scope())
+    with pytest.raises(TypeError):
+        substitute(Scope(), subst, AppSig(Var(Name(0)), not_a_tree))
+    with pytest.raises(TypeError):
+        check_scope(AppSig(Var(Name(0)), not_a_tree), Scope([0]))
 
 
 def test_substitute_replaces_free_variable():
     scope = Scope().add(0)
-    subst = add_subst(identity_subst(), NameBinder(0), mk_universe())
-    assert substitute(scope, subst, mk_var(Name(0))) == mk_universe()
+    subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
+    assert substitute(scope, subst, Var(Name(0))) == UniverseSig()
     # untouched names map to themselves
-    assert substitute(scope, subst, mk_var(Name(5))) == Var(Name(5))
+    assert substitute(scope, subst, Var(Name(5))) == Var(Name(5))
 
 
 def test_substitute_avoids_capture():
     """[x0 := x1] (lam x1 . x0 x1) must rename the inner binder."""
-    inner = mk_lam(NameBinder(1), mk_app(mk_var(Name(0)), mk_var(Name(1))))
+    inner = mk_lam(NameBinder(1), AppSig(Var(Name(0)), Var(Name(1))))
     scope = Scope().add(0).add(1)
-    subst = add_subst(identity_subst(), NameBinder(0), mk_var(Name(1)))
+    subst = add_subst(identity_subst(), NameBinder(0), Var(Name(1)))
     out = substitute(scope, subst, inner)
     match out:
-        case Node(InL(LamSig(ScopedAST(binder, body)))):
+        case LamSig(ScopedAST(binder, body)):
             assert binder.raw == 2  # refreshed away from the live x1
-            assert body == mk_app(mk_var(Name(1)), mk_var(Name(2)))
+            assert body == AppSig(Var(Name(1)), Var(Name(2)))
         case _:
             raise AssertionError(out)
 
 
 def test_substitute_reuses_binder_when_safe():
     """A binder that collides with nothing live keeps its name."""
-    inner = mk_lam(NameBinder(7), mk_app(mk_var(Name(0)), mk_var(Name(7))))
+    inner = mk_lam(NameBinder(7), AppSig(Var(Name(0)), Var(Name(7))))
     scope = Scope().add(0).add(1)
-    subst = add_subst(identity_subst(), NameBinder(0), mk_var(Name(1)))
+    subst = add_subst(identity_subst(), NameBinder(0), Var(Name(1)))
     out = substitute(scope, subst, inner)
     match out:
-        case Node(InL(LamSig(ScopedAST(binder, body)))):
+        case LamSig(ScopedAST(binder, body)):
             assert binder.raw == 7
-            assert body == mk_app(mk_var(Name(1)), mk_var(Name(7)))
+            assert body == AppSig(Var(Name(1)), Var(Name(7)))
         case _:
             raise AssertionError(out)
 
 
 def test_substitute_shadowed_binder_blocks_substitution():
     # [x0 := U] (lam x0 . x0) leaves the bound occurrence alone
-    term = mk_lam(NameBinder(0), mk_var(Name(0)))
+    term = mk_lam(NameBinder(0), Var(Name(0)))
     scope = Scope().add(0)
-    subst = add_subst(identity_subst(), NameBinder(0), mk_universe())
+    subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
     out = substitute(scope, subst, term)
     match out:
-        case Node(InL(LamSig(ScopedAST(binder, body)))):
+        case LamSig(ScopedAST(binder, body)):
             assert body == Var(Name(binder.raw))
         case _:
             raise AssertionError(out)
@@ -138,30 +121,30 @@ def test_substitute_shadowed_binder_blocks_substitution():
 
 def test_substitute_pair_fragment_through_same_code_path():
     scope = Scope().add(0)
-    subst = add_subst(identity_subst(), NameBinder(0), mk_universe())
-    term = mk_pair(mk_var(Name(0)), mk_var(Name(0)))
-    assert substitute(scope, subst, term) == mk_pair(mk_universe(), mk_universe())
+    subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
+    term = PairSig(Var(Name(0)), Var(Name(0)))
+    assert substitute(scope, subst, term) == PairSig(UniverseSig(), UniverseSig())
 
 
 def test_check_scope():
-    check_scope(mk_var(Name(0)), Scope().add(0))
+    check_scope(Var(Name(0)), Scope().add(0))
     with pytest.raises(ScopeViolationError):
-        check_scope(mk_var(Name(0)), Scope())
-    term = mk_lam(NameBinder(0), mk_var(Name(0)))
+        check_scope(Var(Name(0)), Scope())
+    term = mk_lam(NameBinder(0), Var(Name(0)))
     check_scope(term, Scope())  # closed
-    escaping = mk_lam(NameBinder(0), mk_var(Name(1)))
+    escaping = mk_lam(NameBinder(0), Var(Name(1)))
     with pytest.raises(ScopeViolationError):
         check_scope(escaping, Scope())
 
 
 def test_sink_ast_is_identity_and_checks_in_debug():
-    term = mk_lam(NameBinder(0), mk_var(Name(0)))
+    term = mk_lam(NameBinder(0), Var(Name(0)))
     assert sink_ast(term) is term
     previous = debug_scopes_enabled()
     set_debug_scopes(True)
     try:
         assert sink_ast(term, Scope(), Scope().add(3)) is term
-        leaky = mk_var(Name(5))
+        leaky = Var(Name(5))
         with pytest.raises(ScopeViolationError):
             sink_ast(leaky, Scope(), Scope().add(3))
     finally:
@@ -170,8 +153,8 @@ def test_sink_ast_is_identity_and_checks_in_debug():
 
 def test_substitute_does_not_reach_under_shadowing_binder():
     # [#0 := U] (lam #0 . #0): the reused binder shadows the entry
-    subst = add_subst(identity_subst(), NameBinder(0), mk_universe())
-    term = mk_lam(NameBinder(0), mk_var(Name(0)))
+    subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
+    term = mk_lam(NameBinder(0), Var(Name(0)))
     assert substitute(Scope(), subst, term) == term
 
 
@@ -188,19 +171,19 @@ def test_substitute_random_roundtrip_with_identity():
 def _random_ast(rng, depth, env):
     if depth <= 0 or (env and rng.random() < 0.3):
         if env:
-            return mk_var(Name(rng.choice(env)))
-        return mk_universe()
+            return Var(Name(rng.choice(env)))
+        return UniverseSig()
     match rng.randrange(4):
         case 0:
-            return mk_app(
+            return AppSig(
                 _random_ast(rng, depth - 1, env), _random_ast(rng, depth - 1, env)
             )
         case 1:
             raw = max(env, default=-1) + 1
             return mk_lam(NameBinder(raw), _random_ast(rng, depth - 1, env + (raw,)))
         case 2:
-            return mk_pair(
+            return PairSig(
                 _random_ast(rng, depth - 1, env), _random_ast(rng, depth - 1, env)
             )
         case _:
-            return mk_universe()
+            return UniverseSig()

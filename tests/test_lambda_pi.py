@@ -13,6 +13,11 @@ from conftest import gen_naive_term
 from scopefoil.bridge import default_ident, from_foil_term, to_foil_closed
 from scopefoil.fuel import FuelExceededError
 from scopefoil.lambda_pi import (
+    AppSig,
+    FirstSig,
+    PairSig,
+    SecondSig,
+    UniverseSig,
     UnsupportedPatternError,
     as_app,
     as_first,
@@ -23,18 +28,12 @@ from scopefoil.lambda_pi import (
     direct_to_free,
     free_to_direct,
     is_universe,
-    mk_app,
-    mk_first,
     mk_lam,
-    mk_pair,
     mk_pi,
-    mk_second,
-    mk_universe,
-    mk_var,
     nf_free,
     whnf_free,
 )
-from scopefoil.names import Name, NameBinder, Scope
+from scopefoil.names import Name, NameBinder, Scope, Var
 from scopefoil.oracles import alpha_eq, nf_named
 from scopefoil.syntax import parse_term
 
@@ -45,24 +44,24 @@ def _nf_closed(src: str):
 
 
 def test_views_invert_constructors():
-    u = mk_universe()
-    x = mk_var(Name(0))
-    assert as_app(mk_app(x, u)) == (x, u)
+    u = UniverseSig()
+    x = Var(Name(0))
+    assert as_app(AppSig(x, u)) == (x, u)
     assert as_lam(mk_lam(NameBinder(0), x)) == (NameBinder(0), x)
     assert as_pi(mk_pi(NameBinder(0), u, x)) == (NameBinder(0), u, x)
     assert is_universe(u)
     assert not is_universe(x)
-    assert as_pair(mk_pair(x, u)) == (x, u)
-    assert as_first(mk_first(x)) == x
-    assert as_second(mk_second(x)) == x
+    assert as_pair(PairSig(x, u)) == (x, u)
+    assert as_first(FirstSig(x)) == x
+    assert as_second(SecondSig(x)) == x
 
 
 def test_views_reject_wrong_shapes():
-    u = mk_universe()
+    u = UniverseSig()
     assert as_app(u) is None
     assert as_lam(u) is None
-    assert as_pair(mk_first(u)) is None
-    assert as_first(mk_second(u)) is None
+    assert as_pair(FirstSig(u)) is None
+    assert as_first(SecondSig(u)) is None
 
 
 def test_nf_beta():

@@ -14,7 +14,7 @@ from scopefoil.bridge import (
     to_foil_term,
 )
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
-from scopefoil.names import Name, NameBinder, Scope
+from scopefoil.names import Name, NameBinder, Scope, Var
 from scopefoil.nbe import EvalError, Thunk, eval_term, nf_nbe, quote
 from scopefoil.oracles import alpha_eq
 from scopefoil.syntax import parse_term
@@ -73,7 +73,7 @@ def test_thunks_memoize():
 
 def test_open_terms_evaluate_to_neutrals():
     scope = Scope().add(0)
-    term = lambda_pi.mk_app(lambda_pi.mk_var(Name(0)), lambda_pi.mk_universe())
+    term = lambda_pi.AppSig(Var(Name(0)), lambda_pi.UniverseSig())
     out = nf_nbe(scope, term)
     assert out == term  # x0 U is already normal
 
@@ -85,14 +85,14 @@ def test_linked_environment_resolves_to_innermost_binding():
     term = direct_to_free(
         to_foil_term(rename_from_env(env), scope, parse_term("(lam x . lam x . x) a b"))
     )
-    assert nf_nbe(scope, term) == lambda_pi.mk_var(Name(1))
+    assert nf_nbe(scope, term) == Var(Name(1))
 
 
 def test_quote_refreshes_against_scope():
     # the binder x0 collides with the ambient name 0 and must be renamed
     term = lambda_pi.mk_lam(
         NameBinder(0),
-        lambda_pi.mk_app(lambda_pi.mk_var(Name(0)), lambda_pi.mk_var(Name(0))),
+        lambda_pi.AppSig(Var(Name(0)), Var(Name(0))),
     )
     scope = Scope().add(0)
     out = nf_nbe(scope, term)

@@ -18,6 +18,8 @@ from scopefoil.oracles import (
     BVar,
     DBApp,
     DBLam,
+    DBPair,
+    DBPi,
     FVar,
     ShapePair,
     ShapeVar,
@@ -51,6 +53,18 @@ def test_to_debruijn_exact_forms():
     )
     assert to_debruijn(parse_term("lam _ . y")) == DBLam(
         ShapeWildcard(), FVar(naive.VarIdent("y"))
+    )
+    # a shadowing binder hides the outer x only in its own body, and an
+    # identifier it bound is free again after it
+    assert to_debruijn(parse_term("lam x . lam y . fun (x : x) -> x y")) == DBLam(
+        ShapeVar(),
+        DBLam(ShapeVar(), DBPi(ShapeVar(), BVar(1), DBApp(BVar(0), BVar(1)))),
+    )
+    assert to_debruijn(parse_term("lam x . (lam x . x, x)")) == DBLam(
+        ShapeVar(), DBPair(DBLam(ShapeVar(), BVar(0)), BVar(0))
+    )
+    assert to_debruijn(parse_term("(lam x . x, x)")) == DBPair(
+        DBLam(ShapeVar(), BVar(0)), FVar(naive.VarIdent("x"))
     )
 
 
