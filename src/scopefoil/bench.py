@@ -67,12 +67,14 @@ DEFAULT_GEN_FUEL = 50_000
 
 _GENERATOR_ATTEMPTS = 200
 
+_RECURSION_LIMIT = 100_000
+
 
 class ResultMismatchError(Exception):
     """Two implementations disagreed on a normal form (this is a bug)."""
 
 
-def ensure_deep_recursion(limit: int = 100_000) -> None:
+def ensure_deep_recursion() -> None:
     """Normal forms can be long constructor chains (Church 720 is an
     application spine of depth 720); raise the interpreter's recursion limit
     so walking them is safe.
@@ -82,14 +84,14 @@ def ensure_deep_recursion(limit: int = 100_000) -> None:
     process dies with a segfault instead of a catchable ``RecursionError``.
     So the OS stack limit is raised too, where the platform allows it.
     """
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
+    if sys.getrecursionlimit() < _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
     try:
         import resource
     except ImportError:  # non-POSIX: keep the default stack
         return
     soft, hard = resource.getrlimit(resource.RLIMIT_STACK)
-    want = 1 << 30  # 1 GiB comfortably holds `limit` C-level frames
+    want = 1 << 30  # 1 GiB comfortably holds that many C-level frames
     if soft != resource.RLIM_INFINITY and soft < want:
         new_soft = want if hard == resource.RLIM_INFINITY else min(want, hard)
         if new_soft > soft:
@@ -181,10 +183,11 @@ def _gen_closed(rng: random.Random, size: int) -> naive.Term:
     return go(size, 0)
 
 
-def gen_random(seed: int, size: int, fuel: int = DEFAULT_GEN_FUEL) -> naive.Term:
-    """A deterministic random closed term that normalizes within ``fuel``.
+def gen_random(seed: int, size: int) -> naive.Term:
+    """A deterministic random closed term that normalizes within
+    :data:`DEFAULT_GEN_FUEL`.
 
-    ``fuel`` is the de Bruijn oracle's work budget, so it bounds both the
+    That is the de Bruijn oracle's work budget, so it bounds both the
     number of reduction steps and the size the term reaches along the way.
     Candidates that exceed it are rejected and regenerated; after many
     rejections the size shrinks by one (with a logged warning) so the call
@@ -197,7 +200,7 @@ def gen_random(seed: int, size: int, fuel: int = DEFAULT_GEN_FUEL) -> naive.Term
         for _ in range(_GENERATOR_ATTEMPTS):
             candidate = _gen_closed(rng, current)
             try:
-                nf_debruijn(to_debruijn(candidate), fuel)
+                nf_debruijn(to_debruijn(candidate), DEFAULT_GEN_FUEL)
             except (FuelExceededError, RecursionError):
                 # too many steps, or a normal form too deep to walk: either
                 # way no engine could handle it, reject and retry
@@ -206,7 +209,7 @@ def gen_random(seed: int, size: int, fuel: int = DEFAULT_GEN_FUEL) -> naive.Term
         log.warning(
             "no term of size %d normalized within fuel %d for seed %d; shrinking",
             current,
-            fuel,
+            DEFAULT_GEN_FUEL,
             seed,
         )
         current -= 1
@@ -227,7 +230,6 @@ class BenchConfig:
     warmup_runs: int = 2
     measured_runs: int = 5
     fuel: int = DEFAULT_FUEL
-    gen_fuel: int = DEFAULT_GEN_FUEL
 
     def __post_init__(self) -> None:
         for g in self.groups:
@@ -240,10 +242,10 @@ class BenchConfig:
                 )
         if self.measured_runs < 1:
             raise ValueError("measured_runs must be at least 1")
-        if self.fuel < self.gen_fuel:
+        if self.fuel < DEFAULT_GEN_FUEL:
             # admission is the stronger filter; a run budget below it could
             # reject terms the generator promised were fine
-            raise ValueError("fuel must be at least gen_fuel")
+            raise ValueError(f"fuel must be at least {DEFAULT_GEN_FUEL}")
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,7 @@ def _workload(group: str, config: BenchConfig) -> list[naive.Term]:
         return [church_fact(6)]
     size = 15 if group == "random15" else 20
     return [
-        gen_random(config.seed + i, size, config.gen_fuel)
+        gen_random(config.seed + i, size)
         for i in range(config.terms_per_random_group)
     ]
 

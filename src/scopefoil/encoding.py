@@ -1,14 +1,17 @@
 """Canonical byte encodings of terms.
 
-Each encoder walks its term in preorder emitting one tag byte per node;
-numeric payloads (raw names, de Bruijn indices) are unsigned LEB128
-varints, and free identifiers are length-prefixed UTF-8.  Equal encodings
-mean structurally identical terms, which is what the representation-identity
-tests (``sink``) and the benchmark result hashes rely on.
+One walk encodes all three representations: a node emits its tag, then the
+binder of each :class:`~scopefoil.generic.ScopedAST` field, then its fields
+in match-argument order.  Raw names and de Bruijn indices are unsigned
+LEB128 varints, an identifier is its length-prefixed UTF-8 text, and any
+other field is a node.  Each representation has its own tag table; a node
+missing from it is a ``TypeError``.  Equal encodings mean structurally
+identical terms, which is what the representation-identity tests (``sink``)
+and the benchmark result hashes rely on.
 
 Tags, direct and scope-indexed terms (the two scope-indexed forms share the
-tag space but are encoded by separate functions; a lambda carries a pattern
-in the direct form and a bare binder varint in the generic form)::
+tag space; a lambda carries a pattern in the direct form and a bare binder
+varint in the generic form)::
 
     0x01 var <raw>        0x05 app f a            patterns:
     0x02 pair l r         0x06 lam <binder> body    0x10 wildcard
@@ -27,7 +30,8 @@ from __future__ import annotations
 
 import hashlib
 
-from . import oracles, terms
+from . import oracles as db
+from . import terms
 from .generic import AST, ScopedAST, children
 from .lambda_pi import (
     AppSig,
@@ -38,8 +42,9 @@ from .lambda_pi import (
     SecondSig,
     UniverseSig,
 )
-from .names import Var
-from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard
+from .naive import VarIdent
+from .names import Name, NameBinder, Var
+from .patterns import PatternPair, PatternVar, PatternWildcard
 
 
 def _varint(n: int, out: bytearray) -> None:
@@ -55,64 +60,22 @@ def _varint(n: int, out: bytearray) -> None:
             return
 
 
-def _encode_pattern(pattern: Pattern, out: bytearray) -> None:
-    match pattern:
-        case PatternWildcard():
-            out.append(0x10)
-        case PatternVar(binder):
-            out.append(0x11)
-            _varint(binder.raw, out)
-        case PatternPair(left, right):
-            out.append(0x12)
-            _encode_pattern(left, out)
-            _encode_pattern(right, out)
-        case _:
-            raise TypeError(f"not a pattern: {pattern!r}")
+_DIRECT_TAGS = {
+    Var: 0x01,
+    terms.Pair: 0x02,
+    terms.First: 0x03,
+    terms.Second: 0x04,
+    terms.App: 0x05,
+    terms.Lam: 0x06,
+    terms.Pi: 0x07,
+    terms.Universe: 0x08,
+    PatternWildcard: 0x10,
+    PatternVar: 0x11,
+    PatternPair: 0x12,
+}
 
-
-def _encode_direct(term: terms.Term, out: bytearray) -> None:
-    match term:
-        case Var(name):
-            out.append(0x01)
-            _varint(name.raw, out)
-        case terms.Pair(left, right):
-            out.append(0x02)
-            _encode_direct(left, out)
-            _encode_direct(right, out)
-        case terms.First(t):
-            out.append(0x03)
-            _encode_direct(t, out)
-        case terms.Second(t):
-            out.append(0x04)
-            _encode_direct(t, out)
-        case terms.App(fun, arg):
-            out.append(0x05)
-            _encode_direct(fun, out)
-            _encode_direct(arg, out)
-        case terms.Lam(pattern, body):
-            out.append(0x06)
-            _encode_pattern(pattern, out)
-            _encode_direct(body, out)
-        case terms.Pi(pattern, domain, codomain):
-            out.append(0x07)
-            _encode_pattern(pattern, out)
-            _encode_direct(domain, out)
-            _encode_direct(codomain, out)
-        case terms.Universe():
-            out.append(0x08)
-        case _:
-            raise TypeError(f"not a term: {term!r}")
-
-
-def encode_direct(term: terms.Term) -> bytes:
-    out = bytearray()
-    _encode_direct(term, out)
-    return bytes(out)
-
-
-# Every scope-indexed node: its tag, the binder of each scoped child, then
-# each child (a scoped child's body) in field order.
 _FREE_TAGS = {
+    Var: 0x01,
     PairSig: 0x02,
     FirstSig: 0x03,
     SecondSig: 0x04,
@@ -122,89 +85,67 @@ _FREE_TAGS = {
     UniverseSig: 0x08,
 }
 
+_DB_TAGS = {
+    db.ShapeWildcard: 0x10,
+    db.ShapeVar: 0x11,
+    db.ShapePair: 0x12,
+    db.BVar: 0x20,
+    db.FVar: 0x21,
+    db.DBApp: 0x22,
+    db.DBLam: 0x23,
+    db.DBPi: 0x24,
+    db.DBPair: 0x25,
+    db.DBFirst: 0x26,
+    db.DBSecond: 0x27,
+    db.DBUniverse: 0x28,
+}
 
-def _encode_free(term: AST, out: bytearray) -> None:
-    if type(term) is Var:
-        out.append(0x01)
-        _varint(term.name.raw, out)
-        return
-    tag = _FREE_TAGS.get(type(term))
+
+def _encode(node: object, tags: dict[type, int], out: bytearray) -> None:
+    """The one walk: the tag, every scoped field's binder (so Pi's binder
+    precedes its domain), then the fields in match-argument order."""
+    tag = tags.get(type(node))
     if tag is None:
-        raise TypeError(f"not a term: {term!r}")
+        raise TypeError(f"not a term: {node!r}")
     out.append(tag)
-    fields = children(term)
-    for child in fields:
-        if type(child) is ScopedAST:
-            _varint(child.binder.raw, out)
-    for child in fields:
-        _encode_free(child.body if type(child) is ScopedAST else child, out)
+    fields = children(node)
+    for field in fields:
+        if type(field) is ScopedAST:
+            _varint(field.binder.raw, out)
+    for field in fields:
+        kind = type(field)
+        if kind is ScopedAST:
+            _encode(field.body, tags, out)
+        elif kind is Name or kind is NameBinder:
+            _varint(field.raw, out)
+        elif kind is int:
+            _varint(field, out)
+        elif kind is VarIdent:
+            data = field.text.encode("utf-8")
+            _varint(len(data), out)
+            out.extend(data)
+        else:
+            _encode(field, tags, out)
+
+
+def _encoded(term: object, tags: dict[type, int]) -> bytes:
+    out = bytearray()
+    _encode(term, tags, out)
+    return bytes(out)
+
+
+def encode_direct(term: terms.Term) -> bytes:
+    return _encoded(term, _DIRECT_TAGS)
 
 
 def encode_free(term: AST) -> bytes:
-    out = bytearray()
-    _encode_free(term, out)
-    return bytes(out)
+    return _encoded(term, _FREE_TAGS)
 
 
-def _encode_shape(shape: oracles.Shape, out: bytearray) -> None:
-    match shape:
-        case oracles.ShapeWildcard():
-            out.append(0x10)
-        case oracles.ShapeVar():
-            out.append(0x11)
-        case oracles.ShapePair(left, right):
-            out.append(0x12)
-            _encode_shape(left, out)
-            _encode_shape(right, out)
-        case _:
-            raise TypeError(f"not a shape: {shape!r}")
+def encode_debruijn(term: db.DBTerm) -> bytes:
+    return _encoded(term, _DB_TAGS)
 
 
-def _encode_db(term: oracles.DBTerm, out: bytearray) -> None:
-    match term:
-        case oracles.BVar(index):
-            out.append(0x20)
-            _varint(index, out)
-        case oracles.FVar(ident):
-            out.append(0x21)
-            data = ident.text.encode("utf-8")
-            _varint(len(data), out)
-            out.extend(data)
-        case oracles.DBApp(fun, arg):
-            out.append(0x22)
-            _encode_db(fun, out)
-            _encode_db(arg, out)
-        case oracles.DBLam(shape, body):
-            out.append(0x23)
-            _encode_shape(shape, out)
-            _encode_db(body, out)
-        case oracles.DBPi(shape, domain, codomain):
-            out.append(0x24)
-            _encode_shape(shape, out)
-            _encode_db(domain, out)
-            _encode_db(codomain, out)
-        case oracles.DBPair(left, right):
-            out.append(0x25)
-            _encode_db(left, out)
-            _encode_db(right, out)
-        case oracles.DBFirst(t):
-            out.append(0x26)
-            _encode_db(t, out)
-        case oracles.DBSecond(t):
-            out.append(0x27)
-            _encode_db(t, out)
-        case oracles.DBUniverse():
-            out.append(0x28)
-        case _:
-            raise TypeError(f"not a term: {term!r}")
-
-
-def encode_debruijn(term: oracles.DBTerm) -> bytes:
-    out = bytearray()
-    _encode_db(term, out)
-    return bytes(out)
-
-
-def hash_debruijn(term: oracles.DBTerm) -> str:
+def hash_debruijn(term: db.DBTerm) -> str:
     """SHA-256 of the canonical de Bruijn encoding (the benchmark hash)."""
     return hashlib.sha256(encode_debruijn(term)).hexdigest()

@@ -61,7 +61,7 @@ class NameBinder:
 class Var:
     """Variable node, shared by every term representation in this package.
 
-    Keeping a single variable constructor lets :class:`Subst` fall back to
+    Keeping a single variable constructor lets a substitution fall back to
     the variable injection without being parameterized over the term type.
     """
 
@@ -184,32 +184,27 @@ def sink(value: Any, source: Scope | None = None, target: Scope | None = None) -
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class Subst:
-    """A substitution: a raw-name-keyed map with variable-injection fallback.
-
-    Names missing from ``env`` are mapped to themselves (as :class:`Var`
-    nodes), so the empty map is the identity substitution and renamings are
-    just ``Var`` entries.
-    """
-
-    env: dict[RawName, Any]
+# A substitution: a raw-name-keyed map with variable-injection fallback.
+# Names missing from it map to themselves (as ``Var`` nodes), so the
+# empty map is the identity substitution and renamings are ``Var`` entries.
+# Substitutions are never mutated once built.
+Subst = dict[RawName, Any]
 
 
 def identity_subst() -> Subst:
-    return Subst({})
+    return {}
 
 
 def lookup_subst(subst: Subst, name: Name) -> Any:
-    hit = subst.env.get(name.raw)
+    hit = subst.get(name.raw)
     return Var(name) if hit is None else hit
 
 
 def add_subst(subst: Subst, binder: NameBinder, expr: Any) -> Subst:
     """Substitution extended with ``binder -> expr``; overrides a stale entry."""
-    env = dict(subst.env)
+    env = dict(subst)
     env[binder.raw] = expr
-    return Subst(env)
+    return env
 
 
 def add_rename(subst: Subst, binder: NameBinder, name: Name) -> Subst:
@@ -219,6 +214,6 @@ def add_rename(subst: Subst, binder: NameBinder, name: Name) -> Subst:
     entry for that raw already maps to itself, so the same substitution is
     returned without copying its map.
     """
-    if name.raw == binder.raw and binder.raw not in subst.env:
+    if name.raw == binder.raw and binder.raw not in subst:
         return subst
     return add_subst(subst, binder, Var(name))

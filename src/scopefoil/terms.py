@@ -162,12 +162,12 @@ def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
             return App(_nf(scope, fun, fuel), _nf(scope, arg, fuel))
         case Lam(pattern, body):
             pattern2, subst2, scope2 = with_pattern(scope, pattern, identity_subst())
-            if subst2.env:  # some binder was renamed
+            if subst2:  # some binder was renamed
                 body = subst_direct(scope2, subst2, body)
             return Lam(pattern2, _nf(scope2, body, fuel))
         case Pi(pattern, domain, codomain):
             pattern2, subst2, scope2 = with_pattern(scope, pattern, identity_subst())
-            if subst2.env:  # some binder was renamed
+            if subst2:  # some binder was renamed
                 codomain = subst_direct(scope2, subst2, codomain)
             return Pi(pattern2, _nf(scope, domain, fuel), _nf(scope2, codomain, fuel))
     raise TypeError(f"not a term: {term!r}")

@@ -76,7 +76,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(groups=("nf",), measured_runs=0)
     with pytest.raises(ValueError):
-        BenchConfig(groups=("nf",), fuel=10, gen_fuel=100)
+        BenchConfig(groups=("nf",), fuel=10)
 
 
 def test_run_benchmarks_rows_and_csv(tmp_path):

@@ -7,6 +7,7 @@ to compare results across implementations.
 
 import random
 
+import pytest
 from conftest import gen_naive_term
 
 from scopefoil.bridge import to_foil_closed
@@ -16,9 +17,10 @@ from scopefoil.encoding import (
     encode_free,
     hash_debruijn,
 )
-from scopefoil.lambda_pi import UnsupportedPatternError, direct_to_free
+from scopefoil.lambda_pi import AppSig, UnsupportedPatternError, direct_to_free
 from scopefoil.oracles import to_debruijn
 from scopefoil.syntax import parse_term
+from scopefoil.terms import App, Universe
 
 
 def test_frozen_byte_formats():
@@ -27,6 +29,16 @@ def test_frozen_byte_formats():
     assert encode_direct(direct).hex() == "0611000611010501000101"
     assert encode_free(direct_to_free(direct)).hex() == "060006010501000101"
     assert encode_debruijn(to_debruijn(term)).hex() == "231123112220012000"
+    # Pi, pairs, projections, the universe and wildcard/pair patterns
+    term = parse_term("fun ((a, _) : U) -> lam b . (first (a, b), second (b a))")
+    assert (
+        encode_direct(to_foil_closed(term)).hex()
+        == "07121100100806110102030201000101040501010100"
+    )
+    assert (
+        encode_debruijn(to_debruijn(term)).hex()
+        == "2412111028231125262520012000272220002001"
+    )
 
 
 def test_frozen_generic_bytes_for_every_constructor():
@@ -34,6 +46,20 @@ def test_frozen_generic_bytes_for_every_constructor():
     term = parse_term("fun (a : U) -> lam b . (first (a, b), second (b a))")
     free = direct_to_free(to_foil_closed(term))
     assert encode_free(free).hex() == "070008060102030201000101040501010100"
+
+
+def test_each_encoder_rejects_the_other_representations():
+    direct = to_foil_closed(parse_term("(lam x . x) U"))
+    free = direct_to_free(direct)
+    db = to_debruijn(parse_term("(lam x . x) U"))
+    for encode, foreign in (
+        (encode_direct, (free, db, AppSig(Universe(), Universe()))),
+        (encode_free, (direct, db, App(Universe(), Universe()))),
+        (encode_debruijn, (direct, free, Universe())),
+    ):
+        for term in foreign:
+            with pytest.raises(TypeError):
+                encode(term)
 
 
 def test_pattern_and_free_ident_bytes():
