@@ -14,7 +14,9 @@ Layers, bottom to top:
   against the discipline, with one hand-written substitution.
 - :mod:`scopefoil.generic` / :mod:`scopefoil.lambda_pi` -- the same
   calculus as an instantiation of a signature-generic AST whose
-  substitution is written once, for every signature.
+  substitution is written once, for every signature, and whose
+  conversions are derived from the fields of the :mod:`scopefoil.naive`
+  classes.
 - :mod:`scopefoil.naive` / :mod:`scopefoil.syntax` /
   :mod:`scopefoil.bridge` -- raw named syntax, a parser and printer
   for it, and conversion into and out of the scope-safe forms.

@@ -1,5 +1,10 @@
 """Conversions between string-named surface terms and scope-indexed terms.
 
+Both walks are derived from the surface classes' fields through
+:data:`scopefoil.lambda_pi.CONSTRUCTORS`: a node's pattern field binds the
+bodies in its ``naive.ScopedTerm`` fields, and every other field is a term
+in the node's own scope.  Only variables and patterns are converted by hand.
+
 ``to_foil_term`` resolves identifiers innermost-first (shadowing works the
 way you expect), allocates every binder fresh against the accumulated scope
 — so its output is globally distinct and passes the debug scope checker —
@@ -19,6 +24,8 @@ from __future__ import annotations
 from typing import Callable
 
 from . import naive, terms
+from .generic import children
+from .lambda_pi import BY_DIRECT, BY_NAIVE, PATTERN, SCOPED, constructor
 from .names import Name, RawName, Scope, Var, fresh_binder, name_of
 from .patterns import (
     Pattern,
@@ -99,48 +106,34 @@ def to_foil_pattern(
 def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term:
     """Convert a surface term to the scope-indexed direct representation.
 
-    Identifiers resolve through one mutable environment: a binder's
-    identifiers are set on the way into its body and the shadowed entries
-    put back on the way out, so entering a binder never copies it.
+    Identifiers resolve through one mutable environment: a pattern's
+    identifiers are set on the way into each body under it and the shadowed
+    entries put back on the way out, so entering a binder never copies it.
     """
     env: dict[str, Name] = {}
 
-    def under(
-        scope: Scope, pattern: naive.Pattern, body: naive.Term
-    ) -> tuple[Pattern, terms.Term]:
-        pattern2, ext = to_foil_pattern(scope, pattern)
-        saved = [(ident, env.get(ident)) for ident in ext]
-        env.update(ext)
-        body2 = go(extend_scope_pattern(pattern2, scope), body)
-        for ident, old in saved:
-            if old is None:
-                del env[ident]
-            else:
-                env[ident] = old
-        return pattern2, body2
-
     def go(scope: Scope, t: naive.Term) -> terms.Term:
-        match t:
-            case naive.Var(ident):
-                name = env.get(ident.text)
-                return Var(rename(ident) if name is None else name)
-            case naive.Pair(left, right):
-                return terms.Pair(go(scope, left), go(scope, right))
-            case naive.First(inner):
-                return terms.First(go(scope, inner))
-            case naive.Second(inner):
-                return terms.Second(go(scope, inner))
-            case naive.App(fun, arg):
-                return terms.App(go(scope, fun), go(scope, arg))
-            case naive.Lam(pattern, naive.ScopedTerm(body)):
-                return terms.Lam(*under(scope, pattern, body))
-            case naive.Pi(pattern, domain, naive.ScopedTerm(codomain)):
-                domain2 = go(scope, domain)
-                pattern2, codomain2 = under(scope, pattern, codomain)
-                return terms.Pi(pattern2, domain2, codomain2)
-            case naive.Universe():
-                return terms.Universe()
-        raise TypeError(f"not a term: {t!r}")
+        if type(t) is naive.Var:
+            name = env.get(t.ident.text)
+            return Var(rename(t.ident) if name is None else name)
+        con = constructor(BY_NAIVE, t)
+        new = []
+        for role, field in zip(con.roles, children(t)):
+            if role is PATTERN:
+                pattern, ext = to_foil_pattern(scope, field)
+                new.append(pattern)
+            elif role is SCOPED:
+                saved = [(ident, env.get(ident)) for ident in ext]
+                env.update(ext)
+                new.append(go(extend_scope_pattern(pattern, scope), field.term))
+                for ident, old in saved:
+                    if old is None:
+                        del env[ident]
+                    else:
+                        env[ident] = old
+            else:
+                new.append(go(scope, field))
+        return con.direct(*new)
 
     return go(scope, term)
 
@@ -172,32 +165,15 @@ def from_foil_pattern(raw_to_ident: IdentFn, pattern: Pattern) -> naive.Pattern:
 
 def from_foil_term(raw_to_ident: IdentFn, term: terms.Term) -> naive.Term:
     """Convert back to surface syntax by forgetting scope indices."""
-    match term:
-        case Var(name):
-            return naive.Var(raw_to_ident(name.raw))
-        case terms.Pair(left, right):
-            return naive.Pair(
-                from_foil_term(raw_to_ident, left), from_foil_term(raw_to_ident, right)
-            )
-        case terms.First(inner):
-            return naive.First(from_foil_term(raw_to_ident, inner))
-        case terms.Second(inner):
-            return naive.Second(from_foil_term(raw_to_ident, inner))
-        case terms.App(fun, arg):
-            return naive.App(
-                from_foil_term(raw_to_ident, fun), from_foil_term(raw_to_ident, arg)
-            )
-        case terms.Lam(pattern, body):
-            return naive.Lam(
-                from_foil_pattern(raw_to_ident, pattern),
-                naive.ScopedTerm(from_foil_term(raw_to_ident, body)),
-            )
-        case terms.Pi(pattern, domain, codomain):
-            return naive.Pi(
-                from_foil_pattern(raw_to_ident, pattern),
-                from_foil_term(raw_to_ident, domain),
-                naive.ScopedTerm(from_foil_term(raw_to_ident, codomain)),
-            )
-        case terms.Universe():
-            return naive.Universe()
-    raise TypeError(f"not a term: {term!r}")
+    if type(term) is Var:
+        return naive.Var(raw_to_ident(term.name.raw))
+    con = constructor(BY_DIRECT, term)
+    new = []
+    for role, field in zip(con.roles, children(term)):
+        if role is PATTERN:
+            new.append(from_foil_pattern(raw_to_ident, field))
+        elif role is SCOPED:
+            new.append(naive.ScopedTerm(from_foil_term(raw_to_ident, field)))
+        else:
+            new.append(from_foil_term(raw_to_ident, field))
+    return con.naive(*new)

@@ -36,13 +36,7 @@ from .bridge import (
     to_foil_closed,
 )
 from .fuel import FuelExceededError
-from .lambda_pi import (
-    UnsupportedPatternError,
-    direct_to_free,
-    free_to_direct,
-    nf_free,
-    whnf_free,
-)
+from .lambda_pi import direct_to_free, free_to_direct, nf_free, whnf_free
 from .names import Scope, ScopeViolationError
 from .nbe import EvalError, nf_nbe
 from .syntax import ParseError, parse_program, parse_term, pretty_program, pretty_term
@@ -215,12 +209,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnsupportedPatternError as exc:
-        print(
-            f"error: {exc}; wildcard and pair patterns need --engine direct",
-            file=sys.stderr,
-        )
         return 1
     except (
         ParseError,

@@ -18,6 +18,11 @@ varint in the generic form)::
     0x03 first t          0x07 pi <binder> dom cod  0x11 var <raw>
     0x04 second t         0x08 universe             0x12 pair l r
 
+A generic node whose binder is a wildcard or pair pattern is prefixed with
+0x09, which is no node's tag, and each of its binders is then encoded as a
+pattern (a bare binder under 0x11): ``lam (a, _) . a`` is
+``09 06 12 11 00 10 01 00``.
+
 Tags, de Bruijn terms (shapes reuse the pattern tags, minus payloads)::
 
     0x20 bvar <index>     0x24 pi <shape> dom cod   0x27 second t
@@ -83,7 +88,12 @@ _FREE_TAGS = {
     LamSig: 0x06,
     PiSig: 0x07,
     UniverseSig: 0x08,
+    PatternWildcard: 0x10,
+    PatternVar: 0x11,
+    PatternPair: 0x12,
 }
+
+_PATTERN_BINDERS = 0x09
 
 _DB_TAGS = {
     db.ShapeWildcard: 0x10,
@@ -107,11 +117,17 @@ def _encode(node: object, tags: dict[type, int], out: bytearray) -> None:
     tag = tags.get(type(node))
     if tag is None:
         raise TypeError(f"not a term: {node!r}")
-    out.append(tag)
     fields = children(node)
-    for field in fields:
-        if type(field) is ScopedAST:
-            _varint(field.binder.raw, out)
+    binders = [field.binder for field in fields if type(field) is ScopedAST]
+    if any(type(binder) is not NameBinder for binder in binders):
+        out.append(_PATTERN_BINDERS)  # then every binder is a pattern
+        binders = [PatternVar(b) if type(b) is NameBinder else b for b in binders]
+    out.append(tag)
+    for binder in binders:
+        if type(binder) is NameBinder:
+            _varint(binder.raw, out)
+        else:
+            _encode(binder, tags, out)
     for field in fields:
         kind = type(field)
         if kind is ScopedAST:

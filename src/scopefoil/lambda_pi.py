@@ -1,23 +1,25 @@
-"""Lambda-Pi with pairs, assembled on the signature-generic AST.
+"""Lambda-Pi with pairs and patterns, assembled on the signature-generic AST.
 
-The signature classes below are the tree nodes: application, single-binder
-lambda, Pi and the universe, plus pairs with projections.  Every field is a
-term or a :class:`~scopefoil.generic.ScopedAST`, so substitution, scope
-checking, the congruence part of normalization and the canonical encoding
-are derived from the fields, with no code per constructor.  Binding
-constructs here bind exactly one variable; the direct representation's
-richer patterns convert only when they are single variables
-(:class:`UnsupportedPatternError` otherwise).
+The signature classes below are the tree nodes: application, lambda, Pi and
+the universe, plus pairs with projections.  Every field is a term or a
+:class:`~scopefoil.generic.ScopedAST`, whose binder is a bare variable or a
+wildcard/pair pattern, so substitution, scope checking, the congruence part
+of normalization and the canonical encoding are derived from the fields,
+with no code per constructor.  So are the conversions: each surface class
+of :mod:`scopefoil.naive` names its direct and signature classes (``Lam``,
+``terms.Lam``, ``LamSig``), and its field types say which field is the
+pattern and which bodies lie under it (:data:`CONSTRUCTORS`).
 
-``mk_lam``/``mk_pi`` build the scoped child; the ``as_*`` views return a
-node's fields, or ``None`` on mismatch.
+``mk_lam`` builds a single-binder lambda; the ``as_*`` views return a node's
+fields, or ``None`` on mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
-from . import terms
+from . import naive, terms
 from .fuel import Fuel
 from .generic import AST, ScopedAST, children, substitute
 from .names import (
@@ -25,17 +27,12 @@ from .names import (
     Scope,
     Var,
     add_rename,
-    add_subst,
     extend_scope,
     identity_subst,
     name_of,
     with_refreshed,
 )
-from .patterns import PatternVar
-
-
-class UnsupportedPatternError(Exception):
-    """The single-binder representation cannot express this pattern."""
+from .patterns import PatternVar, beta_bindings, with_pattern
 
 
 # --------------------------------------------------------------------------
@@ -81,9 +78,7 @@ class SecondSig:
     term: AST
 
 
-# Every node class of the language; a lambda-Pi term is a ``Var`` or an
-# instance of one of them.
-SIGNATURE = (AppSig, LamSig, PiSig, UniverseSig, PairSig, FirstSig, SecondSig)
+# A lambda-Pi term is a ``Var`` or an instance of a signature class.
 Term = AST
 
 
@@ -96,26 +91,12 @@ def mk_lam(binder: NameBinder, body: Term) -> Term:
     return LamSig(ScopedAST(binder, body))
 
 
-def mk_pi(binder: NameBinder, domain: Term, codomain: Term) -> Term:
-    return PiSig(domain, ScopedAST(binder, codomain))
-
-
 def as_app(term: Term) -> tuple[Term, Term] | None:
     return (term.fun, term.arg) if type(term) is AppSig else None
 
 
 def as_lam(term: Term) -> tuple[NameBinder, Term] | None:
     return (term.scoped.binder, term.scoped.body) if type(term) is LamSig else None
-
-
-def as_pi(term: Term) -> tuple[NameBinder, Term, Term] | None:
-    if type(term) is not PiSig:
-        return None
-    return term.codomain.binder, term.domain, term.codomain.body
-
-
-def is_universe(term: Term) -> bool:
-    return type(term) is UniverseSig
 
 
 def as_pair(term: Term) -> tuple[Term, Term] | None:
@@ -148,8 +129,9 @@ def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
             fun2 = _whnf(scope, fun, fuel)
             if type(fun2) is LamSig:
                 fuel.spend()
-                subst = add_subst(identity_subst(), fun2.scoped.binder, arg)
-                return _whnf(scope, substitute(scope, subst, fun2.scoped.body), fuel)
+                binder, body = fun2.scoped.binder, fun2.scoped.body
+                subst = beta_bindings(identity_subst(), binder, arg, FirstSig, SecondSig)
+                return _whnf(scope, substitute(scope, subst, body), fuel)
             return term if fun2 is fun else AppSig(fun2, arg)
         case _:
             return term
@@ -170,10 +152,15 @@ def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     for child in children(term):
         if type(child) is ScopedAST:
             binder, body = child.binder, child.body
-            binder2 = with_refreshed(scope, name_of(binder))
-            scope2 = extend_scope(binder2, scope)
-            if binder2.raw != binder.raw:
-                rename = add_rename(identity_subst(), binder, name_of(binder2))
+            if type(binder) is NameBinder:
+                binder2 = with_refreshed(scope, name_of(binder))
+                scope2 = extend_scope(binder2, scope)
+                rename = None
+                if binder2.raw != binder.raw:
+                    rename = add_rename(identity_subst(), binder, name_of(binder2))
+            else:
+                binder2, rename, scope2 = with_pattern(scope, binder, identity_subst())
+            if rename:  # some binder was renamed
                 body = substitute(scope2, rename, body)
             new.append(ScopedAST(binder2, _nf(scope2, body, fuel)))
         else:
@@ -187,65 +174,89 @@ def nf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 
 
 # --------------------------------------------------------------------------
-# conversions to and from the direct representation
+# the constructor correspondence, and the conversions derived from it
 # --------------------------------------------------------------------------
 
+# The roles a surface field can play: the node's binding pattern, a body in
+# the pattern's scope, or a term in the node's own scope.
+PATTERN, SCOPED, TERM = "pattern", "scoped", "term"
 
-def _single_binder(pattern) -> NameBinder:  # type: ignore[no-untyped-def]
-    match pattern:
-        case PatternVar(binder):
-            return binder
-    raise UnsupportedPatternError(
-        "only single-variable patterns convert to the single-binder form "
-        f"(got a {type(pattern).__name__} binder)"
+
+@dataclass(frozen=True, slots=True)
+class Constructor:
+    """One constructor in its surface, direct and generic classes: the role
+    of each surface (and direct) field, and the position of the pattern,
+    which precedes the bodies under it.  The generic class drops the
+    pattern field; each scoped field's :class:`ScopedAST` holds its binder.
+    """
+
+    naive: type
+    direct: type
+    free: type
+    roles: tuple[str, ...]
+    pattern: int | None
+
+
+def _derive(cls: type) -> Constructor:
+    hints = get_type_hints(cls)
+    roles = tuple(
+        PATTERN if hints[field] == naive.Pattern
+        else SCOPED if hints[field] is naive.ScopedTerm
+        else TERM
+        for field in cls.__match_args__
+    )
+    pattern = roles.index(PATTERN) if PATTERN in roles else None
+    name = cls.__name__
+    return Constructor(
+        cls, getattr(terms, name), globals()[name + "Sig"], roles, pattern
     )
 
 
+# Every constructor but ``Var``, which the direct and generic forms share.
+CONSTRUCTORS = tuple(
+    _derive(cls) for cls in get_args(naive.Term) if cls is not naive.Var
+)
+BY_NAIVE = {con.naive: con for con in CONSTRUCTORS}
+BY_DIRECT = {con.direct: con for con in CONSTRUCTORS}
+BY_FREE = {con.free: con for con in CONSTRUCTORS}
+
+
+def constructor(table: dict[type, Constructor], term: object) -> Constructor:
+    con = table.get(type(term))
+    if con is None:
+        raise TypeError(f"not a term: {term!r}")
+    return con
+
+
 def direct_to_free(term: terms.Term) -> Term:
-    match term:
-        case Var():
-            return term
-        case terms.Pair(left, right):
-            return PairSig(direct_to_free(left), direct_to_free(right))
-        case terms.First(t):
-            return FirstSig(direct_to_free(t))
-        case terms.Second(t):
-            return SecondSig(direct_to_free(t))
-        case terms.App(fun, arg):
-            return AppSig(direct_to_free(fun), direct_to_free(arg))
-        case terms.Lam(pattern, body):
-            return mk_lam(_single_binder(pattern), direct_to_free(body))
-        case terms.Pi(pattern, domain, codomain):
-            return mk_pi(
-                _single_binder(pattern),
-                direct_to_free(domain),
-                direct_to_free(codomain),
-            )
-        case terms.Universe():
-            return UniverseSig()
-    raise TypeError(f"not a term: {term!r}")
+    """The generic form: a single-variable pattern becomes a bare binder."""
+    if type(term) is Var:
+        return term
+    con = constructor(BY_DIRECT, term)
+    new = []
+    for role, field in zip(con.roles, children(term)):
+        if role is PATTERN:
+            binder = field.binder if type(field) is PatternVar else field
+        elif role is SCOPED:
+            new.append(ScopedAST(binder, direct_to_free(field)))
+        else:
+            new.append(direct_to_free(field))
+    return con.free(*new)
 
 
 def free_to_direct(term: Term) -> terms.Term:
-    match term:
-        case Var():
-            return term
-        case AppSig(fun, arg):
-            return terms.App(free_to_direct(fun), free_to_direct(arg))
-        case LamSig(ScopedAST(binder, body)):
-            return terms.Lam(PatternVar(binder), free_to_direct(body))
-        case PiSig(domain, ScopedAST(binder, codomain)):
-            return terms.Pi(
-                PatternVar(binder),
-                free_to_direct(domain),
-                free_to_direct(codomain),
-            )
-        case UniverseSig():
-            return terms.Universe()
-        case PairSig(left, right):
-            return terms.Pair(free_to_direct(left), free_to_direct(right))
-        case FirstSig(t):
-            return terms.First(free_to_direct(t))
-        case SecondSig(t):
-            return terms.Second(free_to_direct(t))
-    raise TypeError(f"not a term: {term!r}")
+    """The direct form: a bare binder becomes a single-variable pattern."""
+    if type(term) is Var:
+        return term
+    con = constructor(BY_FREE, term)
+    new = []
+    for field in children(term):
+        if type(field) is ScopedAST:
+            binder = field.binder
+            new.append(free_to_direct(field.body))
+        else:
+            new.append(free_to_direct(field))
+    if con.pattern is not None:
+        pattern = PatternVar(binder) if type(binder) is NameBinder else binder
+        new.insert(con.pattern, pattern)
+    return con.direct(*new)

@@ -6,7 +6,8 @@ closure together with its environment and only evaluated when the closure
 is applied.  Quotation reads normal forms back, applying closures to fresh
 neutral variables under an extended scope.
 
-Arguments and pair components are delayed with memoized thunks, so
+Arguments and pair components are delayed with memoized thunks, and a pair
+pattern binds its variables to thunks of the argument's projections, so
 evaluation demands exactly what normal order demands: terms whose arguments
 fail to normalize (but are discarded) still converge, and results always
 agree with the tree-substitution normalizers up to alpha.
@@ -32,8 +33,6 @@ from .lambda_pi import (
     SecondSig,
     Term,
     UniverseSig,
-    mk_lam,
-    mk_pi,
 )
 from .names import (
     Name,
@@ -41,9 +40,11 @@ from .names import (
     Scope,
     Var,
     extend_scope,
+    identity_subst,
     name_of,
     with_refreshed,
 )
+from .patterns import Pattern, beta_bindings, names_of_pattern, with_pattern
 
 
 class EvalError(Exception):
@@ -95,7 +96,7 @@ class VNeutral:
 @dataclass(frozen=True, slots=True)
 class VLam:
     env: "Env"
-    binder: NameBinder
+    binder: NameBinder | Pattern
     body: Term
 
 
@@ -103,7 +104,7 @@ class VLam:
 class VPi:
     env: "Env"
     domain: "Value"
-    binder: NameBinder
+    binder: NameBinder | Pattern
     codomain: Term
 
 
@@ -140,10 +141,28 @@ def _force(v) -> Value:  # type: ignore[no-untyped-def]
     return v.force() if type(v) is Thunk else v
 
 
+# The thunk of ``first x`` / ``second x`` in the environment x -> arg: a
+# pattern's parts bind to projections of the argument, forced only on demand.
+_FIRST, _SECOND = FirstSig(Var(Name(0))), SecondSig(Var(Name(0)))
+
+
+def _first(arg: Thunk) -> Thunk:
+    return Thunk(_FIRST, (0, arg, None))
+
+
+def _second(arg: Thunk) -> Thunk:
+    return Thunk(_SECOND, (0, arg, None))
+
+
 def apply_value(fun: Value, arg: Thunk) -> Value:
     match fun:
         case VLam(env, binder, body):
-            return eval_term((binder.raw, arg, env), body)
+            if type(binder) is NameBinder:
+                return eval_term((binder.raw, arg, env), body)
+            bindings = beta_bindings(identity_subst(), binder, arg, _first, _second)
+            for raw, value in bindings.items():
+                env = (raw, value, env)
+            return eval_term(env, body)
         case VNeutral(head, spine):
             return VNeutral(head, spine + (EApp(arg),))
     raise EvalError("cannot apply a non-function value")
@@ -199,20 +218,27 @@ def quote(scope: Scope, value: Value) -> Term:
                         acc = SecondSig(acc)
             return acc
         case VLam(env, binder, body):
-            binder2 = with_refreshed(scope, name_of(binder))
-            scope2 = extend_scope(binder2, scope)
-            body_value = eval_term(
-                (binder.raw, VNeutral(name_of(binder2), ()), env), body
-            )
-            return mk_lam(binder2, quote(scope2, body_value))
+            return LamSig(_quote_scoped(scope, env, binder, body))
         case VPi(env, domain, binder, codomain):
-            binder2 = with_refreshed(scope, name_of(binder))
-            scope2 = extend_scope(binder2, scope)
-            codomain_value = eval_term(
-                (binder.raw, VNeutral(name_of(binder2), ()), env), codomain
-            )
-            return mk_pi(binder2, quote(scope, domain), quote(scope2, codomain_value))
+            domain_ast = quote(scope, domain)
+            return PiSig(domain_ast, _quote_scoped(scope, env, binder, codomain))
     raise TypeError(f"not a value: {value!r}")
+
+
+def _quote_scoped(
+    scope: Scope, env: Env, binder: NameBinder | Pattern, body: Term
+) -> ScopedAST:
+    """Quote a closure body under its binder, refreshed against ``scope``:
+    each name the old binder bound is bound to a neutral of its new name."""
+    if type(binder) is NameBinder:
+        binder2 = with_refreshed(scope, name_of(binder))
+        scope2 = extend_scope(binder2, scope)
+        env = (binder.raw, VNeutral(name_of(binder2), ()), env)
+    else:
+        binder2, _, scope2 = with_pattern(scope, binder, identity_subst())
+        for old, new in zip(names_of_pattern(binder), names_of_pattern(binder2)):
+            env = (old.raw, VNeutral(new, ()), env)
+    return ScopedAST(binder2, quote(scope2, eval_term(env, body)))
 
 
 def nf_nbe(scope: Scope, term: Term) -> Term:

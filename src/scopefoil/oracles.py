@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from . import bridge, lambda_pi, naive, terms
+from . import bridge, lambda_pi, naive
 from .fuel import Fuel
 from .names import Var as FoilVar
 
@@ -609,27 +609,6 @@ def nf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
 # alpha-equivalence
 # --------------------------------------------------------------------------
 
-_DB_CLASSES = (BVar, FVar, DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond, DBUniverse)
-_NAIVE_CLASSES = (
-    naive.Var,
-    naive.Pair,
-    naive.First,
-    naive.Second,
-    naive.App,
-    naive.Lam,
-    naive.Pi,
-    naive.Universe,
-)
-_DIRECT_CLASSES = (
-    terms.Pair,
-    terms.First,
-    terms.Second,
-    terms.App,
-    terms.Lam,
-    terms.Pi,
-    terms.Universe,
-)
-
 
 def as_debruijn(term: object) -> DBTerm:
     """Canonicalize any term representation in this package to de Bruijn form.
@@ -638,15 +617,14 @@ def as_debruijn(term: object) -> DBTerm:
     open terms that must compare against surface terms should be converted
     by the caller with the appropriate inverse mapping instead.
     """
-    if isinstance(term, _DB_CLASSES):
+    if isinstance(term, DBTerm):
         return term
-    if isinstance(term, _NAIVE_CLASSES):
+    if type(term) in lambda_pi.BY_FREE:
+        term = lambda_pi.free_to_direct(term)
+    if type(term) is FoilVar or type(term) in lambda_pi.BY_DIRECT:
+        term = bridge.from_foil_term(bridge.default_ident, term)
+    if type(term) is naive.Var or type(term) in lambda_pi.BY_NAIVE:
         return to_debruijn(term)
-    if isinstance(term, (FoilVar, *_DIRECT_CLASSES)):
-        return to_debruijn(bridge.from_foil_term(bridge.default_ident, term))
-    if isinstance(term, lambda_pi.SIGNATURE):
-        direct = lambda_pi.free_to_direct(term)
-        return to_debruijn(bridge.from_foil_term(bridge.default_ident, direct))
     raise TypeError(f"no known term representation: {term!r}")
 
 

@@ -4,19 +4,25 @@ A pattern binds zero or more names at once (``_``, a variable, or a pair of
 sub-patterns).  Scopes chain left to right: the right sub-pattern of a pair
 is resolved in the scope already extended by the left one, which fixes the
 order in which duplicate-free freshness is guaranteed.
+
+The generic AST binds one variable with a bare :class:`NameBinder`, which
+its engines handle inline, and its wildcard and pair patterns go through the
+same functions here as the direct engine's patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Callable, Union
 
 from .names import (
     Name,
     NameBinder,
     Scope,
+    ScopeViolationError,
     Subst,
     add_rename,
+    add_subst,
     extend_scope,
     name_of,
     with_refreshed,
@@ -44,20 +50,14 @@ Pattern = Union[PatternWildcard, PatternVar, PatternPair]
 
 def names_of_pattern(pattern: Pattern) -> list[Name]:
     """Names introduced by the pattern, left to right."""
-    out: list[Name] = []
-
-    def walk(p: Pattern) -> None:
-        match p:
-            case PatternWildcard():
-                pass
-            case PatternVar(binder):
-                out.append(name_of(binder))
-            case PatternPair(left, right):
-                walk(left)
-                walk(right)
-
-    walk(pattern)
-    return out
+    match pattern:
+        case PatternWildcard():
+            return []
+        case PatternVar(binder):
+            return [name_of(binder)]
+        case PatternPair(left, right):
+            return names_of_pattern(left) + names_of_pattern(right)
+    raise TypeError(f"not a pattern: {pattern!r}")
 
 
 def extend_scope_pattern(pattern: Pattern, scope: Scope) -> Scope:
@@ -96,3 +96,42 @@ def with_pattern(
             right2, subst3, scope3 = with_pattern(scope2, right, subst2)
             return PatternPair(left2, right2), subst3, scope3
     raise TypeError(f"not a pattern: {pattern!r}")
+
+
+def beta_bindings(
+    subst: Subst,
+    pattern: Pattern | NameBinder,
+    arg: Any,
+    first: Callable[[Any], Any],
+    second: Callable[[Any], Any],
+) -> Subst:
+    """``subst`` extended by what applying a ``pattern`` binder to ``arg`` binds.
+
+    Binding is lazy: a pair pattern binds its parts to ``first(arg)`` and
+    ``second(arg)``, so reduction never forces the argument to be a literal
+    pair.  Each engine passes its own projection constructors.
+    """
+    match pattern:
+        case PatternVar(binder) | (NameBinder() as binder):
+            return add_subst(subst, binder, arg)
+        case PatternWildcard():
+            return subst
+        case PatternPair(left, right):
+            subst = beta_bindings(subst, left, first(arg), first, second)
+            return beta_bindings(subst, right, second(arg), first, second)
+    raise TypeError(f"not a pattern: {pattern!r}")
+
+
+def check_pattern_scope(pattern: Pattern | NameBinder, scope: Scope) -> Scope:
+    """Debug checker: the scope of the pattern's body.
+
+    Binders may shadow outer names (substitution outputs legitimately do),
+    but binders within a single pattern must be pairwise distinct.
+    """
+    names = [pattern] if type(pattern) is NameBinder else names_of_pattern(pattern)
+    raws = [name.raw for name in names]
+    for i, raw in enumerate(raws):
+        if raw in raws[:i]:
+            raise ScopeViolationError(f"pattern binds #{raw} twice")
+        scope = scope.add(raw)
+    return scope

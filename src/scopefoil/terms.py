@@ -18,17 +18,10 @@ from .names import (
     ScopeViolationError,
     Subst,
     Var,
-    add_subst,
     identity_subst,
     lookup_subst,
 )
-from .patterns import (
-    Pattern,
-    PatternPair,
-    PatternVar,
-    PatternWildcard,
-    with_pattern,
-)
+from .patterns import Pattern, beta_bindings, check_pattern_scope, with_pattern
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,21 +95,6 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _beta_bindings(subst: Subst, pattern: Pattern, arg: Term) -> Subst:
-    # Pattern application binds lazily: a pair pattern takes the first/second
-    # projections of the argument, so reduction never forces the argument to
-    # be a literal pair.
-    match pattern:
-        case PatternWildcard():
-            return subst
-        case PatternVar(binder):
-            return add_subst(subst, binder, arg)
-        case PatternPair(left, right):
-            subst = _beta_bindings(subst, left, First(arg))
-            return _beta_bindings(subst, right, Second(arg))
-    raise TypeError(f"not a pattern: {pattern!r}")
-
-
 def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     match term:
         case First(t):
@@ -135,7 +113,7 @@ def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
             fun2 = _whnf(scope, fun, fuel)
             if type(fun2) is Lam:
                 fuel.spend()
-                bindings = _beta_bindings(identity_subst(), fun2.pattern, arg)
+                bindings = beta_bindings(identity_subst(), fun2.pattern, arg, First, Second)
                 return _whnf(scope, subst_direct(scope, bindings, fun2.body), fuel)
             return term if fun2 is fun else App(fun2, arg)
         case _:
@@ -178,22 +156,6 @@ def nf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
     return _nf(scope, term, Fuel(fuel))
 
 
-def _pattern_scope(pattern: Pattern, scope: Scope, seen: set[int]) -> Scope:
-    match pattern:
-        case PatternWildcard():
-            return scope
-        case PatternVar(binder):
-            if binder.raw in seen:
-                raise ScopeViolationError(
-                    f"pattern binds #{binder.raw} twice"
-                )
-            seen.add(binder.raw)
-            return scope.add(binder.raw)
-        case PatternPair(left, right):
-            return _pattern_scope(right, _pattern_scope(left, scope, seen), seen)
-    raise TypeError(f"not a pattern: {pattern!r}")
-
-
 def check_scope_direct(term: Term, scope: Scope) -> None:
     """Debug checker: every free name must be a member of ``scope``.
 
@@ -213,10 +175,10 @@ def check_scope_direct(term: Term, scope: Scope) -> None:
             check_scope_direct(fun, scope)
             check_scope_direct(arg, scope)
         case Lam(pattern, body):
-            check_scope_direct(body, _pattern_scope(pattern, scope, set()))
+            check_scope_direct(body, check_pattern_scope(pattern, scope))
         case Pi(pattern, domain, codomain):
             check_scope_direct(domain, scope)
-            check_scope_direct(codomain, _pattern_scope(pattern, scope, set()))
+            check_scope_direct(codomain, check_pattern_scope(pattern, scope))
         case Universe():
             pass
         case _:

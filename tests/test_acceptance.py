@@ -1,11 +1,11 @@
-"""Acceptance checks: ten end-to-end properties, one test (and one
+"""Acceptance checks: eleven end-to-end properties, one test (and one
 verbose-mode pass/fail line) each.
 
 Every check also prints a `[NN] label PASS (time)` summary line — run with
 ``pytest -v -s tests/test_acceptance.py`` to see them — and enforces its
 runtime budget, so a pathological slowdown fails loudly instead of rotting.
 
-Numbers 01-10 are stable identifiers for these properties; the shared
+Numbers 01-11 are stable identifiers for these properties; the shared
 random corpora are generated once and reused (01/02/07 feed 10).
 """
 
@@ -26,15 +26,19 @@ from scopefoil.bridge import (
     to_foil_term,
 )
 from scopefoil.encoding import encode_direct, encode_free
-from scopefoil.generic import sink_ast, substitute
-from scopefoil.lambda_pi import (
-    UnsupportedPatternError,
-    direct_to_free,
-    free_to_direct,
-    nf_free,
+from scopefoil.fuel import FuelExceededError
+from scopefoil.generic import check_scope, sink_ast, substitute
+from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
+from scopefoil.names import (
+    Name,
+    Scope,
+    debug_scopes_enabled,
+    identity_subst,
+    set_debug_scopes,
+    sink,
+    with_refreshed,
 )
-from scopefoil.names import Name, Scope, identity_subst, sink, with_refreshed
-from scopefoil.nbe import nf_nbe
+from scopefoil.nbe import EvalError, nf_nbe
 from scopefoil.oracles import alpha_eq, nf_debruijn, nf_named, to_debruijn
 from scopefoil.patterns import (
     PatternPair,
@@ -45,11 +49,11 @@ from scopefoil.patterns import (
     with_pattern,
 )
 from scopefoil.syntax import parse_term, pretty_term
-from scopefoil.terms import nf_direct, subst_direct
+from scopefoil.terms import check_scope_direct, nf_direct, subst_direct
 
 import random
 
-from conftest import gen_foil_pattern, gen_naive_term
+from conftest import gen_foil_pattern, gen_naive_pattern, gen_naive_term
 
 
 @contextmanager
@@ -162,15 +166,11 @@ def test_03_sink_is_byte_identical_serialization():
             sunk = sink(direct, source=source, target=target)
             assert sunk is direct
             assert encode_direct(sunk) == before
-            try:
-                free = direct_to_free(direct)
-            except UnsupportedPatternError:
-                free = None
-            if free is not None:
-                blob = encode_free(free)
-                sunk_free = sink_ast(free, source, target)
-                assert sunk_free is free
-                assert encode_free(sunk_free) == blob
+            free = direct_to_free(direct)
+            blob = encode_free(free)
+            sunk_free = sink_ast(free, source, target)
+            assert sunk_free is free
+            assert encode_free(sunk_free) == blob
             checked += 1
 
 
@@ -201,11 +201,8 @@ def test_05_identity_substitution_is_structural_identity():
         subst = identity_subst()
         while len(seen) < 200:
             term = gen_naive_term(rng, rng.randrange(1, 6))
-            try:
-                direct = to_foil_closed(term)
-                free = direct_to_free(direct)
-            except UnsupportedPatternError:
-                continue
+            direct = to_foil_closed(term)
+            free = direct_to_free(direct)
             key = pretty_term(term)
             if key in seen:
                 continue
@@ -322,3 +319,63 @@ def test_10_nbe_agrees_with_free_foil_on_shared_corpus():
             free = direct_to_free(to_foil_closed(term))
             scope = Scope()
             assert alpha_eq(nf_nbe(scope, free), nf_free(scope, free))
+
+
+def _gen_full_grammar_term(rng: random.Random) -> naive.Term:
+    """Alternately a random closed term, and a pattern redex under a pair
+    binder whose variables stay neutral: ``lam (e0, e1) . (lam P . B) A``.
+
+    Random terms alone rarely apply a pattern lambda to an argument whose
+    projections matter; the redexes make pattern beta carry the check.
+    """
+    if rng.random() < 0.5:
+        return gen_naive_term(rng, rng.randrange(1, 6))
+    env = ("e0", "e1")
+    used = set(env)
+    pattern = gen_naive_pattern(rng, 2, used)
+    inner = env + tuple(sorted(used - set(env)))
+    body = gen_naive_term(rng, rng.randrange(1, 4), inner)
+    arg = gen_naive_term(rng, rng.randrange(0, 3), env)
+    if rng.random() < 0.5:
+        arg = naive.Pair(arg, gen_naive_term(rng, rng.randrange(0, 3), env))
+    redex = naive.App(naive.Lam(pattern, naive.ScopedTerm(body)), arg)
+    e0, e1 = (naive.PatternVar(naive.VarIdent(x)) for x in env)
+    return naive.Lam(naive.PatternPair(e0, e1), naive.ScopedTerm(redex))
+
+
+def test_11_five_way_agreement_on_the_full_grammar_in_debug_mode():
+    with criterion(11, "five-way agreement, 600 full-grammar terms, debug", 10.0):
+        previous = debug_scopes_enabled()
+        set_debug_scopes(True)
+        try:
+            rng = random.Random(1111)
+            scope = Scope()
+            checked = nbe_checked = 0
+            while checked < 600:
+                term = _gen_full_grammar_term(rng)
+                try:
+                    reference = nf_debruijn(to_debruijn(term), fuel=20_000)
+                except FuelExceededError:
+                    continue  # the other engines spend no more fuel than this
+                direct = to_foil_closed(term)
+                free = direct_to_free(direct)
+                forms = {
+                    "named": nf_named(term, fuel=20_000),
+                    "foil_direct": nf_direct(scope, direct, fuel=20_000),
+                    "free_foil": nf_free(scope, free, fuel=20_000),
+                }
+                try:
+                    forms["nbe"] = nf_nbe(scope, free)
+                    nbe_checked += 1
+                except EvalError:
+                    pass  # an ill-typed elimination; the tree engines leave it stuck
+                for impl, form in forms.items():
+                    assert alpha_eq(form, reference), (impl, pretty_term(term))
+                check_scope_direct(forms["foil_direct"], scope)
+                check_scope(forms["free_foil"], scope)
+                if "nbe" in forms:
+                    check_scope(forms["nbe"], scope)
+                checked += 1
+            assert nbe_checked >= 200
+        finally:
+            set_debug_scopes(previous)

@@ -1,6 +1,7 @@
 """The command-line interface: subcommands, exit codes, error formatting."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -36,13 +37,22 @@ def test_run_engines_agree(tmp_path, capsys):
     assert results[0] == results[1] == results[2] == "U\n"
 
 
-def test_run_pattern_program_needs_direct_engine(tmp_path, capsys):
-    path = _write(tmp_path, "p.lp", "compute (lam (a, b) . (b, a)) (U, U) : (U, U) ;\n")
-    assert main(["run", path, "--engine", "direct"]) == 0
-    assert capsys.readouterr().out == "(U, U)\n"
-    assert main(["run", path]) == 1
-    err = capsys.readouterr().err
-    assert "--engine direct" in err
+def test_run_pattern_programs_agree_across_engines(tmp_path, capsys):
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "pairs.lp"
+    path = _write(
+        tmp_path,
+        "p.lp",
+        "compute (lam _ . U) U : U ;\n"
+        "compute fun ((a, b) : U) -> a : U ;\n"
+        "compute (lam (a, _) . a) (U, lam y . y y) : U ;\n",
+    )
+    for program in (str(corpus), path):
+        outputs = []
+        for engine in ("direct", "free", "nbe"):
+            assert main(["run", program, "--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2], program
+    assert outputs[0] == "U\nfun ((x0, x1) : U) -> x0\nU\n"
 
 
 def test_normalize_file_and_stdin(tmp_path, capsys, monkeypatch):

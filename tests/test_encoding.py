@@ -17,7 +17,7 @@ from scopefoil.encoding import (
     encode_free,
     hash_debruijn,
 )
-from scopefoil.lambda_pi import AppSig, UnsupportedPatternError, direct_to_free
+from scopefoil.lambda_pi import AppSig, direct_to_free
 from scopefoil.oracles import to_debruijn
 from scopefoil.syntax import parse_term
 from scopefoil.terms import App, Universe
@@ -46,6 +46,20 @@ def test_frozen_generic_bytes_for_every_constructor():
     term = parse_term("fun (a : U) -> lam b . (first (a, b), second (b a))")
     free = direct_to_free(to_foil_closed(term))
     assert encode_free(free).hex() == "070008060102030201000101040501010100"
+
+
+def test_frozen_generic_bytes_for_pattern_binders():
+    # 0x09 marks a node whose binder is a pattern, encoded with the pattern tags
+    pi = parse_term("fun ((a, _) : U) -> lam b . (first (a, b), second (b a))")
+    assert (
+        encode_free(direct_to_free(to_foil_closed(pi))).hex()
+        == "09071211001008060102030201000101040501010100"
+    )
+    lam = parse_term("lam ((a, _), b) . b a")
+    assert (
+        encode_free(direct_to_free(to_foil_closed(lam))).hex()
+        == "0906121211001011010501010100"
+    )
 
 
 def test_each_encoder_rejects_the_other_representations():
@@ -106,6 +120,7 @@ def test_encodings_injective_on_random_corpus():
     rng = random.Random(515)
     seen_db: dict[bytes, object] = {}
     seen_direct: dict[bytes, object] = {}
+    seen_free: dict[bytes, object] = {}
     for _ in range(250):
         term = gen_naive_term(rng, rng.randrange(1, 6))
         db = to_debruijn(term)
@@ -120,18 +135,20 @@ def test_encodings_injective_on_random_corpus():
             assert seen_direct[blob2] == direct
         seen_direct[blob2] = direct
 
+        free = direct_to_free(direct)
+        blob3 = encode_free(free)
+        if blob3 in seen_free:
+            assert seen_free[blob3] == free
+        seen_free[blob3] = free
+
 
 def test_free_and_direct_encodings_agree_on_single_binder_terms():
-    """Where both representations exist, the byte strings coincide apart
-    from the pattern-versus-binder encoding of lam/pi."""
+    """Encoding either representation twice gives the same bytes."""
     rng = random.Random(9090)
     for _ in range(80):
         term = gen_naive_term(rng, rng.randrange(1, 5))
         direct = to_foil_closed(term)
-        try:
-            free = direct_to_free(direct)
-        except UnsupportedPatternError:
-            continue
+        free = direct_to_free(direct)
         assert encode_free(free) == encode_free(direct_to_free(direct))
         # decoding isn't provided; determinism is the contract
         assert encode_direct(direct) == encode_direct(to_foil_closed(term))

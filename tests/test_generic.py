@@ -19,6 +19,8 @@ from scopefoil.names import (
     identity_subst,
     set_debug_scopes,
 )
+from scopefoil.patterns import PatternPair, PatternVar
+from scopefoil.terms import Lam, check_scope_direct
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +137,15 @@ def test_check_scope():
     escaping = mk_lam(NameBinder(0), Var(Name(1)))
     with pytest.raises(ScopeViolationError):
         check_scope(escaping, Scope())
+    # a pattern binder scopes its body; binding one raw twice is rejected,
+    # as the direct checker rejects it
+    pair = PatternPair(PatternVar(NameBinder(0)), PatternVar(NameBinder(1)))
+    check_scope(LamSig(ScopedAST(pair, AppSig(Var(Name(0)), Var(Name(1))))), Scope())
+    twice = PatternPair(PatternVar(NameBinder(0)), PatternVar(NameBinder(0)))
+    with pytest.raises(ScopeViolationError):
+        check_scope(LamSig(ScopedAST(twice, Var(Name(0)))), Scope())
+    with pytest.raises(ScopeViolationError):
+        check_scope_direct(Lam(twice, Var(Name(0))), Scope())
 
 
 def test_sink_ast_is_identity_and_checks_in_debug():

@@ -15,26 +15,24 @@ from scopefoil.fuel import FuelExceededError
 from scopefoil.lambda_pi import (
     AppSig,
     FirstSig,
+    LamSig,
     PairSig,
     SecondSig,
     UniverseSig,
-    UnsupportedPatternError,
     as_app,
     as_first,
     as_lam,
     as_pair,
-    as_pi,
     as_second,
     direct_to_free,
     free_to_direct,
-    is_universe,
     mk_lam,
-    mk_pi,
     nf_free,
     whnf_free,
 )
 from scopefoil.names import Name, NameBinder, Scope, Var
 from scopefoil.oracles import alpha_eq, nf_named
+from scopefoil.patterns import PatternPair, PatternVar, PatternWildcard
 from scopefoil.syntax import parse_term
 
 
@@ -48,9 +46,6 @@ def test_views_invert_constructors():
     x = Var(Name(0))
     assert as_app(AppSig(x, u)) == (x, u)
     assert as_lam(mk_lam(NameBinder(0), x)) == (NameBinder(0), x)
-    assert as_pi(mk_pi(NameBinder(0), u, x)) == (NameBinder(0), u, x)
-    assert is_universe(u)
-    assert not is_universe(x)
     assert as_pair(PairSig(x, u)) == (x, u)
     assert as_first(FirstSig(x)) == x
     assert as_second(SecondSig(x)) == x
@@ -98,25 +93,24 @@ def test_fuel_exhausts_on_omega():
 
 def test_direct_free_roundtrip_on_single_binder_terms():
     rng = random.Random(404)
-    kept = 0
-    while kept < 60:
-        surface = gen_naive_term(rng, rng.randrange(1, 5))
-        try:
-            direct = to_foil_closed(surface)
-            free = direct_to_free(direct)
-        except UnsupportedPatternError:
-            continue  # pattern binders have no single-binder form
-        kept += 1
+    for _ in range(60):
+        direct = to_foil_closed(gen_naive_term(rng, rng.randrange(1, 5)))
+        assert free_to_direct(direct_to_free(direct)) == direct
+
+
+def test_direct_free_roundtrip_over_pattern_binders():
+    a, b, wild = PatternVar(NameBinder(0)), PatternVar(NameBinder(1)), PatternWildcard()
+    for src, binder in (
+        ("lam x . x", NameBinder(0)),  # a single variable stays a bare binder
+        ("lam _ . U", wild),
+        ("lam (a, b) . (b, a)", PatternPair(a, b)),
+        ("fun (((a, _), c) : U) -> c a", PatternPair(PatternPair(a, wild), b)),
+    ):
+        direct = to_foil_closed(parse_term(src))
+        free = direct_to_free(direct)
+        scoped = free.scoped if type(free) is LamSig else free.codomain
+        assert scoped.binder == binder, src
         assert free_to_direct(free) == direct
-
-
-def test_direct_to_free_rejects_pattern_binders():
-    direct = to_foil_closed(parse_term("lam (a, b) . (b, a)"))
-    with pytest.raises(UnsupportedPatternError):
-        direct_to_free(direct)
-    wild = to_foil_closed(parse_term("lam _ . U"))
-    with pytest.raises(UnsupportedPatternError):
-        direct_to_free(wild)
 
 
 def test_free_agrees_with_named_oracle_on_random_terms():
@@ -124,10 +118,7 @@ def test_free_agrees_with_named_oracle_on_random_terms():
     checked = 0
     while checked < 80:
         surface = gen_naive_term(rng, rng.randrange(1, 5))
-        try:
-            free = direct_to_free(to_foil_closed(surface))
-        except UnsupportedPatternError:
-            continue
+        free = direct_to_free(to_foil_closed(surface))
         try:
             expected = nf_named(surface, fuel=20_000)
             got = nf_free(Scope(), free, fuel=20_000)
