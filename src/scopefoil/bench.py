@@ -3,7 +3,7 @@
 Times full normalization of shared workloads across five implementations:
 
 * ``named``       — capture-avoiding substitution on the surface syntax
-* ``debruijn``    — shift/substitute index arithmetic
+* ``debruijn``    — de Bruijn indices; shifting and beta share one index walk
 * ``foil_direct`` — scope-indexed direct terms
 * ``free_foil``   — the signature-generic AST with the generic substitution
 * ``nbe``         — closure-based normalization by evaluation
@@ -242,6 +242,10 @@ class BenchConfig:
                 )
         if self.measured_runs < 1:
             raise ValueError("measured_runs must be at least 1")
+        if self.warmup_runs < 0:
+            raise ValueError("warmup_runs must be at least 0")
+        if self.terms_per_random_group < 1:
+            raise ValueError("terms_per_random_group must be at least 1")
         if self.fuel < DEFAULT_GEN_FUEL:
             # admission is the stronger filter; a run budget below it could
             # reject terms the generator promised were fine

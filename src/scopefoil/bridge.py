@@ -27,13 +27,7 @@ from . import naive, terms
 from .generic import children
 from .lambda_pi import BY_DIRECT, BY_NAIVE, PATTERN, SCOPED, constructor
 from .names import Name, RawName, Scope, Var, fresh_binder, name_of
-from .patterns import (
-    Pattern,
-    PatternPair,
-    PatternVar,
-    PatternWildcard,
-    extend_scope_pattern,
-)
+from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard
 
 
 class UnboundVariableError(Exception):
@@ -75,11 +69,11 @@ def rename_from_env(env: dict[str, Name]) -> RenameFn:
 
 def to_foil_pattern(
     scope: Scope, pattern: naive.Pattern
-) -> tuple[Pattern, dict[str, Name]]:
+) -> tuple[Pattern, dict[str, Name], Scope]:
     """Convert a pattern, allocating binders left to right against ``scope``.
 
-    Returns the scope-indexed pattern and the identifier -> name environment
-    extension its body should be resolved under.
+    Returns the scope-indexed pattern, the identifier -> name environment
+    extension its body should be resolved under, and the body's scope.
     """
     env: dict[str, Name] = {}
 
@@ -99,8 +93,8 @@ def to_foil_pattern(
                 return PatternPair(left2, right2), scope3
         raise TypeError(f"not a pattern: {p!r}")
 
-    pattern2, _ = go(scope, pattern)
-    return pattern2, env
+    pattern2, body_scope = go(scope, pattern)
+    return pattern2, env, body_scope
 
 
 def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term:
@@ -120,12 +114,12 @@ def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term
         new = []
         for role, field in zip(con.roles, children(t)):
             if role is PATTERN:
-                pattern, ext = to_foil_pattern(scope, field)
+                pattern, ext, body_scope = to_foil_pattern(scope, field)
                 new.append(pattern)
             elif role is SCOPED:
                 saved = [(ident, env.get(ident)) for ident in ext]
                 env.update(ext)
-                new.append(go(extend_scope_pattern(pattern, scope), field.term))
+                new.append(go(body_scope, field.term))
                 for ident, old in saved:
                     if old is None:
                         del env[ident]

@@ -6,7 +6,8 @@ not share the scope-indexed machinery:
 * a plain named normalizer over the surface syntax, doing textbook
   capture-avoiding substitution with free-variable sets and a deterministic
   fresh-identifier supply, and
-* a de Bruijn normalizer with shift/substitute index arithmetic.
+* a de Bruijn normalizer whose shifting and beta contraction share one
+  index walk, :func:`_map_db` (TAPL's ``tmmap``).
 
 ``alpha_eq`` converts any representation in this package to the de Bruijn
 form and compares structurally; it is the only alpha-equivalence used
@@ -22,7 +23,7 @@ numbered left to right with the rightmost innermost (index 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from . import bridge, lambda_pi, naive
 from .fuel import Fuel
@@ -133,18 +134,13 @@ def _bindings_named(pattern: naive.Pattern, arg: naive.Term) -> dict[str, naive.
 
 def _whnf_named(term: naive.Term, fuel: Fuel) -> naive.Term:
     match term:
-        case naive.First(t):
+        case naive.First(t) | naive.Second(t):
             t2 = _whnf_named(t, fuel)
-            if type(t2) is naive.Pair:
-                fuel.spend()
-                return _whnf_named(t2.left, fuel)
-            return term if t2 is t else naive.First(t2)
-        case naive.Second(t):
-            t2 = _whnf_named(t, fuel)
-            if type(t2) is naive.Pair:
-                fuel.spend()
-                return _whnf_named(t2.right, fuel)
-            return term if t2 is t else naive.Second(t2)
+            if type(t2) is not naive.Pair:
+                return term if t2 is t else type(term)(t2)
+            fuel.spend()
+            component = t2.left if type(term) is naive.First else t2.right
+            return _whnf_named(component, fuel)
         case naive.App(fun, arg):
             fun2 = _whnf_named(fun, fuel)
             if type(fun2) is naive.Lam:
@@ -444,6 +440,34 @@ def from_debruijn(term: DBTerm) -> naive.Term:
     return go(term)
 
 
+def _map_db(
+    term: DBTerm, on_bvar: Callable[[BVar, int], DBTerm], depth: int
+) -> DBTerm:
+    """Rebuild ``term``, replacing each ``BVar`` by ``on_bvar(var, d)`` where
+    ``d`` is ``depth`` plus the indices bound above the variable: TAPL's
+    ``tmmap``, the one walk behind both shifting and beta contraction."""
+    match term:
+        case BVar():
+            return on_bvar(term, depth)
+        case DBApp(fun, arg):
+            return DBApp(_map_db(fun, on_bvar, depth), _map_db(arg, on_bvar, depth))
+        case DBLam(shape, body):
+            return DBLam(shape, _map_db(body, on_bvar, depth + shape_arity(shape)))
+        case DBPi(shape, domain, codomain):
+            return DBPi(
+                shape,
+                _map_db(domain, on_bvar, depth),
+                _map_db(codomain, on_bvar, depth + shape_arity(shape)),
+            )
+        case DBPair(left, right):
+            return DBPair(_map_db(left, on_bvar, depth), _map_db(right, on_bvar, depth))
+        case DBFirst(inner) | DBSecond(inner):
+            return type(term)(_map_db(inner, on_bvar, depth))
+        case FVar() | DBUniverse():
+            return term
+    raise TypeError(f"not a term: {term!r}")
+
+
 def shift_db(term: DBTerm, by: int, cutoff: int = 0) -> DBTerm:
     """Add ``by`` to every index >= ``cutoff`` (free in the current prefix).
 
@@ -451,30 +475,11 @@ def shift_db(term: DBTerm, by: int, cutoff: int = 0) -> DBTerm:
     """
     if by == 0:
         return term
-    match term:
-        case BVar(index):
-            return BVar(index + by) if index >= cutoff else term
-        case FVar():
-            return term
-        case DBApp(fun, arg):
-            return DBApp(shift_db(fun, by, cutoff), shift_db(arg, by, cutoff))
-        case DBLam(shape, body):
-            return DBLam(shape, shift_db(body, by, cutoff + shape_arity(shape)))
-        case DBPi(shape, domain, codomain):
-            return DBPi(
-                shape,
-                shift_db(domain, by, cutoff),
-                shift_db(codomain, by, cutoff + shape_arity(shape)),
-            )
-        case DBPair(left, right):
-            return DBPair(shift_db(left, by, cutoff), shift_db(right, by, cutoff))
-        case DBFirst(inner):
-            return DBFirst(shift_db(inner, by, cutoff))
-        case DBSecond(inner):
-            return DBSecond(shift_db(inner, by, cutoff))
-        case DBUniverse():
-            return term
-    raise TypeError(f"not a term: {term!r}")
+
+    def on_bvar(var: BVar, depth: int) -> DBTerm:
+        return BVar(var.index + by) if var.index >= depth else var
+
+    return _map_db(term, on_bvar, cutoff)
 
 
 def _proj(path: tuple[int, ...], term: DBTerm) -> DBTerm:
@@ -485,43 +490,25 @@ def _proj(path: tuple[int, ...], term: DBTerm) -> DBTerm:
 
 def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
     """Contract ``(lam <shape>. body) arg``: each pattern variable becomes the
-    matching first/second projection chain over ``arg``, and the remaining
+    matching first/second projection chain over ``arg``, shifted once per
+    binder depth and shared by every occurrence there, and the remaining
     indices drop by the shape's arity."""
     k = shape_arity(shape)
     paths = _shape_paths(shape)
+    shifted: dict[int, DBTerm] = {}
 
-    def go(t: DBTerm, depth: int) -> DBTerm:
-        match t:
-            case BVar(index):
-                if index < depth:
-                    return t
-                if index < depth + k:
-                    pos = k - 1 - (index - depth)
-                    return _proj(paths[pos], shift_db(arg, depth))
-                return BVar(index - k)
-            case FVar():
-                return t
-            case DBApp(fun, a):
-                return DBApp(go(fun, depth), go(a, depth))
-            case DBLam(shape2, body2):
-                return DBLam(shape2, go(body2, depth + shape_arity(shape2)))
-            case DBPi(shape2, domain, codomain):
-                return DBPi(
-                    shape2,
-                    go(domain, depth),
-                    go(codomain, depth + shape_arity(shape2)),
-                )
-            case DBPair(left, right):
-                return DBPair(go(left, depth), go(right, depth))
-            case DBFirst(inner):
-                return DBFirst(go(inner, depth))
-            case DBSecond(inner):
-                return DBSecond(go(inner, depth))
-            case DBUniverse():
-                return t
-        raise TypeError(f"not a term: {t!r}")
+    def on_bvar(var: BVar, depth: int) -> DBTerm:
+        index = var.index
+        if index < depth:
+            return var
+        if index >= depth + k:
+            return BVar(index - k)
+        copy = shifted.get(depth)
+        if copy is None:
+            copy = shifted[depth] = shift_db(arg, depth)
+        return _proj(paths[k - 1 - (index - depth)], copy)
 
-    return go(body, 0)
+    return _map_db(body, on_bvar, 0)
 
 
 def _db_size(term: DBTerm) -> int:
@@ -544,18 +531,13 @@ def _db_size(term: DBTerm) -> int:
 
 def _whnf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
     match term:
-        case DBFirst(t):
+        case DBFirst(t) | DBSecond(t):
             t2 = _whnf_db(t, fuel)
-            if type(t2) is DBPair:
-                fuel.spend()
-                return _whnf_db(t2.left, fuel)
-            return term if t2 is t else DBFirst(t2)
-        case DBSecond(t):
-            t2 = _whnf_db(t, fuel)
-            if type(t2) is DBPair:
-                fuel.spend()
-                return _whnf_db(t2.right, fuel)
-            return term if t2 is t else DBSecond(t2)
+            if type(t2) is not DBPair:
+                return term if t2 is t else type(term)(t2)
+            fuel.spend()
+            component = t2.left if type(term) is DBFirst else t2.right
+            return _whnf_db(component, fuel)
         case DBApp(fun, arg):
             fun2 = _whnf_db(fun, fuel)
             if type(fun2) is DBLam:

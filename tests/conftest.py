@@ -79,5 +79,5 @@ def gen_naive_term(
 def gen_foil_pattern(rng: random.Random, depth: int):
     """Random scope-safe pattern (fresh binders) plus its naive source."""
     source = gen_naive_pattern(rng, depth, set())
-    pattern, env = to_foil_pattern(Scope(), source)
+    pattern, env, _ = to_foil_pattern(Scope(), source)
     return pattern, source, env

@@ -1,6 +1,7 @@
 """The benchmark harness: workloads, generation, measurement, reporting."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -77,6 +78,10 @@ def test_config_validation():
         BenchConfig(groups=("nf",), measured_runs=0)
     with pytest.raises(ValueError):
         BenchConfig(groups=("nf",), fuel=10)
+    with pytest.raises(ValueError):
+        BenchConfig(groups=("nf",), warmup_runs=-1)
+    with pytest.raises(ValueError):
+        BenchConfig(groups=("random15",), terms_per_random_group=0)
 
 
 def test_run_benchmarks_rows_and_csv(tmp_path):
@@ -113,6 +118,17 @@ def test_run_benchmarks_rows_and_csv(tmp_path):
     assert "observed ordering" in text
     for impl in ("named", "debruijn", "nbe"):
         assert impl in text
+
+
+def test_gen_random_admits_frozen_terms():
+    # admission charges de Bruijn fuel, so this digest pins both the fuel
+    # rule and the generator
+    text = "\n".join(
+        pretty_term(gen_random(42 + i, s)) for s in (15, 20) for i in range(20)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9e1cecab7b68d5cbf39707109b15532d5079a3d1dd6f16cd80df5990036ce0e1"
+    )
 
 
 def test_mismatch_detection(monkeypatch):

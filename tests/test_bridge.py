@@ -20,7 +20,12 @@ from scopefoil.bridge import (
 )
 from scopefoil.names import Name, Scope
 from scopefoil.oracles import alpha_eq
-from scopefoil.patterns import PatternPair, PatternVar, PatternWildcard
+from scopefoil.patterns import (
+    PatternPair,
+    PatternVar,
+    PatternWildcard,
+    extend_scope_pattern,
+)
 from scopefoil.syntax import parse_term, pretty_term
 from scopefoil.terms import check_scope_direct
 
@@ -86,9 +91,10 @@ def test_duplicate_binders_in_nested_pattern_rejected():
 
 
 def test_pattern_conversion_shapes_and_env():
-    pattern, env = to_foil_pattern(
+    pattern, env, body_scope = to_foil_pattern(
         Scope(), naive.PatternPair(naive.PatternVar(naive.VarIdent("a")), naive.PatternWildcard())
     )
+    assert body_scope == extend_scope_pattern(pattern, Scope())
     match pattern:
         case PatternPair(PatternVar(binder), PatternWildcard()):
             assert env == {"a": Name(binder.raw)}
@@ -97,7 +103,7 @@ def test_pattern_conversion_shapes_and_env():
 
 
 def test_from_foil_pattern_names():
-    pattern, _ = to_foil_pattern(
+    pattern, _, _ = to_foil_pattern(
         Scope(),
         naive.PatternPair(
             naive.PatternVar(naive.VarIdent("a")), naive.PatternVar(naive.VarIdent("b"))

@@ -157,6 +157,14 @@ def test_bench_subcommand_writes_csv(tmp_path, capsys):
     assert all(len(v) == 1 for v in hashes.values())
 
 
+def test_bench_rejects_bad_counts(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["bench", "--group", "random15", "--terms", "-3", "--warmups", "-2"]
+    assert main(argv + ["--csv", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_rejects_unknown_group(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["bench", "--group", "weird", "--csv", "/tmp/x.csv"])

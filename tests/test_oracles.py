@@ -13,6 +13,7 @@ import pytest
 from conftest import gen_naive_term
 
 from scopefoil import naive
+from scopefoil.bench import church_fact, church_mult, church_plus
 from scopefoil.fuel import FuelExceededError
 from scopefoil.oracles import (
     BVar,
@@ -20,10 +21,12 @@ from scopefoil.oracles import (
     DBLam,
     DBPair,
     DBPi,
+    DBUniverse,
     FVar,
     ShapePair,
     ShapeVar,
     ShapeWildcard,
+    _db_beta,
     alpha_eq,
     from_debruijn,
     nf_debruijn,
@@ -91,6 +94,74 @@ def test_shift_db():
     assert shift_db(body, 2) == DBApp(BVar(2), BVar(5))
     under = DBLam(ShapeVar(), DBApp(BVar(0), BVar(1)))
     assert shift_db(under, 1) == DBLam(ShapeVar(), DBApp(BVar(0), BVar(2)))
+
+
+def _strip_binders(term):
+    """The body under the term's outer binders, whose indices are loose."""
+    while type(term) in (DBLam, DBPi):
+        term = term.body if type(term) is DBLam else term.codomain
+    return term
+
+
+def test_shift_db_laws_on_open_terms():
+    rng = random.Random(6061)
+    moved = 0
+    for _ in range(300):
+        # lam u . lam v . lam w . <random term over u, v, w>
+        term = gen_naive_term(rng, rng.randrange(2, 7), ("u", "v", "w"))
+        for ident in ("w", "v", "u"):
+            term = naive.Lam(
+                naive.PatternVar(naive.VarIdent(ident)), naive.ScopedTerm(term)
+            )
+        t = _strip_binders(to_debruijn(term))
+        assert shift_db(t, 0) is t
+        a, b, c = rng.randrange(4), rng.randrange(4), rng.randrange(3)
+        assert shift_db(shift_db(t, a, c), b, c) == shift_db(t, a + b, c)
+        moved += shift_db(t, 1) != t
+    # the laws are not checked on closed terms only
+    assert moved >= 150, moved
+
+
+def test_nf_debruijn_exact_forms_under_binders():
+    # the argument lands under one more binder than the redex
+    term = to_debruijn(parse_term("lam z . (lam x . x (lam y . x y)) z"))
+    assert nf_debruijn(term) == DBLam(
+        ShapeVar(), DBApp(BVar(0), DBLam(ShapeVar(), DBApp(BVar(1), BVar(0))))
+    )
+    # a pair shape contracted at depth 1, under a binder that keeps its own
+    term = to_debruijn(parse_term("lam z . (lam (a, b) . lam y . b a) (z, U)"))
+    assert nf_debruijn(term) == DBLam(
+        ShapeVar(), DBLam(ShapeVar(), DBApp(DBUniverse(), BVar(1)))
+    )
+
+
+def test_db_beta_shares_one_shifted_argument_per_depth():
+    # (lam x . lam y . x (x y)) applied to an open argument: both copies of
+    # the argument sit at depth 1, so they are one shifted object
+    body = DBLam(ShapeVar(), DBApp(BVar(1), DBApp(BVar(1), BVar(0))))
+    arg = DBApp(BVar(0), FVar(naive.VarIdent("f")))
+    out = _db_beta(ShapeVar(), body, arg)
+    copy = DBApp(BVar(1), FVar(naive.VarIdent("f")))
+    assert out == DBLam(ShapeVar(), DBApp(copy, DBApp(copy, BVar(0))))
+    assert out.body.fun is out.body.arg.fun
+
+
+@pytest.mark.parametrize(
+    "term, boundary",
+    [
+        (church_plus(2, 3), 38),
+        (church_mult(3, 3), 80),
+        (church_fact(3), 2376),
+        (parse_term("(lam (a, b) . b a) (lam x . x, U)"), 7),
+    ],
+    ids=["plus_2_3", "mult_3_3", "fact_3", "pair_beta"],
+)
+def test_debruijn_fuel_boundaries_are_frozen(term, boundary):
+    # a beta step costs one plus the size of its argument, a projection one
+    db = to_debruijn(term)
+    nf_debruijn(db, boundary)
+    with pytest.raises(FuelExceededError):
+        nf_debruijn(db, boundary - 1)
 
 
 def test_named_substitution_avoids_capture():
