@@ -18,12 +18,20 @@ mapping first (see :mod:`scopefoil.bridge`).
 Binders in de Bruijn terms keep the *shape* of the pattern that bound them
 (wildcard / variable / pair) but not its names; a pattern's variables are
 numbered left to right with the rightmost innermost (index 0).
+
+Every de Bruijn node knows its ``size`` (its number of nodes, which a beta
+step charges as fuel) and ``loose`` (one more than its largest loose index,
+an index pointing past the term's own binders; 0 when there is none).  A
+compound node computes both from its children when it is built; a leaf
+reads them from its class (``BVar.loose`` is ``index + 1``).  They describe
+the term rather than being part of it, so neither is a match argument: the
+encoder, equality, hashing and ``repr`` see only the structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Union
 
 from . import bridge, lambda_pi, naive
 from .fuel import Fuel
@@ -209,26 +217,59 @@ class ShapePair:
 Shape = Union[ShapeWildcard, ShapeVar, ShapePair]
 
 
+def _cache() -> int:
+    # A value computed from the children: not part of the term's structure.
+    return field(init=False, repr=False, compare=False)
+
+
+_set = object.__setattr__
+
+
 @dataclass(frozen=True, slots=True)
 class BVar:
     index: int
+    size: ClassVar[int] = 1
+
+    @property
+    def loose(self) -> int:
+        return self.index + 1
 
 
 @dataclass(frozen=True, slots=True)
 class FVar:
     ident: naive.VarIdent
+    size: ClassVar[int] = 1
+    loose: ClassVar[int] = 0
 
 
 @dataclass(frozen=True, slots=True)
 class DBApp:
     fun: "DBTerm"
     arg: "DBTerm"
+    size: int = _cache()
+    loose: int = _cache()
+
+    def __init__(self, fun: DBTerm, arg: DBTerm) -> None:
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+        _set(self, "size", 1 + fun.size + arg.size)
+        a, b = fun.loose, arg.loose
+        _set(self, "loose", a if a > b else b)
 
 
 @dataclass(frozen=True, slots=True)
 class DBLam:
     shape: Shape
     body: "DBTerm"
+    size: int = _cache()
+    loose: int = _cache()
+
+    def __init__(self, shape: Shape, body: DBTerm) -> None:
+        _set(self, "shape", shape)
+        _set(self, "body", body)
+        _set(self, "size", 1 + body.size)
+        loose = body.loose - (1 if type(shape) is ShapeVar else shape_arity(shape))
+        _set(self, "loose", loose if loose > 0 else 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,27 +277,62 @@ class DBPi:
     shape: Shape
     domain: "DBTerm"
     codomain: "DBTerm"
+    size: int = _cache()
+    loose: int = _cache()
+
+    def __init__(self, shape: Shape, domain: DBTerm, codomain: DBTerm) -> None:
+        _set(self, "shape", shape)
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "size", 1 + domain.size + codomain.size)
+        a = domain.loose
+        b = codomain.loose - (1 if type(shape) is ShapeVar else shape_arity(shape))
+        _set(self, "loose", a if a > b else b)
 
 
 @dataclass(frozen=True, slots=True)
 class DBPair:
     left: "DBTerm"
     right: "DBTerm"
+    size: int = _cache()
+    loose: int = _cache()
+
+    def __init__(self, left: DBTerm, right: DBTerm) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "size", 1 + left.size + right.size)
+        a, b = left.loose, right.loose
+        _set(self, "loose", a if a > b else b)
 
 
 @dataclass(frozen=True, slots=True)
 class DBFirst:
     term: "DBTerm"
+    size: int = _cache()
+    loose: int = _cache()
+
+    def __init__(self, term: DBTerm) -> None:
+        _set(self, "term", term)
+        _set(self, "size", 1 + term.size)
+        _set(self, "loose", term.loose)
 
 
 @dataclass(frozen=True, slots=True)
 class DBSecond:
     term: "DBTerm"
+    size: int = _cache()
+    loose: int = _cache()
+
+    def __init__(self, term: DBTerm) -> None:
+        _set(self, "term", term)
+        _set(self, "size", 1 + term.size)
+        _set(self, "loose", term.loose)
 
 
 @dataclass(frozen=True, slots=True)
 class DBUniverse:
-    pass
+    size: ClassVar[int] = 1
+    loose: ClassVar[int] = 0
 
 
 DBTerm = Union[BVar, FVar, DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond, DBUniverse]
@@ -443,43 +519,44 @@ def from_debruijn(term: DBTerm) -> naive.Term:
 def _map_db(
     term: DBTerm, on_bvar: Callable[[BVar, int], DBTerm], depth: int
 ) -> DBTerm:
-    """Rebuild ``term``, replacing each ``BVar`` by ``on_bvar(var, d)`` where
-    ``d`` is ``depth`` plus the indices bound above the variable: TAPL's
-    ``tmmap``, the one walk behind both shifting and beta contraction."""
+    """Rebuild ``term``, replacing each loose ``BVar`` (index >= ``d``) by
+    ``on_bvar(var, d)`` where ``d`` is ``depth`` plus the indices bound above
+    the variable: TAPL's ``tmmap``, the one walk behind both shifting and
+    beta contraction.  A subterm with no loose index at or above ``depth``
+    is returned as it is."""
+    if term.loose <= depth:
+        return term
     match term:
         case BVar():
             return on_bvar(term, depth)
         case DBApp(fun, arg):
             return DBApp(_map_db(fun, on_bvar, depth), _map_db(arg, on_bvar, depth))
         case DBLam(shape, body):
-            return DBLam(shape, _map_db(body, on_bvar, depth + shape_arity(shape)))
+            k = 1 if type(shape) is ShapeVar else shape_arity(shape)
+            return DBLam(shape, _map_db(body, on_bvar, depth + k))
         case DBPi(shape, domain, codomain):
+            k = 1 if type(shape) is ShapeVar else shape_arity(shape)
             return DBPi(
                 shape,
                 _map_db(domain, on_bvar, depth),
-                _map_db(codomain, on_bvar, depth + shape_arity(shape)),
+                _map_db(codomain, on_bvar, depth + k),
             )
         case DBPair(left, right):
             return DBPair(_map_db(left, on_bvar, depth), _map_db(right, on_bvar, depth))
         case DBFirst(inner) | DBSecond(inner):
             return type(term)(_map_db(inner, on_bvar, depth))
-        case FVar() | DBUniverse():
-            return term
     raise TypeError(f"not a term: {term!r}")
 
 
 def shift_db(term: DBTerm, by: int, cutoff: int = 0) -> DBTerm:
     """Add ``by`` to every index >= ``cutoff`` (free in the current prefix).
 
-    A shift by 0 returns ``term`` itself: there is nothing to copy.
+    A shift by 0, or of a term with no such index, returns ``term`` itself:
+    there is nothing to copy.
     """
     if by == 0:
         return term
-
-    def on_bvar(var: BVar, depth: int) -> DBTerm:
-        return BVar(var.index + by) if var.index >= depth else var
-
-    return _map_db(term, on_bvar, cutoff)
+    return _map_db(term, lambda var, depth: BVar(var.index + by), cutoff)
 
 
 def _proj(path: tuple[int, ...], term: DBTerm) -> DBTerm:
@@ -491,16 +568,14 @@ def _proj(path: tuple[int, ...], term: DBTerm) -> DBTerm:
 def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
     """Contract ``(lam <shape>. body) arg``: each pattern variable becomes the
     matching first/second projection chain over ``arg``, shifted once per
-    binder depth and shared by every occurrence there, and the remaining
-    indices drop by the shape's arity."""
+    binder depth and shared by every occurrence there (a closed ``arg`` is
+    never copied), and the remaining indices drop by the shape's arity."""
     k = shape_arity(shape)
     paths = _shape_paths(shape)
     shifted: dict[int, DBTerm] = {}
 
     def on_bvar(var: BVar, depth: int) -> DBTerm:
         index = var.index
-        if index < depth:
-            return var
         if index >= depth + k:
             return BVar(index - k)
         copy = shifted.get(depth)
@@ -509,24 +584,6 @@ def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
         return _proj(paths[k - 1 - (index - depth)], copy)
 
     return _map_db(body, on_bvar, 0)
-
-
-def _db_size(term: DBTerm) -> int:
-    """The number of nodes, used to charge beta steps by the work they cause."""
-    match term:
-        case BVar() | FVar() | DBUniverse():
-            return 1
-        case DBApp(fun, arg):
-            return 1 + _db_size(fun) + _db_size(arg)
-        case DBLam(_, body):
-            return 1 + _db_size(body)
-        case DBPi(_, domain, codomain):
-            return 1 + _db_size(domain) + _db_size(codomain)
-        case DBPair(left, right):
-            return 1 + _db_size(left) + _db_size(right)
-        case DBFirst(inner) | DBSecond(inner):
-            return 1 + _db_size(inner)
-    raise TypeError(f"not a term: {term!r}")
 
 
 def _whnf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
@@ -545,7 +602,7 @@ def _whnf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
                 # body: this makes the budget a bound on allocation, so terms
                 # whose intermediates explode in size (while taking few
                 # steps) are cut off instead of eating the machine.
-                fuel.spend(1 + _db_size(arg))
+                fuel.spend(1 + arg.size)
                 return _whnf_db(_db_beta(fun2.shape, fun2.body, arg), fuel)
             return term if fun2 is fun else DBApp(fun2, arg)
         case _:
@@ -558,23 +615,39 @@ def whnf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
     return _whnf_db(term, Fuel(fuel))
 
 
+_ELIMINATORS = (DBApp, DBFirst, DBSecond)
+
+
 def _nf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
-    term = _whnf_db(term, fuel)
+    # Only an eliminator can be a redex; every other node is its own whnf.
+    if type(term) in _ELIMINATORS:
+        term = _whnf_db(term, fuel)
     match term:
-        case BVar() | FVar() | DBUniverse():
-            return term
-        case DBApp(fun, arg):
-            return DBApp(_nf_db(fun, fuel), _nf_db(arg, fuel))
         case DBLam(shape, body):
             return DBLam(shape, _nf_db(body, fuel))
+        case DBApp() | DBFirst() | DBSecond():
+            # A stuck spine, whose heads whnf has left in whnf: unwind them
+            # once and normalize only the head and the arguments, so the
+            # spine costs time linear in its length.  A loop rather than a
+            # helper keeps one Python frame per nesting level: recursion
+            # depth decides which candidates ``gen_random`` admits.
+            spine = []
+            while type(term) in _ELIMINATORS:
+                spine.append(term)
+                term = term.fun if type(term) is DBApp else term.term
+            term = _nf_db(term, fuel)
+            for node in reversed(spine):
+                if type(node) is DBApp:
+                    term = DBApp(term, _nf_db(node.arg, fuel))
+                else:
+                    term = type(node)(term)
+            return term
         case DBPi(shape, domain, codomain):
             return DBPi(shape, _nf_db(domain, fuel), _nf_db(codomain, fuel))
         case DBPair(left, right):
             return DBPair(_nf_db(left, fuel), _nf_db(right, fuel))
-        case DBFirst(t):
-            return DBFirst(_nf_db(t, fuel))
-        case DBSecond(t):
-            return DBSecond(_nf_db(t, fuel))
+        case BVar() | FVar() | DBUniverse():
+            return term
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -1,9 +1,14 @@
-"""Binder nests thousands deep: all five engines agree.
+"""Binder nests and stuck spines thousands deep.
 
-The two shapes are those of the benchmark's ``deep`` workload: a redex
+The two nest shapes are those of the benchmark's ``deep`` workload: a redex
 normalized *under* a nest, and a beta whose substitution passes *through*
 one.  Entering a binder costs O(1) in every engine, which keeps a
-2000-binder nest cheap.
+2000-binder nest cheap, and all five engines agree on them.
+
+The two spine shapes, a long application and a long projection chain over
+a variable, are already normal.  The de Bruijn normalizer reduces such a
+spine's head once and then normalizes only its arguments, so it is linear
+in the spine's length; ``nbe`` works in head-plus-spine form throughout.
 """
 
 import pytest
@@ -52,3 +57,18 @@ def test_all_five_engines_agree_on_a_deep_nest(shape):
     want = parse_term(expected)
     for engine, result in results.items():
         assert alpha_eq(result, want), engine
+
+
+STUCK = {
+    "application": f"lam f . lam a . f{' a' * DEPTH}",
+    "projection": f"lam p . {'first (' * DEPTH}p{')' * DEPTH}",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(STUCK))
+def test_a_long_stuck_spine_is_its_own_normal_form(shape):
+    surface = parse_term(STUCK[shape])
+    db = to_debruijn(surface)
+    assert nf_debruijn(db, DEFAULT_FUEL) == db
+    free = direct_to_free(to_foil_closed(surface))
+    assert alpha_eq(nf_nbe(Scope(), free), surface)

@@ -7,20 +7,29 @@ code, so agreement is meaningful evidence).
 """
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from conftest import gen_naive_term
 
 from scopefoil import naive
-from scopefoil.bench import church_fact, church_mult, church_plus
+from scopefoil.bench import (
+    DEFAULT_GEN_FUEL,
+    church_fact,
+    church_mult,
+    church_plus,
+    gen_random,
+)
 from scopefoil.fuel import FuelExceededError
 from scopefoil.oracles import (
     BVar,
     DBApp,
+    DBFirst,
     DBLam,
     DBPair,
     DBPi,
+    DBSecond,
     DBUniverse,
     FVar,
     ShapePair,
@@ -31,6 +40,7 @@ from scopefoil.oracles import (
     from_debruijn,
     nf_debruijn,
     nf_named,
+    shape_arity,
     shift_db,
     subst_named,
     to_debruijn,
@@ -103,23 +113,116 @@ def _strip_binders(term):
     return term
 
 
-def test_shift_db_laws_on_open_terms():
+def _open_terms():
+    """300 bodies of ``lam u . lam v . lam w . <random term over u, v, w>``,
+    whose indices are loose, each with three small random numbers."""
     rng = random.Random(6061)
-    moved = 0
     for _ in range(300):
-        # lam u . lam v . lam w . <random term over u, v, w>
         term = gen_naive_term(rng, rng.randrange(2, 7), ("u", "v", "w"))
         for ident in ("w", "v", "u"):
             term = naive.Lam(
                 naive.PatternVar(naive.VarIdent(ident)), naive.ScopedTerm(term)
             )
         t = _strip_binders(to_debruijn(term))
+        yield t, rng.randrange(4), rng.randrange(4), rng.randrange(3)
+
+
+def test_shift_db_laws_on_open_terms():
+    moved = 0
+    for t, a, b, c in _open_terms():
         assert shift_db(t, 0) is t
-        a, b, c = rng.randrange(4), rng.randrange(4), rng.randrange(3)
         assert shift_db(shift_db(t, a, c), b, c) == shift_db(t, a + b, c)
         moved += shift_db(t, 1) != t
     # the laws are not checked on closed terms only
     assert moved >= 150, moved
+
+
+def _children(t):
+    """The subterms of ``t`` with the number of indices each one's binder
+    adds, read by hand rather than from the node caches."""
+    match t:
+        case BVar() | FVar() | DBUniverse():
+            return []
+        case DBLam(shape, body):
+            return [(body, shape_arity(shape))]
+        case DBPi(shape, domain, codomain):
+            return [(domain, 0), (codomain, shape_arity(shape))]
+        case DBApp(fun, arg):
+            return [(fun, 0), (arg, 0)]
+        case DBPair(left, right):
+            return [(left, 0), (right, 0)]
+        case DBFirst(inner) | DBSecond(inner):
+            return [(inner, 0)]
+
+
+def _walk(t):
+    yield t
+    for child, _ in _children(t):
+        yield from _walk(child)
+
+
+def _node_count(t):
+    return 1 + sum(_node_count(child) for child, _ in _children(t))
+
+
+def _loose_indices(t, depth=0):
+    if type(t) is BVar:
+        return [t.index - depth] if t.index >= depth else []
+    return [i for c, k in _children(t) for i in _loose_indices(c, depth + k)]
+
+
+def _check_caches(term):
+    for t in _walk(term):
+        assert t.size == _node_count(t), t
+        assert t.loose == 1 + max(_loose_indices(t), default=-1), t
+        for cutoff in range(5):
+            assert (shift_db(t, 1, cutoff) is t) == (t.loose <= cutoff), (t, cutoff)
+
+
+def test_node_caches_match_plain_walks():
+    opened = 0
+    for t, _, _, _ in _open_terms():
+        _check_caches(t)
+        opened += t.loose > 0
+    assert opened >= 150, opened
+    for s in (15, 20):
+        for i in range(20):
+            db = to_debruijn(gen_random(42 + i, s))
+            _check_caches(db)
+            # and on the nodes the engine builds
+            _check_caches(nf_debruijn(db, DEFAULT_GEN_FUEL))
+
+
+def test_node_caches_are_not_part_of_the_structure():
+    classes = (BVar, FVar, DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond, DBUniverse)
+    assert {cls.__name__: cls.__match_args__ for cls in classes} == {
+        "BVar": ("index",),
+        "FVar": ("ident",),
+        "DBApp": ("fun", "arg"),
+        "DBLam": ("shape", "body"),
+        "DBPi": ("shape", "domain", "codomain"),
+        "DBPair": ("left", "right"),
+        "DBFirst": ("term",),
+        "DBSecond": ("term",),
+        "DBUniverse": (),
+    }
+    term = to_debruijn(parse_term("lam x . fun (y : (first x, second x)) -> x y U z"))
+    nodes = list(_walk(term))
+    assert {type(t) for t in nodes} == set(classes)
+    for t in nodes:
+        assert "size" not in repr(t) and "loose" not in repr(t)
+        # a leaf's values belong to its class, which CPython 3.11's slotted
+        # dataclasses guard with a TypeError rather than the frozen error
+        leaf = type(t) in (BVar, FVar, DBUniverse)
+        error = (FrozenInstanceError, TypeError) if leaf else FrozenInstanceError
+        for name in ("size", "loose"):
+            with pytest.raises(error):
+                setattr(t, name, 0)
+        assert t.size == _node_count(t)
+    # equality and hashing read the structure only: the same term built
+    # from its parts again is equal to it
+    rebuilt = to_debruijn(from_debruijn(term))
+    assert rebuilt == term and hash(rebuilt) == hash(term)
 
 
 def test_nf_debruijn_exact_forms_under_binders():
@@ -162,6 +265,35 @@ def test_debruijn_fuel_boundaries_are_frozen(term, boundary):
     nf_debruijn(db, boundary)
     with pytest.raises(FuelExceededError):
         nf_debruijn(db, boundary - 1)
+
+
+def test_db_beta_places_a_closed_argument_itself():
+    # x occurs at binder depths 0, 1, 1 and 2; a closed argument needs no
+    # shift at any of them, and the closed subterm lam q . q is left as it is
+    body = to_debruijn(
+        parse_term("lam x . x (lam y . x (y x)) (fun (z : lam q . q) -> x)")
+    ).body
+    arg = to_debruijn(parse_term("lam a . a (lam b . b a)"))
+    out = _db_beta(ShapeVar(), body, arg)
+    occurrences = [t for t in _walk(out) if t == arg]
+    assert len(occurrences) == 4
+    assert all(t is arg for t in occurrences)
+    assert out.arg.domain is body.arg.domain
+    assert out == to_debruijn(
+        parse_term(
+            "(lam a . a (lam b . b a)) (lam y . (lam a . a (lam b . b a))"
+            " (y (lam a . a (lam b . b a))))"
+            " (fun (z : lam q . q) -> lam a . a (lam b . b a))"
+        )
+    )
+
+
+def test_debruijn_fuel_of_factorial_6_is_frozen():
+    # the figure every measurement of the debruijn engine is checked against
+    db = to_debruijn(church_fact(6))
+    nf_debruijn(db, 3_092_844)
+    with pytest.raises(FuelExceededError):
+        nf_debruijn(db, 3_092_843)
 
 
 def test_named_substitution_avoids_capture():
