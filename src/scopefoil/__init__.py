@@ -42,7 +42,6 @@ from .names import (
     fresh_binder,
     fresh_raw_name,
     identity_subst,
-    lookup_subst,
     name_of,
     set_debug_scopes,
     sink,
@@ -79,7 +78,6 @@ __all__ = [
     "fresh_binder",
     "fresh_raw_name",
     "identity_subst",
-    "lookup_subst",
     "name_of",
     "names_of_pattern",
     "set_debug_scopes",

@@ -26,8 +26,8 @@ from typing import Callable
 from . import naive, terms
 from .generic import children
 from .lambda_pi import BY_DIRECT, BY_NAIVE, PATTERN, SCOPED, constructor
-from .names import Name, RawName, Scope, Var, fresh_binder, name_of
-from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard
+from .names import Name, RawName, Scope, Var, fresh_binder, name_of, set_mask
+from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard, pattern_mask
 
 
 class UnboundVariableError(Exception):
@@ -103,6 +103,7 @@ def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term
     Identifiers resolve through one mutable environment: a pattern's
     identifiers are set on the way into each body under it and the shadowed
     entries put back on the way out, so entering a binder never copies it.
+    Every node built records its free-name mask.
     """
     env: dict[str, Name] = {}
 
@@ -112,22 +113,30 @@ def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term
             return Var(rename(t.ident) if name is None else name)
         con = constructor(BY_NAIVE, t)
         new = []
+        mask = 0
         for role, field in zip(con.roles, children(t)):
             if role is PATTERN:
                 pattern, ext, body_scope = to_foil_pattern(scope, field)
+                bound = pattern_mask(pattern)
                 new.append(pattern)
             elif role is SCOPED:
                 saved = [(ident, env.get(ident)) for ident in ext]
                 env.update(ext)
-                new.append(go(body_scope, field.term))
+                body = go(body_scope, field.term)
+                mask |= (1 << body.name.raw if type(body) is Var else body.fv) & ~bound
+                new.append(body)
                 for ident, old in saved:
                     if old is None:
                         del env[ident]
                     else:
                         env[ident] = old
             else:
-                new.append(go(scope, field))
-        return con.direct(*new)
+                child = go(scope, field)
+                mask |= 1 << child.name.raw if type(child) is Var else child.fv
+                new.append(child)
+        node = con.direct(*new)
+        set_mask(node, mask)
+        return node
 
     return go(scope, term)
 

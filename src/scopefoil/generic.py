@@ -15,23 +15,26 @@ from dataclasses import dataclass
 from typing import Any
 
 from .names import (
+    Name,
     NameBinder,
+    Node,
     Scope,
     ScopeViolationError,
     Subst,
     Var,
-    add_rename,
+    add_subst,
+    check_mask,
     debug_scopes_enabled,
     extend_scope,
-    lookup_subst,
     name_of,
+    set_mask,
     with_refreshed,
 )
-from .patterns import Pattern, check_pattern_scope, with_pattern
+from .patterns import Pattern, check_pattern_scope, pattern_mask, with_pattern
 
 
 @dataclass(frozen=True, slots=True)
-class ScopedAST:
+class ScopedAST(Node):
     """A subterm under a binder: a bare ``NameBinder`` for one variable, or
     a wildcard or pair pattern (never a top-level ``PatternVar``)."""
 
@@ -60,41 +63,75 @@ def children(ast: AST) -> list:
 def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
     """The one capture-avoiding substitution, for every signature.
 
-    Variables are looked up (missing names map to themselves); each scoped
-    child refreshes its binder against the ambient scope with the reuse
-    rule and threads the extended substitution under it.  A bare binder
-    takes the inline path; a pattern goes through :func:`with_pattern`.
+    Variables are looked up (a name outside the domain comes back as the
+    same ``Var``), and a node whose recorded free-name mask misses every
+    key of ``subst`` comes back as it is.  Otherwise each scoped child
+    refreshes its binder against the ambient scope with the reuse rule and
+    threads the extended substitution under it: a bare binder takes the
+    inline path, a pattern goes through :func:`with_pattern`.  Every node
+    built here records its mask.
     """
     if type(ast) is Var:
-        return lookup_subst(subst, ast.name)
+        return subst.get(ast.name.raw, ast)
+    dom = 0
+    for raw in subst:
+        dom |= 1 << raw
+    fv = getattr(ast, "fv", -1)
+    if fv >= 0 and not fv & dom:
+        return ast
     new = []
+    mask = 0
     for child in children(ast):
         if type(child) is ScopedAST:
             binder = child.binder
             if type(binder) is NameBinder:
                 binder2 = with_refreshed(scope, name_of(binder))
-                subst2 = add_rename(subst, binder, name_of(binder2))
+                raw2 = binder2.raw
+                if raw2 == binder.raw and raw2 not in subst:
+                    subst2 = subst  # a reused binder maps to itself
+                else:
+                    subst2 = add_subst(subst, binder, Var(Name(raw2)))
                 scope2 = extend_scope(binder2, scope)
+                bound = 1 << raw2
             else:
                 binder2, subst2, scope2 = with_pattern(scope, binder, subst)
-            new.append(ScopedAST(binder2, substitute(scope2, subst2, child.body)))
+                bound = pattern_mask(binder2)
+            body = substitute(scope2, subst2, child.body)
+            child = ScopedAST(binder2, body)
+            fv = (1 << body.name.raw if type(body) is Var else getattr(body, "fv", -1)) & ~bound
+            set_mask(child, fv)
         else:
-            new.append(substitute(scope, subst, child))
-    return type(ast)(*new)
+            child = substitute(scope, subst, child)
+            fv = 1 << child.name.raw if type(child) is Var else getattr(child, "fv", -1)
+        mask |= fv
+        new.append(child)
+    node = type(ast)(*new)
+    try:
+        set_mask(node, mask)
+    except TypeError:  # a signature class without the ``Node`` base
+        pass
+    return node
 
 
-def check_scope(ast: AST, scope: Scope) -> None:
-    """Debug checker: every free name in ``ast`` must be in ``scope``, and
-    the binders of one pattern must be pairwise distinct."""
+def check_scope(ast: AST, scope: Scope) -> int:
+    """Debug checker: every free name in ``ast`` must be in ``scope``, the
+    binders of one pattern must be pairwise distinct, and every recorded
+    free-name mask must be exact.  Returns the free-name mask of ``ast``."""
     if type(ast) is Var:
         if ast.name.raw not in scope:
             raise ScopeViolationError(f"name #{ast.name.raw} is not in {scope!r}")
-        return
+        return 1 << ast.name.raw
+    mask = 0
     for child in children(ast):
         if type(child) is ScopedAST:
-            check_scope(child.body, check_pattern_scope(child.binder, scope))
+            body = check_scope(child.body, check_pattern_scope(child.binder, scope))
+            fv = body & ~pattern_mask(child.binder)
+            check_mask(child, fv)
         else:
-            check_scope(child, scope)
+            fv = check_scope(child, scope)
+        mask |= fv
+    check_mask(ast, mask)
+    return mask
 
 
 def sink_ast(ast: AST, source: Scope | None = None, target: Scope | None = None) -> AST:

@@ -24,15 +24,17 @@ from .fuel import Fuel
 from .generic import AST, ScopedAST, children, substitute
 from .names import (
     NameBinder,
+    Node,
     Scope,
     Var,
     add_rename,
     extend_scope,
     identity_subst,
     name_of,
+    set_mask,
     with_refreshed,
 )
-from .patterns import PatternVar, beta_bindings, with_pattern
+from .patterns import PatternVar, beta_bindings, pattern_mask, with_pattern
 
 
 # --------------------------------------------------------------------------
@@ -41,40 +43,40 @@ from .patterns import PatternVar, beta_bindings, with_pattern
 
 
 @dataclass(frozen=True, slots=True)
-class AppSig:
+class AppSig(Node):
     fun: AST
     arg: AST
 
 
 @dataclass(frozen=True, slots=True)
-class LamSig:
+class LamSig(Node):
     scoped: ScopedAST
 
 
 @dataclass(frozen=True, slots=True)
-class PiSig:
+class PiSig(Node):
     domain: AST
     codomain: ScopedAST
 
 
 @dataclass(frozen=True, slots=True)
-class UniverseSig:
+class UniverseSig(Node):
     pass
 
 
 @dataclass(frozen=True, slots=True)
-class PairSig:
+class PairSig(Node):
     left: AST
     right: AST
 
 
 @dataclass(frozen=True, slots=True)
-class FirstSig:
+class FirstSig(Node):
     term: AST
 
 
 @dataclass(frozen=True, slots=True)
-class SecondSig:
+class SecondSig(Node):
     term: AST
 
 
@@ -229,19 +231,31 @@ def constructor(table: dict[type, Constructor], term: object) -> Constructor:
 
 
 def direct_to_free(term: terms.Term) -> Term:
-    """The generic form: a single-variable pattern becomes a bare binder."""
+    """The generic form: a single-variable pattern becomes a bare binder.
+    Every node built records its free-name mask."""
     if type(term) is Var:
         return term
     con = constructor(BY_DIRECT, term)
     new = []
+    mask = 0
     for role, field in zip(con.roles, children(term)):
         if role is PATTERN:
             binder = field.binder if type(field) is PatternVar else field
+            bound = pattern_mask(binder)
         elif role is SCOPED:
-            new.append(ScopedAST(binder, direct_to_free(field)))
+            body = direct_to_free(field)
+            child = ScopedAST(binder, body)
+            fv = (1 << body.name.raw if type(body) is Var else body.fv) & ~bound
+            set_mask(child, fv)
+            mask |= fv
+            new.append(child)
         else:
-            new.append(direct_to_free(field))
-    return con.free(*new)
+            child = direct_to_free(field)
+            mask |= 1 << child.name.raw if type(child) is Var else child.fv
+            new.append(child)
+    node = con.free(*new)
+    set_mask(node, mask)
+    return node
 
 
 def free_to_direct(term: Term) -> terms.Term:

@@ -68,6 +68,44 @@ class Var:
     name: Name
 
 
+class Node:
+    """Base of the compound nodes of the direct and generic trees.
+
+    Its one slot, ``fv``, holds a free-name mask recorded by the code that
+    built the node from already-visited children: an int like ``Scope``'s,
+    with bit ``raw`` set when ``raw`` may occur free.  It is not a dataclass
+    field, so matching, equality, hashing, ``repr`` and the encoder never
+    see it.  A node built without one reads -1 (every name may be free), and
+    a mask recorded over such a child is negative too; only a non-negative
+    mask is exact, and only it lets substitution skip the node.
+    """
+
+    __slots__ = ("fv",)
+
+
+# Records a node's mask through the slot's own setter, which a frozen
+# dataclass does not intercept; a class without the slot raises TypeError.
+set_mask = Node.fv.__set__
+
+
+def free_mask(t: Any) -> int:
+    """The free-name mask of a tree: ``1 << raw`` for a variable, the
+    recorded mask of a node, or -1 where none was recorded."""
+    if type(t) is Var:
+        return 1 << t.name.raw
+    return getattr(t, "fv", -1)
+
+
+def check_mask(node: Any, free: int) -> None:
+    """Debug checker: a node's recorded mask equals ``free``, the mask of
+    its free names found by a plain walk, or, if negative, covers it."""
+    fv = getattr(node, "fv", -1)
+    if fv >= 0 and fv != free or free & ~fv:
+        raise ScopeViolationError(
+            f"{type(node).__name__} records free-name mask {fv:#x}, not {free:#x}"
+        )
+
+
 class Scope:
     """An immutable set of raw names, stored as an int bitmask.
 
@@ -185,19 +223,15 @@ def sink(value: Any, source: Scope | None = None, target: Scope | None = None) -
 
 
 # A substitution: a raw-name-keyed map with variable-injection fallback.
-# Names missing from it map to themselves (as ``Var`` nodes), so the
-# empty map is the identity substitution and renamings are ``Var`` entries.
+# Names missing from it map to themselves (``subst.get(raw, var)`` returns
+# the variable itself), so the empty map is the identity substitution and
+# renamings are ``Var`` entries.
 # Substitutions are never mutated once built.
 Subst = dict[RawName, Any]
 
 
 def identity_subst() -> Subst:
     return {}
-
-
-def lookup_subst(subst: Subst, name: Name) -> Any:
-    hit = subst.get(name.raw)
-    return Var(name) if hit is None else hit
 
 
 def add_subst(subst: Subst, binder: NameBinder, expr: Any) -> Subst:

@@ -60,6 +60,24 @@ def names_of_pattern(pattern: Pattern) -> list[Name]:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
+def pattern_mask(pattern: Pattern | NameBinder) -> int:
+    """Bit ``raw`` set for each raw name the pattern (or bare binder) binds.
+
+    Written with ``type`` tests: a ``match`` here costs ten times as much,
+    and substitution calls this at every pattern it rebuilds.
+    """
+    kind = type(pattern)
+    if kind is PatternVar:
+        return 1 << pattern.binder.raw
+    if kind is NameBinder:
+        return 1 << pattern.raw
+    if kind is PatternPair:
+        return pattern_mask(pattern.left) | pattern_mask(pattern.right)
+    if kind is PatternWildcard:
+        return 0
+    raise TypeError(f"not a pattern: {pattern!r}")
+
+
 def extend_scope_pattern(pattern: Pattern, scope: Scope) -> Scope:
     """Scope extended by every binder of the pattern, left to right."""
     match pattern:

@@ -3,7 +3,9 @@
 Every construct carries its binders as :mod:`scopefoil.patterns` patterns
 directly in the node (``Lam``/``Pi``), and variables are the shared
 :class:`scopefoil.names.Var` node.  Substitution is the rapier-style single
-pass: binders are reused unless they collide with the ambient scope.
+pass: binders are reused unless they collide with the ambient scope, and a
+subtree whose recorded free-name mask (:class:`scopefoil.names.Node`) misses
+the substitution's domain is returned as it is.
 """
 
 from __future__ import annotations
@@ -14,53 +16,62 @@ from typing import Union
 from .fuel import Fuel
 from .names import (
     Name,
+    Node,
     Scope,
     ScopeViolationError,
     Subst,
     Var,
+    check_mask,
+    free_mask,
     identity_subst,
-    lookup_subst,
+    set_mask,
 )
-from .patterns import Pattern, beta_bindings, check_pattern_scope, with_pattern
+from .patterns import (
+    Pattern,
+    beta_bindings,
+    check_pattern_scope,
+    pattern_mask,
+    with_pattern,
+)
 
 
 @dataclass(frozen=True, slots=True)
-class Pair:
+class Pair(Node):
     left: "Term"
     right: "Term"
 
 
 @dataclass(frozen=True, slots=True)
-class First:
+class First(Node):
     term: "Term"
 
 
 @dataclass(frozen=True, slots=True)
-class Second:
+class Second(Node):
     term: "Term"
 
 
 @dataclass(frozen=True, slots=True)
-class App:
+class App(Node):
     fun: "Term"
     arg: "Term"
 
 
 @dataclass(frozen=True, slots=True)
-class Lam:
+class Lam(Node):
     pattern: Pattern
     body: "Term"
 
 
 @dataclass(frozen=True, slots=True)
-class Pi:
+class Pi(Node):
     pattern: Pattern
     domain: "Term"
     codomain: "Term"
 
 
 @dataclass(frozen=True, slots=True)
-class Universe:
+class Universe(Node):
     pass
 
 
@@ -68,31 +79,51 @@ Term = Union[Var, Pair, First, Second, App, Lam, Pi, Universe]
 
 
 def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
-    """Apply ``subst`` to ``term`` under ``scope`` in one capture-avoiding pass."""
+    """Apply ``subst`` to ``term`` under ``scope`` in one capture-avoiding pass.
+
+    A variable outside the domain, and a node whose recorded free-name mask
+    misses every key of ``subst``, come back as they are; every node built
+    here records its mask.
+    """
+    if type(term) is Var:
+        return subst.get(term.name.raw, term)
+    dom = 0
+    for raw in subst:
+        dom |= 1 << raw
+    fv = getattr(term, "fv", -1)
+    if fv >= 0 and not fv & dom:
+        return term
     match term:
-        case Var(name):
-            return lookup_subst(subst, name)
         case Pair(left, right):
-            return Pair(subst_direct(scope, subst, left), subst_direct(scope, subst, right))
+            left = subst_direct(scope, subst, left)
+            right = subst_direct(scope, subst, right)
+            node, fv = Pair(left, right), free_mask(left) | free_mask(right)
         case First(t):
-            return First(subst_direct(scope, subst, t))
+            t = subst_direct(scope, subst, t)
+            node, fv = First(t), free_mask(t)
         case Second(t):
-            return Second(subst_direct(scope, subst, t))
+            t = subst_direct(scope, subst, t)
+            node, fv = Second(t), free_mask(t)
         case App(fun, arg):
-            return App(subst_direct(scope, subst, fun), subst_direct(scope, subst, arg))
+            fun = subst_direct(scope, subst, fun)
+            arg = subst_direct(scope, subst, arg)
+            node, fv = App(fun, arg), free_mask(fun) | free_mask(arg)
         case Lam(pattern, body):
             pattern2, subst2, scope2 = with_pattern(scope, pattern, subst)
-            return Lam(pattern2, subst_direct(scope2, subst2, body))
+            body = subst_direct(scope2, subst2, body)
+            node, fv = Lam(pattern2, body), free_mask(body) & ~pattern_mask(pattern2)
         case Pi(pattern, domain, codomain):
             pattern2, subst2, scope2 = with_pattern(scope, pattern, subst)
-            return Pi(
-                pattern2,
-                subst_direct(scope, subst, domain),
-                subst_direct(scope2, subst2, codomain),
-            )
+            domain = subst_direct(scope, subst, domain)
+            codomain = subst_direct(scope2, subst2, codomain)
+            node = Pi(pattern2, domain, codomain)
+            fv = free_mask(domain) | free_mask(codomain) & ~pattern_mask(pattern2)
         case Universe():
             return term
-    raise TypeError(f"not a term: {term!r}")
+        case _:
+            raise TypeError(f"not a term: {term!r}")
+    set_mask(node, fv)
+    return node
 
 
 def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
@@ -156,8 +187,9 @@ def nf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
     return _nf(scope, term, Fuel(fuel))
 
 
-def check_scope_direct(term: Term, scope: Scope) -> None:
-    """Debug checker: every free name must be a member of ``scope``.
+def check_scope_direct(term: Term, scope: Scope) -> int:
+    """Debug checker: every free name must be a member of ``scope``, and
+    every recorded free-name mask must be exact.  Returns the free-name mask.
 
     Binders may shadow outer names (substitution outputs legitimately do),
     but binders within a single pattern must be pairwise distinct.
@@ -166,20 +198,23 @@ def check_scope_direct(term: Term, scope: Scope) -> None:
         case Var(Name(raw)):
             if raw not in scope:
                 raise ScopeViolationError(f"name #{raw} is not in {scope!r}")
+            return 1 << raw
         case Pair(left, right):
-            check_scope_direct(left, scope)
-            check_scope_direct(right, scope)
+            free = check_scope_direct(left, scope) | check_scope_direct(right, scope)
         case First(t) | Second(t):
-            check_scope_direct(t, scope)
+            free = check_scope_direct(t, scope)
         case App(fun, arg):
-            check_scope_direct(fun, scope)
-            check_scope_direct(arg, scope)
+            free = check_scope_direct(fun, scope) | check_scope_direct(arg, scope)
         case Lam(pattern, body):
-            check_scope_direct(body, check_pattern_scope(pattern, scope))
+            free = check_scope_direct(body, check_pattern_scope(pattern, scope))
+            free &= ~pattern_mask(pattern)
         case Pi(pattern, domain, codomain):
-            check_scope_direct(domain, scope)
-            check_scope_direct(codomain, check_pattern_scope(pattern, scope))
+            free = check_scope_direct(domain, scope)
+            inner = check_scope_direct(codomain, check_pattern_scope(pattern, scope))
+            free |= inner & ~pattern_mask(pattern)
         case Universe():
-            pass
+            free = 0
         case _:
             raise TypeError(f"not a term: {term!r}")
+    check_mask(term, free)
+    return free

@@ -2,12 +2,26 @@
 for the lambda-Pi signature and for one defined here."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
-from scopefoil.generic import AST, ScopedAST, check_scope, sink_ast, substitute
-from scopefoil.lambda_pi import AppSig, LamSig, PairSig, UniverseSig, mk_lam
+from conftest import gen_naive_term
+
+from scopefoil import generic, lambda_pi
+from scopefoil.bench import church_fact, gen_random
+from scopefoil.bridge import rename_from_env, to_foil_closed, to_foil_term
+from scopefoil.fuel import FuelExceededError
+from scopefoil.generic import AST, ScopedAST, check_scope, children, sink_ast, substitute
+from scopefoil.lambda_pi import (
+    AppSig,
+    LamSig,
+    PairSig,
+    UniverseSig,
+    direct_to_free,
+    mk_lam,
+    nf_free,
+)
 from scopefoil.names import (
     Name,
     NameBinder,
@@ -16,10 +30,13 @@ from scopefoil.names import (
     Var,
     add_subst,
     debug_scopes_enabled,
+    free_mask,
     identity_subst,
     set_debug_scopes,
+    set_mask,
 )
-from scopefoil.patterns import PatternPair, PatternVar
+from scopefoil.patterns import PatternPair, PatternVar, names_of_pattern
+from scopefoil.syntax import parse_term
 from scopefoil.terms import Lam, check_scope_direct
 
 
@@ -198,3 +215,183 @@ def _random_ast(rng, depth, env):
             )
         case _:
             return UniverseSig()
+
+
+# ---------------------------------------------------------------------------
+# free-name masks and the untouched-subtree shortcut
+# ---------------------------------------------------------------------------
+
+ENV = {"u": Name(0), "v": Name(1)}
+ENV_SCOPE = Scope([0, 1])
+
+
+def _free(src: str) -> AST:
+    """A generic term over the free names u (#0) and v (#1)."""
+    return direct_to_free(to_foil_term(rename_from_env(ENV), ENV_SCOPE, parse_term(src)))
+
+
+def _free_names(ast: AST) -> int:
+    """The mask of the free names of a tree or scoped child, by a plain walk
+    that never reads a recorded mask."""
+    if type(ast) is Var:
+        return 1 << ast.name.raw
+    if type(ast) is ScopedAST:
+        binder = ast.binder
+        names = [binder] if type(binder) is NameBinder else names_of_pattern(binder)
+        return _free_names(ast.body) & ~sum(1 << name.raw for name in names)
+    mask = 0
+    for child in children(ast):
+        mask |= _free_names(child)
+    return mask
+
+
+def _subtrees(ast: AST):
+    yield ast
+    if type(ast) is ScopedAST:
+        yield from _subtrees(ast.body)
+    elif type(ast) is not Var:
+        for child in children(ast):
+            yield from _subtrees(child)
+
+
+def _masked_nodes(ast: AST) -> int:
+    """How many nodes of ``ast`` record a mask; each must equal a plain walk,
+    and a negative one must cover it."""
+    count = 0
+    for sub in _subtrees(ast):
+        if type(sub) is Var:
+            continue
+        fv, free = free_mask(sub), _free_names(sub)
+        if fv >= 0:
+            assert fv == free, sub
+            count += 1
+        else:
+            assert free & ~fv == 0, sub
+    return count
+
+
+def _mask_corpus() -> list:
+    """``gen_random`` terms and full-grammar terms with patterns."""
+    terms = [gen_random(2000 + i, size) for i in range(8) for size in (15, 20)]
+    rng = random.Random(909)
+    terms += [gen_naive_term(rng, rng.randrange(1, 6)) for _ in range(150)]
+    return terms
+
+
+def test_recorded_masks_equal_a_plain_free_name_walk(monkeypatch):
+    """Every node ``direct_to_free`` builds records its mask, and so does
+    every node ``substitute`` builds, during normalization and when it
+    copies a normal form (which ``_nf`` rebuilt without masks)."""
+    built = 0
+    walk = generic.substitute
+
+    def checked(scope, subst, ast):
+        nonlocal built
+        out = walk(scope, subst, ast)
+        built += _masked_nodes(out)
+        return out
+
+    monkeypatch.setattr(lambda_pi, "substitute", checked)
+    for term in _mask_corpus():
+        free = direct_to_free(to_foil_closed(term))
+        subtrees = sum(1 for sub in _subtrees(free) if type(sub) is not Var)
+        assert _masked_nodes(free) == subtrees
+        try:
+            normal = nf_free(Scope(), free, fuel=20_000)
+        except FuelExceededError:
+            continue
+        check_scope(normal, Scope())
+        _masked_nodes(normal)
+        copy = substitute(Scope(), {0: UniverseSig()}, normal)
+        subtrees = sum(1 for sub in _subtrees(copy) if type(sub) is not Var)
+        assert _masked_nodes(copy) == subtrees
+        check_scope(copy, Scope())
+    assert built > 500
+
+
+def test_untouched_subtrees_come_back_as_they_are():
+    term = _free("(lam x . x v) (u, v)")
+    subst = add_subst(identity_subst(), NameBinder(0), _free("U"))
+    out = substitute(ENV_SCOPE, subst, term)
+    assert out == AppSig(term.fun, PairSig(UniverseSig(), Var(Name(1))))
+    assert out.fun is term.fun  # u is not free in it
+    assert out.arg.right is term.arg.right  # a variable outside the domain
+    assert free_mask(out) == 0b10 and free_mask(out.arg) == 0b10
+    # a value built without a mask leaves its new parents without one
+    unmasked = substitute(ENV_SCOPE, {0: UniverseSig()}, term)
+    assert free_mask(unmasked) < 0 and free_mask(unmasked.fun) == 0b10
+    # a substitution whose domain misses the whole term returns the term
+    elsewhere = add_subst(identity_subst(), NameBinder(7), UniverseSig())
+    assert substitute(ENV_SCOPE, elsewhere, term) is term
+    assert substitute(ENV_SCOPE, identity_subst(), term) is term
+    # a skipped subtree keeps a binder that collides with the scope (#2
+    # shadows the live #2): raw names may differ from a full walk, but the
+    # term is the same up to alpha, and scope-safe
+    closed = _free("lam x . x")
+    assert closed.scoped.binder.raw == 2
+    assert substitute(Scope([0, 1, 2]), subst, closed) is closed
+    # a node built without a mask is walked, and its copy records one
+    hand = AppSig(Var(Name(1)), UniverseSig())
+    copy = substitute(ENV_SCOPE, subst, hand)
+    assert copy == hand and copy is not hand
+    assert free_mask(hand) == -1 and free_mask(copy) == 0b10
+
+
+def test_masks_are_not_part_of_the_structure():
+    masked = _free("lam x . x")
+    hand = mk_lam(NameBinder(2), Var(Name(2)))
+    assert free_mask(masked) == 0 and free_mask(masked.scoped) == 0
+    assert free_mask(hand) == -1
+    assert masked == hand and hash(masked) == hash(hand)
+    assert repr(masked) == repr(hand)
+    assert LamSig.__match_args__ == ("scoped",)
+    assert ScopedAST.__match_args__ == ("binder", "body")
+    # plain assignment cannot change it (CPython 3.11 raises TypeError for
+    # a non-field name of a slotted frozen dataclass)
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        masked.fv = 3
+    assert free_mask(masked) == 0
+
+
+def test_check_scope_catches_a_stale_mask():
+    term = _free("lam x . lam y . (x, u)")
+    assert check_scope(term, ENV_SCOPE) == 0b01
+    set_mask(term.scoped.body, 0b01)  # lam y . (x, u) has x free too
+    with pytest.raises(ScopeViolationError):
+        check_scope(term, ENV_SCOPE)
+    negative = _free("lam x . v")
+    set_mask(negative, ~0b10)  # a negative mask must cover the free names
+    with pytest.raises(ScopeViolationError):
+        check_scope(negative, ENV_SCOPE)
+    set_mask(negative, ~0b01)
+    check_scope(negative, ENV_SCOPE)
+
+
+def test_a_foreign_node_substitutes_and_skips_its_masked_children():
+    value, body = _free("u v"), _free("(v, U)")
+    let = LetSig(value, ScopedAST(NameBinder(2), body))
+    subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
+    out = substitute(ENV_SCOPE, subst, let)
+    assert out == LetSig(AppSig(UniverseSig(), Var(Name(1))), ScopedAST(NameBinder(2), body))
+    assert out.body.body is body
+    assert free_mask(out) == -1  # no slot to record it in
+    elsewhere = add_subst(identity_subst(), NameBinder(7), UniverseSig())
+    out = substitute(ENV_SCOPE, elsewhere, let)
+    assert out == let and out.value is value and out.body.body is body
+
+
+def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
+    """351,807 ``substitute`` calls without the shortcut."""
+    calls = 0
+    walk = generic.substitute
+
+    def counted(scope, subst, ast):
+        nonlocal calls
+        calls += 1
+        return walk(scope, subst, ast)
+
+    monkeypatch.setattr(generic, "substitute", counted)
+    monkeypatch.setattr(lambda_pi, "substitute", counted)
+    term = direct_to_free(to_foil_closed(church_fact(6)))
+    nf_free(Scope(), term)
+    assert 0 < calls <= 351_807 // 4

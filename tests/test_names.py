@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from scopefoil.generic import substitute
 from scopefoil.names import (
     Name,
     NameBinder,
@@ -17,12 +18,16 @@ from scopefoil.names import (
     fresh_binder,
     fresh_raw_name,
     identity_subst,
-    lookup_subst,
     name_of,
     set_debug_scopes,
     sink,
     with_refreshed,
 )
+
+
+def _apply(subst, raw):
+    """What ``subst`` maps the variable ``raw`` to, through the substitution."""
+    return substitute(Scope(), subst, Var(Name(raw)))
 
 
 def test_empty_scope():
@@ -147,23 +152,25 @@ def test_sink_debug_checks_superset():
 
 def test_substitution_lookup_defaults_to_variable():
     subst = identity_subst()
-    assert lookup_subst(subst, Name(3)) == Var(Name(3))
+    assert _apply(subst, 3) == Var(Name(3))
+    var = Var(Name(3))
+    assert substitute(Scope(), subst, var) is var
 
 
 def test_add_subst_and_override():
     subst = add_subst(identity_subst(), NameBinder(1), Var(Name(9)))
-    assert lookup_subst(subst, Name(1)) == Var(Name(9))
-    assert lookup_subst(subst, Name(2)) == Var(Name(2))
+    assert _apply(subst, 1) == Var(Name(9))
+    assert _apply(subst, 2) == Var(Name(2))
     # re-binding the same raw name shadows the stale entry
     subst2 = add_subst(subst, NameBinder(1), Var(Name(4)))
-    assert lookup_subst(subst2, Name(1)) == Var(Name(4))
+    assert _apply(subst2, 1) == Var(Name(4))
     # the original is untouched
-    assert lookup_subst(subst, Name(1)) == Var(Name(9))
+    assert _apply(subst, 1) == Var(Name(9))
 
 
 def test_add_rename():
     subst = add_rename(identity_subst(), NameBinder(0), Name(5))
-    assert lookup_subst(subst, Name(0)) == Var(Name(5))
+    assert _apply(subst, 0) == Var(Name(5))
 
 
 def test_add_rename_of_reused_binder_shares_the_subst():
@@ -172,8 +179,8 @@ def test_add_rename_of_reused_binder_shares_the_subst():
     # a reused binder that shadows an entry must override it
     shadowed = add_rename(subst, NameBinder(1), Name(1))
     assert shadowed is not subst
-    assert lookup_subst(shadowed, Name(1)) == Var(Name(1))
-    assert lookup_subst(subst, Name(1)) == Var(Name(9))
+    assert _apply(shadowed, 1) == Var(Name(1))
+    assert _apply(subst, 1) == Var(Name(9))
 
 
 def test_names_and_binders_are_hashable_values():

@@ -4,13 +4,13 @@ import random
 
 from conftest import gen_foil_pattern
 
+from scopefoil.generic import substitute
 from scopefoil.names import (
     Name,
     NameBinder,
     Scope,
     Var,
     identity_subst,
-    lookup_subst,
 )
 from scopefoil.patterns import (
     PatternPair,
@@ -20,6 +20,11 @@ from scopefoil.patterns import (
     names_of_pattern,
     with_pattern,
 )
+
+
+def _apply(subst, raw):
+    """What ``subst`` maps the variable ``raw`` to, through the substitution."""
+    return substitute(Scope(), subst, Var(Name(raw)))
 
 
 def test_names_of_pattern_left_to_right():
@@ -45,8 +50,8 @@ def test_with_pattern_no_collision_keeps_names():
     assert pattern2 == pattern
     assert set(scope2) == {0, 5, 6}
     # renamings are identity entries
-    assert lookup_subst(subst, Name(5)) == Var(Name(5))
-    assert lookup_subst(subst, Name(6)) == Var(Name(6))
+    assert _apply(subst, 5) == Var(Name(5))
+    assert _apply(subst, 6) == Var(Name(6))
 
 
 def test_with_pattern_renames_colliding_binder_only():
@@ -59,7 +64,7 @@ def test_with_pattern_renames_colliding_binder_only():
             assert right.raw == 4  # free, reused
         case _:
             raise AssertionError(pattern2)
-    assert lookup_subst(subst, Name(0)) == Var(Name(2))
+    assert _apply(subst, 0) == Var(Name(2))
     assert set(scope2) == {0, 1, 2, 4}
 
 

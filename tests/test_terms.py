@@ -4,8 +4,15 @@ Expected normal forms below were computed with the independent named
 normalizer (`scopefoil.oracles.nf_named`) and frozen as source strings.
 """
 
+import random
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from conftest import gen_naive_term
+
+from scopefoil import terms
+from scopefoil.bench import church_fact, gen_random
 from scopefoil.bridge import (
     default_ident,
     from_foil_term,
@@ -14,14 +21,27 @@ from scopefoil.bridge import (
     to_foil_term,
 )
 from scopefoil.fuel import FuelExceededError
-from scopefoil.names import Name, NameBinder, Scope, ScopeViolationError, Var, add_subst, identity_subst
+from scopefoil.names import (
+    Name,
+    NameBinder,
+    Scope,
+    ScopeViolationError,
+    Var,
+    add_subst,
+    free_mask,
+    identity_subst,
+    set_mask,
+)
 from scopefoil.oracles import alpha_eq
-from scopefoil.patterns import PatternPair, PatternVar
+from scopefoil.patterns import PatternPair, PatternVar, names_of_pattern
 from scopefoil.syntax import parse_term
 from scopefoil.terms import (
     App,
+    First,
     Lam,
     Pair,
+    Pi,
+    Second,
     Universe,
     check_scope_direct,
     nf_direct,
@@ -150,3 +170,156 @@ def test_check_scope_rejects_duplicate_pattern_binders():
     term = Lam(pattern, Universe())
     with pytest.raises(ScopeViolationError):
         check_scope_direct(term, Scope())
+
+
+# ---------------------------------------------------------------------------
+# free-name masks and the untouched-subtree shortcut
+# ---------------------------------------------------------------------------
+
+ENV = {"u": Name(0), "v": Name(1)}
+ENV_SCOPE = Scope([0, 1])
+
+
+def _direct(src: str):
+    """A direct term over the free names u (#0) and v (#1)."""
+    return to_foil_term(rename_from_env(ENV), ENV_SCOPE, parse_term(src))
+
+
+def _parts(term) -> list:
+    """The subterms of a node, each with the pattern that binds it (or None)."""
+    match term:
+        case Pair(left, right) | App(left, right):
+            return [(left, None), (right, None)]
+        case First(t) | Second(t):
+            return [(t, None)]
+        case Lam(pattern, body):
+            return [(body, pattern)]
+        case Pi(pattern, domain, codomain):
+            return [(domain, None), (codomain, pattern)]
+    return []
+
+
+def _free_names(term) -> int:
+    """The mask of the free names of a term, by a plain walk that never
+    reads a recorded mask."""
+    if type(term) is Var:
+        return 1 << term.name.raw
+    mask = 0
+    for part, pattern in _parts(term):
+        names = names_of_pattern(pattern) if pattern else []
+        mask |= _free_names(part) & ~sum(1 << name.raw for name in names)
+    return mask
+
+
+def _subtrees(term):
+    yield term
+    for part, _ in _parts(term):
+        yield from _subtrees(part)
+
+
+def _masked_nodes(term) -> int:
+    """How many nodes of ``term`` record a mask; each must equal a plain
+    walk, and a negative one must cover it."""
+    count = 0
+    for sub in _subtrees(term):
+        if type(sub) is Var:
+            continue
+        fv, free = free_mask(sub), _free_names(sub)
+        if fv >= 0:
+            assert fv == free, sub
+            count += 1
+        else:
+            assert free & ~fv == 0, sub
+    return count
+
+
+def test_recorded_masks_equal_a_plain_free_name_walk(monkeypatch):
+    """Every node ``to_foil_term`` builds records its mask, and so does
+    every node ``subst_direct`` builds, during normalization and when it
+    copies a normal form (which ``_nf`` rebuilt without masks)."""
+    built = 0
+    walk = terms.subst_direct
+
+    def checked(scope, subst, term):
+        nonlocal built
+        out = walk(scope, subst, term)
+        built += _masked_nodes(out)
+        return out
+
+    corpus = [gen_random(2000 + i, size) for i in range(8) for size in (15, 20)]
+    rng = random.Random(909)
+    corpus += [gen_naive_term(rng, rng.randrange(1, 6)) for _ in range(150)]
+    for term in corpus:
+        direct = to_foil_closed(term)
+        subtrees = sum(1 for sub in _subtrees(direct) if type(sub) is not Var)
+        assert _masked_nodes(direct) == subtrees
+        monkeypatch.setattr(terms, "subst_direct", checked)
+        try:
+            normal = nf_direct(Scope(), direct, fuel=20_000)
+        except FuelExceededError:
+            continue
+        finally:
+            monkeypatch.undo()
+        check_scope_direct(normal, Scope())
+        _masked_nodes(normal)
+        copy = subst_direct(Scope(), {0: Universe()}, normal)
+        subtrees = sum(1 for sub in _subtrees(copy) if type(sub) is not Var)
+        assert _masked_nodes(copy) == subtrees
+        check_scope_direct(copy, Scope())
+    assert built > 500
+
+
+def test_untouched_subtrees_come_back_as_they_are():
+    term = _direct("(lam x . x v) (u, v)")
+    subst = add_subst(identity_subst(), NameBinder(0), _direct("U"))
+    out = subst_direct(ENV_SCOPE, subst, term)
+    assert out == App(term.fun, Pair(Universe(), Var(Name(1))))
+    assert out.fun is term.fun  # u is not free in it
+    assert out.arg.right is term.arg.right  # a variable outside the domain
+    assert free_mask(out) == 0b10 and free_mask(out.arg) == 0b10
+    elsewhere = add_subst(identity_subst(), NameBinder(7), Universe())
+    assert subst_direct(ENV_SCOPE, elsewhere, term) is term
+    assert subst_direct(ENV_SCOPE, identity_subst(), term) is term
+    # a skipped subtree keeps a binder that collides with the scope
+    closed = _direct("lam (x, _) . x")
+    assert subst_direct(Scope([0, 1, 2]), subst, closed) is closed
+    # a node built without a mask is walked, and its copy records one
+    hand = Pi(PatternVar(NameBinder(5)), Var(Name(1)), Var(Name(5)))
+    copy = subst_direct(ENV_SCOPE, subst, hand)
+    assert copy == hand and copy is not hand
+    assert free_mask(hand) == -1 and free_mask(copy) == 0b10
+
+
+def test_masks_are_not_part_of_the_structure():
+    masked = _direct("lam x . x")
+    hand = Lam(PatternVar(NameBinder(2)), Var(Name(2)))
+    assert free_mask(masked) == 0 and free_mask(hand) == -1
+    assert masked == hand and hash(masked) == hash(hand)
+    assert repr(masked) == repr(hand)
+    assert Lam.__match_args__ == ("pattern", "body")
+    assert Pi.__match_args__ == ("pattern", "domain", "codomain")
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        masked.fv = 3
+
+
+def test_check_scope_catches_a_stale_mask():
+    term = _direct("lam x . fun (y : x) -> (x, u)")
+    assert check_scope_direct(term, ENV_SCOPE) == 0b01
+    set_mask(term.body, 0b01)  # the Pi has x free too
+    with pytest.raises(ScopeViolationError):
+        check_scope_direct(term, ENV_SCOPE)
+
+
+def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
+    """351,807 ``subst_direct`` calls without the shortcut."""
+    calls = 0
+    walk = terms.subst_direct
+
+    def counted(scope, subst, term):
+        nonlocal calls
+        calls += 1
+        return walk(scope, subst, term)
+
+    monkeypatch.setattr(terms, "subst_direct", counted)
+    nf_direct(Scope(), to_foil_closed(church_fact(6)))
+    assert 0 < calls <= 351_807 // 4
