@@ -30,6 +30,7 @@ from .names import (
     add_rename,
     extend_scope,
     identity_subst,
+    masked,
     name_of,
     set_mask,
     with_refreshed,
@@ -118,6 +119,9 @@ def as_second(term: Term) -> Term | None:
 # --------------------------------------------------------------------------
 
 
+_FIRST, _SECOND = masked(FirstSig), masked(SecondSig)
+
+
 def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     match term:
         case FirstSig(t) | SecondSig(t):
@@ -132,7 +136,7 @@ def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
             if type(fun2) is LamSig:
                 fuel.spend()
                 binder, body = fun2.scoped.binder, fun2.scoped.body
-                subst = beta_bindings(identity_subst(), binder, arg, FirstSig, SecondSig)
+                subst = beta_bindings(identity_subst(), binder, arg, _FIRST, _SECOND)
                 return _whnf(scope, substitute(scope, subst, body), fuel)
             return term if fun2 is fun else AppSig(fun2, arg)
         case _:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 # Raw names are plain machine integers (>= 0).  Everything else is a thin,
 # immutable wrapper around them.
@@ -94,6 +94,18 @@ def free_mask(t: Any) -> int:
     if type(t) is Var:
         return 1 << t.name.raw
     return getattr(t, "fv", -1)
+
+
+def masked(cls: type) -> Callable[[Any], Any]:
+    """The one-child constructor ``cls`` recording its child's mask in the
+    node: the projections a pair-pattern beta binds its parts to."""
+
+    def build(child: Any) -> Any:
+        node = cls(child)
+        set_mask(node, free_mask(child))
+        return node
+
+    return build
 
 
 def check_mask(node: Any, free: int) -> None:

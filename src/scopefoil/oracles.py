@@ -30,7 +30,7 @@ encoder, equality, hashing and ``repr`` see only the structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Union
 
 from . import bridge, lambda_pi, naive
@@ -222,7 +222,11 @@ def _cache() -> int:
     return field(init=False, repr=False, compare=False)
 
 
-_set = object.__setattr__
+def _setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    # The slot descriptors' own setters, one per field in order: a frozen
+    # dataclass does not intercept them, and a call costs about 80 ns where
+    # ``object.__setattr__`` by field name costs 110.
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,11 +254,14 @@ class DBApp:
     loose: int = _cache()
 
     def __init__(self, fun: DBTerm, arg: DBTerm) -> None:
-        _set(self, "fun", fun)
-        _set(self, "arg", arg)
-        _set(self, "size", 1 + fun.size + arg.size)
+        _app_fun(self, fun)
+        _app_arg(self, arg)
+        _app_size(self, 1 + fun.size + arg.size)
         a, b = fun.loose, arg.loose
-        _set(self, "loose", a if a > b else b)
+        _app_loose(self, a if a > b else b)
+
+
+_app_fun, _app_arg, _app_size, _app_loose = _setters(DBApp)
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,11 +272,14 @@ class DBLam:
     loose: int = _cache()
 
     def __init__(self, shape: Shape, body: DBTerm) -> None:
-        _set(self, "shape", shape)
-        _set(self, "body", body)
-        _set(self, "size", 1 + body.size)
+        _lam_shape(self, shape)
+        _lam_body(self, body)
+        _lam_size(self, 1 + body.size)
         loose = body.loose - (1 if type(shape) is ShapeVar else shape_arity(shape))
-        _set(self, "loose", loose if loose > 0 else 0)
+        _lam_loose(self, loose if loose > 0 else 0)
+
+
+_lam_shape, _lam_body, _lam_size, _lam_loose = _setters(DBLam)
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,13 +291,16 @@ class DBPi:
     loose: int = _cache()
 
     def __init__(self, shape: Shape, domain: DBTerm, codomain: DBTerm) -> None:
-        _set(self, "shape", shape)
-        _set(self, "domain", domain)
-        _set(self, "codomain", codomain)
-        _set(self, "size", 1 + domain.size + codomain.size)
+        _pi_shape(self, shape)
+        _pi_domain(self, domain)
+        _pi_codomain(self, codomain)
+        _pi_size(self, 1 + domain.size + codomain.size)
         a = domain.loose
         b = codomain.loose - (1 if type(shape) is ShapeVar else shape_arity(shape))
-        _set(self, "loose", a if a > b else b)
+        _pi_loose(self, a if a > b else b)
+
+
+_pi_shape, _pi_domain, _pi_codomain, _pi_size, _pi_loose = _setters(DBPi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,11 +311,14 @@ class DBPair:
     loose: int = _cache()
 
     def __init__(self, left: DBTerm, right: DBTerm) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "size", 1 + left.size + right.size)
+        _pair_left(self, left)
+        _pair_right(self, right)
+        _pair_size(self, 1 + left.size + right.size)
         a, b = left.loose, right.loose
-        _set(self, "loose", a if a > b else b)
+        _pair_loose(self, a if a > b else b)
+
+
+_pair_left, _pair_right, _pair_size, _pair_loose = _setters(DBPair)
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,9 +328,12 @@ class DBFirst:
     loose: int = _cache()
 
     def __init__(self, term: DBTerm) -> None:
-        _set(self, "term", term)
-        _set(self, "size", 1 + term.size)
-        _set(self, "loose", term.loose)
+        _first_term(self, term)
+        _first_size(self, 1 + term.size)
+        _first_loose(self, term.loose)
+
+
+_first_term, _first_size, _first_loose = _setters(DBFirst)
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,9 +343,12 @@ class DBSecond:
     loose: int = _cache()
 
     def __init__(self, term: DBTerm) -> None:
-        _set(self, "term", term)
-        _set(self, "size", 1 + term.size)
-        _set(self, "loose", term.loose)
+        _second_term(self, term)
+        _second_size(self, 1 + term.size)
+        _second_loose(self, term.loose)
+
+
+_second_term, _second_size, _second_loose = _setters(DBSecond)
 
 
 @dataclass(frozen=True, slots=True)
@@ -523,28 +545,39 @@ def _map_db(
     ``on_bvar(var, d)`` where ``d`` is ``depth`` plus the indices bound above
     the variable: TAPL's ``tmmap``, the one walk behind both shifting and
     beta contraction.  A subterm with no loose index at or above ``depth``
-    is returned as it is."""
+    is returned as it is.
+
+    Written with ``type`` tests, most frequent first: a class-pattern
+    ``match`` costs several times as much, and every beta runs this walk.
+    A variable is tested by its index, without the ``loose`` property.
+    """
+    kind = type(term)
+    if kind is BVar:
+        return on_bvar(term, depth) if term.index >= depth else term
     if term.loose <= depth:
         return term
-    match term:
-        case BVar():
-            return on_bvar(term, depth)
-        case DBApp(fun, arg):
-            return DBApp(_map_db(fun, on_bvar, depth), _map_db(arg, on_bvar, depth))
-        case DBLam(shape, body):
-            k = 1 if type(shape) is ShapeVar else shape_arity(shape)
-            return DBLam(shape, _map_db(body, on_bvar, depth + k))
-        case DBPi(shape, domain, codomain):
-            k = 1 if type(shape) is ShapeVar else shape_arity(shape)
-            return DBPi(
-                shape,
-                _map_db(domain, on_bvar, depth),
-                _map_db(codomain, on_bvar, depth + k),
-            )
-        case DBPair(left, right):
-            return DBPair(_map_db(left, on_bvar, depth), _map_db(right, on_bvar, depth))
-        case DBFirst(inner) | DBSecond(inner):
-            return type(term)(_map_db(inner, on_bvar, depth))
+    if kind is DBApp:
+        return DBApp(
+            _map_db(term.fun, on_bvar, depth), _map_db(term.arg, on_bvar, depth)
+        )
+    if kind is DBLam:
+        shape = term.shape
+        k = 1 if type(shape) is ShapeVar else shape_arity(shape)
+        return DBLam(shape, _map_db(term.body, on_bvar, depth + k))
+    if kind is DBFirst or kind is DBSecond:
+        return kind(_map_db(term.term, on_bvar, depth))
+    if kind is DBPair:
+        return DBPair(
+            _map_db(term.left, on_bvar, depth), _map_db(term.right, on_bvar, depth)
+        )
+    if kind is DBPi:
+        shape = term.shape
+        k = 1 if type(shape) is ShapeVar else shape_arity(shape)
+        return DBPi(
+            shape,
+            _map_db(term.domain, on_bvar, depth),
+            _map_db(term.codomain, on_bvar, depth + k),
+        )
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -565,13 +598,18 @@ def _proj(path: tuple[int, ...], term: DBTerm) -> DBTerm:
     return term
 
 
+_VAR_PATHS = _shape_paths(ShapeVar())
+
+
 def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
     """Contract ``(lam <shape>. body) arg``: each pattern variable becomes the
     matching first/second projection chain over ``arg``, shifted once per
     binder depth and shared by every occurrence there (a closed ``arg`` is
     never copied), and the remaining indices drop by the shape's arity."""
-    k = shape_arity(shape)
-    paths = _shape_paths(shape)
+    if type(shape) is ShapeVar:
+        k, paths = 1, _VAR_PATHS
+    else:
+        k, paths = shape_arity(shape), _shape_paths(shape)
     shifted: dict[int, DBTerm] = {}
 
     def on_bvar(var: BVar, depth: int) -> DBTerm:
@@ -587,26 +625,28 @@ def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
 
 
 def _whnf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
-    match term:
-        case DBFirst(t) | DBSecond(t):
-            t2 = _whnf_db(t, fuel)
-            if type(t2) is not DBPair:
-                return term if t2 is t else type(term)(t2)
-            fuel.spend()
-            component = t2.left if type(term) is DBFirst else t2.right
-            return _whnf_db(component, fuel)
-        case DBApp(fun, arg):
-            fun2 = _whnf_db(fun, fuel)
-            if type(fun2) is DBLam:
-                # Charge in proportion to the argument being copied into the
-                # body: this makes the budget a bound on allocation, so terms
-                # whose intermediates explode in size (while taking few
-                # steps) are cut off instead of eating the machine.
-                fuel.spend(1 + arg.size)
-                return _whnf_db(_db_beta(fun2.shape, fun2.body, arg), fuel)
-            return term if fun2 is fun else DBApp(fun2, arg)
-        case _:
-            return term
+    # ``type`` tests rather than ``match``, as in :func:`_map_db`.
+    kind = type(term)
+    if kind is DBApp:
+        fun = term.fun
+        fun2 = _whnf_db(fun, fuel)
+        if type(fun2) is DBLam:
+            # Charge in proportion to the argument being copied into the
+            # body: this makes the budget a bound on allocation, so terms
+            # whose intermediates explode in size (while taking few
+            # steps) are cut off instead of eating the machine.
+            arg = term.arg
+            fuel.spend(1 + arg.size)
+            return _whnf_db(_db_beta(fun2.shape, fun2.body, arg), fuel)
+        return term if fun2 is fun else DBApp(fun2, term.arg)
+    if kind is DBFirst or kind is DBSecond:
+        t = term.term
+        t2 = _whnf_db(t, fuel)
+        if type(t2) is not DBPair:
+            return term if t2 is t else kind(t2)
+        fuel.spend()
+        return _whnf_db(t2.left if kind is DBFirst else t2.right, fuel)
+    return term
 
 
 def whnf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
@@ -629,8 +669,10 @@ def _nf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
             # A stuck spine, whose heads whnf has left in whnf: unwind them
             # once and normalize only the head and the arguments, so the
             # spine costs time linear in its length.  A loop rather than a
-            # helper keeps one Python frame per nesting level: recursion
-            # depth decides which candidates ``gen_random`` admits.
+            # helper keeps one Python frame per nesting level, as
+            # ``_whnf_db`` keeps one per contraction and ``_map_db`` one per
+            # node: ``gen_random`` rejects on ``RecursionError``, so the
+            # frame count decides which candidates it admits.
             spine = []
             while type(term) in _ELIMINATORS:
                 spine.append(term)

@@ -8,6 +8,10 @@ order in which duplicate-free freshness is guaranteed.
 The generic AST binds one variable with a bare :class:`NameBinder`, which
 its engines handle inline, and its wildcard and pair patterns go through the
 same functions here as the direct engine's patterns.
+
+The functions here dispatch with ``type`` tests, most frequent case first:
+the engines call them at every binder they pass, and a class-pattern
+``match`` costs about ten times as much per call.
 """
 
 from __future__ import annotations
@@ -50,22 +54,18 @@ Pattern = Union[PatternWildcard, PatternVar, PatternPair]
 
 def names_of_pattern(pattern: Pattern) -> list[Name]:
     """Names introduced by the pattern, left to right."""
-    match pattern:
-        case PatternWildcard():
-            return []
-        case PatternVar(binder):
-            return [name_of(binder)]
-        case PatternPair(left, right):
-            return names_of_pattern(left) + names_of_pattern(right)
+    kind = type(pattern)
+    if kind is PatternVar:
+        return [name_of(pattern.binder)]
+    if kind is PatternPair:
+        return names_of_pattern(pattern.left) + names_of_pattern(pattern.right)
+    if kind is PatternWildcard:
+        return []
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
 def pattern_mask(pattern: Pattern | NameBinder) -> int:
-    """Bit ``raw`` set for each raw name the pattern (or bare binder) binds.
-
-    Written with ``type`` tests: a ``match`` here costs ten times as much,
-    and substitution calls this at every pattern it rebuilds.
-    """
+    """Bit ``raw`` set for each raw name the pattern (or bare binder) binds."""
     kind = type(pattern)
     if kind is PatternVar:
         return 1 << pattern.binder.raw
@@ -80,13 +80,14 @@ def pattern_mask(pattern: Pattern | NameBinder) -> int:
 
 def extend_scope_pattern(pattern: Pattern, scope: Scope) -> Scope:
     """Scope extended by every binder of the pattern, left to right."""
-    match pattern:
-        case PatternWildcard():
-            return scope
-        case PatternVar(binder):
-            return extend_scope(binder, scope)
-        case PatternPair(left, right):
-            return extend_scope_pattern(right, extend_scope_pattern(left, scope))
+    kind = type(pattern)
+    if kind is PatternVar:
+        return extend_scope(pattern.binder, scope)
+    if kind is PatternPair:
+        left = extend_scope_pattern(pattern.left, scope)
+        return extend_scope_pattern(pattern.right, left)
+    if kind is PatternWildcard:
+        return scope
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
@@ -101,18 +102,19 @@ def with_pattern(
     and the scope gains the new binder.  Returns the rebuilt pattern, the
     substitution to apply to the pattern's body, and the body's scope.
     """
-    match pattern:
-        case PatternWildcard():
-            return pattern, subst, scope
-        case PatternVar(binder):
-            binder2 = with_refreshed(scope, name_of(binder))
-            subst2 = add_rename(subst, binder, name_of(binder2))
-            scope2 = extend_scope(binder2, scope)
-            return PatternVar(binder2), subst2, scope2
-        case PatternPair(left, right):
-            left2, subst2, scope2 = with_pattern(scope, left, subst)
-            right2, subst3, scope3 = with_pattern(scope2, right, subst2)
-            return PatternPair(left2, right2), subst3, scope3
+    kind = type(pattern)
+    if kind is PatternVar:
+        binder = pattern.binder
+        binder2 = with_refreshed(scope, name_of(binder))
+        subst2 = add_rename(subst, binder, name_of(binder2))
+        scope2 = extend_scope(binder2, scope)
+        return PatternVar(binder2), subst2, scope2
+    if kind is PatternPair:
+        left2, subst2, scope2 = with_pattern(scope, pattern.left, subst)
+        right2, subst3, scope3 = with_pattern(scope2, pattern.right, subst2)
+        return PatternPair(left2, right2), subst3, scope3
+    if kind is PatternWildcard:
+        return pattern, subst, scope
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
@@ -129,14 +131,16 @@ def beta_bindings(
     ``second(arg)``, so reduction never forces the argument to be a literal
     pair.  Each engine passes its own projection constructors.
     """
-    match pattern:
-        case PatternVar(binder) | (NameBinder() as binder):
-            return add_subst(subst, binder, arg)
-        case PatternWildcard():
-            return subst
-        case PatternPair(left, right):
-            subst = beta_bindings(subst, left, first(arg), first, second)
-            return beta_bindings(subst, right, second(arg), first, second)
+    kind = type(pattern)
+    if kind is NameBinder:
+        return add_subst(subst, pattern, arg)
+    if kind is PatternVar:
+        return add_subst(subst, pattern.binder, arg)
+    if kind is PatternPair:
+        subst = beta_bindings(subst, pattern.left, first(arg), first, second)
+        return beta_bindings(subst, pattern.right, second(arg), first, second)
+    if kind is PatternWildcard:
+        return subst
     raise TypeError(f"not a pattern: {pattern!r}")
 
 

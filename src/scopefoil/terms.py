@@ -24,6 +24,7 @@ from .names import (
     check_mask,
     free_mask,
     identity_subst,
+    masked,
     set_mask,
 )
 from .patterns import (
@@ -126,6 +127,9 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
     return node
 
 
+_FIRST, _SECOND = masked(First), masked(Second)
+
+
 def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     match term:
         case First(t):
@@ -144,7 +148,9 @@ def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
             fun2 = _whnf(scope, fun, fuel)
             if type(fun2) is Lam:
                 fuel.spend()
-                bindings = beta_bindings(identity_subst(), fun2.pattern, arg, First, Second)
+                bindings = beta_bindings(
+                    identity_subst(), fun2.pattern, arg, _FIRST, _SECOND
+                )
                 return _whnf(scope, subst_direct(scope, bindings, fun2.body), fuel)
             return term if fun2 is fun else App(fun2, arg)
         case _:

@@ -131,6 +131,18 @@ def test_gen_random_admits_frozen_terms():
     )
 
 
+def test_gen_random_admits_the_random_workload_pool():
+    # the 200 terms of normbench's ``random`` workload: admission rejects on
+    # RecursionError as well as on fuel, so a change to the de Bruijn
+    # normalizer's fuel or frame count can change which terms exist
+    text = "\n".join(
+        pretty_term(gen_random(42 + i, s)) for s in (15, 20) for i in range(100)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3a99182d92898628338c4db2a55497b197238b6255abd199d62b785699bd52ee"
+    )
+
+
 def test_mismatch_detection(monkeypatch):
     """A lying implementation is caught by the oracle hash check."""
     wrong = to_foil_closed(parse_term("lam x . lam y . y"))

@@ -21,6 +21,7 @@ from scopefoil.lambda_pi import (
     direct_to_free,
     mk_lam,
     nf_free,
+    whnf_free,
 )
 from scopefoil.names import (
     Name,
@@ -35,6 +36,7 @@ from scopefoil.names import (
     set_debug_scopes,
     set_mask,
 )
+from scopefoil.oracles import alpha_eq
 from scopefoil.patterns import PatternPair, PatternVar, names_of_pattern
 from scopefoil.syntax import parse_term
 from scopefoil.terms import Lam, check_scope_direct
@@ -378,6 +380,25 @@ def test_a_foreign_node_substitutes_and_skips_its_masked_children():
     elsewhere = add_subst(identity_subst(), NameBinder(7), UniverseSig())
     out = substitute(ENV_SCOPE, elsewhere, let)
     assert out == let and out.value is value and out.body.body is body
+
+
+def test_a_pair_pattern_beta_records_masks():
+    """The projections a pair-pattern beta binds record the argument's
+    mask, so the result, built over them, records a mask of 0 and not a
+    negative one that the next substitution would have to walk in full."""
+    previous = debug_scopes_enabled()
+    set_debug_scopes(True)
+    try:
+        src = "(lam (a, b) . lam z . (b, a)) (lam x . x, lam y . y)"
+        out = whnf_free(Scope(), direct_to_free(to_foil_closed(parse_term(src))))
+        assert free_mask(out) == 0
+        subtrees = sum(1 for sub in _subtrees(out) if type(sub) is not Var)
+        assert _masked_nodes(out) == subtrees
+        assert check_scope(out, Scope()) == 0
+        pair = "(lam x . x, lam y . y)"
+        assert alpha_eq(out, parse_term(f"lam z . (second {pair}, first {pair})"))
+    finally:
+        set_debug_scopes(previous)
 
 
 def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):

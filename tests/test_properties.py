@@ -1,11 +1,13 @@
-"""Property test over the whole grammar: both scope-safe engines agree with
-the de Bruijn normalizer on open terms with wildcard and pair patterns, with
-the debug scope checks (scopes and free-name masks) on throughout.
+"""Property test over the whole grammar: the named, scope-safe and NbE
+engines agree with the de Bruijn normalizer on open terms with wildcard and
+pair patterns and Pi types, with the debug scope checks (scopes and
+free-name masks) on throughout.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same terms and takes the same time.
 """
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,21 @@ from scopefoil.fuel import FuelExceededError
 from scopefoil.generic import check_scope
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
 from scopefoil.names import Name, Scope, debug_scopes_enabled, set_debug_scopes
-from scopefoil.oracles import alpha_eq, nf_debruijn, to_debruijn
+from scopefoil.nbe import EvalError, nf_nbe
+from scopefoil.oracles import (
+    BVar,
+    DBApp,
+    DBFirst,
+    DBLam,
+    DBPair,
+    DBPi,
+    DBSecond,
+    FVar,
+    alpha_eq,
+    nf_debruijn,
+    nf_named,
+    to_debruijn,
+)
 from scopefoil.terms import check_scope_direct, nf_direct
 
 # Free identifiers of the open terms, resolved through ``rename_from_env``.
@@ -81,6 +97,22 @@ def _named(term) -> naive.Term:
     )
 
 
+_NEUTRAL = (BVar, FVar, DBApp, DBFirst, DBSecond)
+
+
+def _eliminates_a_constructor(t) -> bool:
+    """Whether a de Bruijn normal form applies or projects a constructor
+    (``U u``, ``first (lam x . x)``): ill-typed, so NbE raises on it."""
+    match t:
+        case DBApp(head, _) | DBFirst(head) | DBSecond(head) if type(head) not in _NEUTRAL:
+            return True
+        case DBApp(left, right) | DBPair(left, right) | DBPi(_, left, right):
+            return _eliminates_a_constructor(left) or _eliminates_a_constructor(right)
+        case DBFirst(inner) | DBSecond(inner) | DBLam(_, inner):
+            return _eliminates_a_constructor(inner)
+    return False
+
+
 @settings(
     derandomize=True,
     database=None,
@@ -89,7 +121,7 @@ def _named(term) -> naive.Term:
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 @given(terms(4))
-def test_scope_safe_engines_agree_with_de_bruijn_on_open_terms(term):
+def test_engines_agree_with_de_bruijn_on_open_terms(term):
     try:
         reference = nf_debruijn(to_debruijn(term), fuel=FUEL)
     except FuelExceededError:
@@ -105,7 +137,16 @@ def test_scope_safe_engines_agree_with_de_bruijn_on_open_terms(term):
         by_free = nf_free(SCOPE, free, fuel=FUEL)
         check_scope_direct(by_direct, SCOPE)
         check_scope(by_free, SCOPE)
+        if _eliminates_a_constructor(reference):
+            with pytest.raises(EvalError):
+                nf_nbe(SCOPE, free)
+            by_nbe = None
+        else:
+            by_nbe = nf_nbe(SCOPE, free)
+            check_scope(by_nbe, SCOPE)
     finally:
         set_debug_scopes(previous)
+    assert alpha_eq(nf_named(term, FUEL), reference)
     assert alpha_eq(_named(by_direct), reference)
     assert alpha_eq(_named(free_to_direct(by_free)), reference)
+    assert by_nbe is None or alpha_eq(_named(free_to_direct(by_nbe)), reference)
