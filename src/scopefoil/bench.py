@@ -201,9 +201,7 @@ def gen_random(seed: int, size: int) -> naive.Term:
             candidate = _gen_closed(rng, current)
             try:
                 nf_debruijn(to_debruijn(candidate), DEFAULT_GEN_FUEL)
-            except (FuelExceededError, RecursionError):
-                # too many steps, or a normal form too deep to walk: either
-                # way no engine could handle it, reject and retry
+            except FuelExceededError:  # too much work: reject and retry
                 continue
             return candidate
         log.warning(

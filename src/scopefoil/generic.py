@@ -12,7 +12,8 @@ a scope checker and scope weakening — written once, from the fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
 from .names import (
     Name,
@@ -25,6 +26,7 @@ from .names import (
     add_subst,
     check_mask,
     debug_scopes_enabled,
+    domain_mask,
     extend_scope,
     name_of,
     set_mask,
@@ -46,18 +48,33 @@ class ScopedAST(Node):
 AST = Any
 
 
-def children(ast: AST) -> list:
+_FIELD_GETTERS: dict[type, Callable[[AST], tuple]] = {}
+
+
+def children(ast: AST) -> tuple:
     """The field values of a signature node, in field order.
 
-    Fields are read through the dataclass match arguments; a value without
-    them is not a tree and raises ``TypeError``.  Callers handle ``Var``
-    first.
+    Fields are read through one getter per class, built from the dataclass
+    match arguments the first time the class is seen; a value without them
+    is not a tree and raises ``TypeError``.  Callers handle ``Var`` first.
     """
+    getter = _FIELD_GETTERS.get(type(ast))
+    if getter is None:
+        getter = _FIELD_GETTERS[type(ast)] = _field_getter(ast)
+    return getter(ast)
+
+
+def _field_getter(ast: AST) -> Callable[[AST], tuple]:
     try:
         fields = type(ast).__match_args__
     except AttributeError:
         raise TypeError(f"not a syntax tree: {ast!r}") from None
-    return [getattr(ast, field) for field in fields]
+    if len(fields) > 1:
+        return attrgetter(*fields)  # a tuple of the values
+    if fields:
+        one = attrgetter(*fields)
+        return lambda ast: (one(ast),)
+    return lambda ast: ()
 
 
 def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
@@ -71,11 +88,13 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
     inline path, a pattern goes through :func:`with_pattern`.  Every node
     built here records its mask.
     """
+    return _substitute(scope, subst, domain_mask(subst), ast)
+
+
+def _substitute(scope: Scope, subst: Subst, dom: int, ast: AST) -> AST:
+    """:func:`substitute`, one frame per node; ``dom`` is ``subst``'s key mask."""
     if type(ast) is Var:
         return subst.get(ast.name.raw, ast)
-    dom = 0
-    for raw in subst:
-        dom |= 1 << raw
     fv = getattr(ast, "fv", -1)
     if fv >= 0 and not fv & dom:
         return ast
@@ -88,20 +107,22 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
                 binder2 = with_refreshed(scope, name_of(binder))
                 raw2 = binder2.raw
                 if raw2 == binder.raw and raw2 not in subst:
-                    subst2 = subst  # a reused binder maps to itself
+                    subst2, dom2 = subst, dom  # a reused binder maps to itself
                 else:
                     subst2 = add_subst(subst, binder, Var(Name(raw2)))
+                    dom2 = dom | 1 << binder.raw
                 scope2 = extend_scope(binder2, scope)
                 bound = 1 << raw2
             else:
                 binder2, subst2, scope2 = with_pattern(scope, binder, subst)
+                dom2 = dom if subst2 is subst else domain_mask(subst2)
                 bound = pattern_mask(binder2)
-            body = substitute(scope2, subst2, child.body)
+            body = _substitute(scope2, subst2, dom2, child.body)
             child = ScopedAST(binder2, body)
             fv = (1 << body.name.raw if type(body) is Var else getattr(body, "fv", -1)) & ~bound
             set_mask(child, fv)
         else:
-            child = substitute(scope, subst, child)
+            child = _substitute(scope, subst, dom, child)
             fv = 1 << child.name.raw if type(child) is Var else getattr(child, "fv", -1)
         mask |= fv
         new.append(child)

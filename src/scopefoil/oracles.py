@@ -619,7 +619,8 @@ def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
         copy = shifted.get(depth)
         if copy is None:
             copy = shifted[depth] = shift_db(arg, depth)
-        return _proj(paths[k - 1 - (index - depth)], copy)
+        path = paths[k - 1 - (index - depth)]
+        return _proj(path, copy) if path else copy
 
     return _map_db(body, on_bvar, 0)
 
@@ -629,7 +630,7 @@ def _whnf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
     kind = type(term)
     if kind is DBApp:
         fun = term.fun
-        fun2 = _whnf_db(fun, fuel)
+        fun2 = fun if type(fun) is DBLam else _whnf_db(fun, fuel)
         if type(fun2) is DBLam:
             # Charge in proportion to the argument being copied into the
             # body: this makes the budget a bound on allocation, so terms
@@ -668,11 +669,7 @@ def _nf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
         case DBApp() | DBFirst() | DBSecond():
             # A stuck spine, whose heads whnf has left in whnf: unwind them
             # once and normalize only the head and the arguments, so the
-            # spine costs time linear in its length.  A loop rather than a
-            # helper keeps one Python frame per nesting level, as
-            # ``_whnf_db`` keeps one per contraction and ``_map_db`` one per
-            # node: ``gen_random`` rejects on ``RecursionError``, so the
-            # frame count decides which candidates it admits.
+            # spine costs time linear in its length.
             spine = []
             while type(term) in _ELIMINATORS:
                 spine.append(term)

@@ -28,7 +28,7 @@ words: ``check compute lam fun first second U``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NoReturn
 
 from . import naive
 
@@ -41,94 +41,87 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # "ident", "eof", or the literal text of a keyword/symbol
-    text: str
-    line: int
-    col: int
-
-
 _KEYWORDS = naive.RESERVED_WORDS
 
+# One scan: layout (whitespace and both comment forms) is skipped inside it,
+# and a character nothing else accepts falls through to ``bad``.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<linecomment>--[^\n]*)
-    | (?P<blockcomment>\{-.*?-\})
-    | (?P<arrow>->)
+      (?P<skip>(?:\s|--[^\n]*|\{-.*?-\})+)
     | (?P<ident>[A-Za-z][A-Za-z0-9_']*)
-    | (?P<punct>[(),:;._])
+    | (?P<symbol>->|[(),:;._])
+    | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-def _lex(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group()
-        kind = m.lastgroup
-        if kind == "ident":
-            tokens.append(Token(text if text in _KEYWORDS else "ident", text, line, col))
-        elif kind in ("arrow", "punct"):
-            tokens.append(Token(text, text, line, col))
-        # whitespace and comments advance position only
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _lex(src: str) -> tuple[list[str], list[str], list[tuple[int, int]]]:
+    """The tokens as three parallel lists: kinds ("ident", "eof", or the
+    literal text of a keyword or symbol), texts and (line, col) locations.
+
+    Only skipped layout can hold a newline, so lines are counted there.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    locs: list[tuple[int, int]] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rfind("\n") + 1
+            continue
+        loc = (line, m.start() - line_start + 1)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", *loc)
+        kinds.append("ident" if kind == "ident" and text not in _KEYWORDS else text)
+        texts.append(text)
+        locs.append(loc)
+    kinds.append("eof")
+    texts.append("")
+    locs.append((line, len(src) - line_start + 1))
+    return kinds, texts, locs
 
 
 _ATOM_STARTERS = ("ident", "U", "(")
 
 
 class _Parser:
+    """Recursive descent over the token lists; ``i`` indexes the next token."""
+
     def __init__(self, src: str):
-        self.tokens = _lex(src)
+        self.kinds, self.texts, self.locs = _lex(src)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def fail(self, expected: str) -> NoReturn:
+        i = self.i
+        found = self.texts[i] or "end of input"
+        raise ParseError(f"expected {expected}, found {found!r}", *self.locs[i])
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
+    def expect(self, kind: str) -> None:
+        if self.kinds[self.i] != kind:
+            self.fail(repr(kind))
         self.i += 1
-        return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.advance()
+    def ident(self) -> naive.VarIdent:
+        i = self.i
+        self.i = i + 1
+        return naive.VarIdent(self.texts[i], loc=self.locs[i])
 
     # ---- terms ----
 
     def term(self) -> naive.Term:
-        tok = self.peek()
-        if tok.kind == "lam":
-            self.advance()
+        kind = self.kinds[self.i]
+        if kind == "lam":
+            self.i += 1
             pattern = self.pattern()
             self.expect(".")
             return naive.Lam(pattern, naive.ScopedTerm(self.term()))
-        if tok.kind == "fun":
-            self.advance()
+        if kind == "fun":
+            self.i += 1
             self.expect("(")
             pattern = self.pattern()
             self.expect(":")
@@ -139,86 +132,70 @@ class _Parser:
         return self.app_term()
 
     def app_term(self) -> naive.Term:
-        tok = self.peek()
-        if tok.kind == "first":
-            self.advance()
-            head: naive.Term = naive.First(self.atom())
-        elif tok.kind == "second":
-            self.advance()
-            head = naive.Second(self.atom())
+        kinds = self.kinds
+        kind = kinds[self.i]
+        if kind == "first" or kind == "second":
+            self.i += 1
+            head = (naive.First if kind == "first" else naive.Second)(self.atom())
         else:
             head = self.atom()
-        while self.peek().kind in _ATOM_STARTERS:
+        while kinds[self.i] in _ATOM_STARTERS:
             head = naive.App(head, self.atom())
         return head
 
     def atom(self) -> naive.Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return naive.Var(naive.VarIdent(tok.text, loc=(tok.line, tok.col)))
-        if tok.kind == "U":
-            self.advance()
+        kind = self.kinds[self.i]
+        if kind == "ident":
+            return naive.Var(self.ident())
+        if kind == "U":
+            self.i += 1
             return naive.Universe()
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.i += 1
             left = self.term()
-            if self.peek().kind == ",":
-                self.advance()
+            if self.kinds[self.i] == ",":
+                self.i += 1
                 right = self.term()
                 self.expect(")")
                 return naive.Pair(left, right)
             self.expect(")")
             return left
-        raise ParseError(
-            f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col
-        )
+        self.fail("a term")
 
     # ---- patterns ----
 
     def pattern(self) -> naive.Pattern:
-        tok = self.peek()
-        if tok.kind == "_":
-            self.advance()
+        kind = self.kinds[self.i]
+        if kind == "_":
+            self.i += 1
             return naive.PatternWildcard()
-        if tok.kind == "ident":
-            self.advance()
-            return naive.PatternVar(naive.VarIdent(tok.text, loc=(tok.line, tok.col)))
-        if tok.kind == "(":
-            self.advance()
+        if kind == "ident":
+            return naive.PatternVar(self.ident())
+        if kind == "(":
+            self.i += 1
             left = self.pattern()
             self.expect(",")
             right = self.pattern()
             self.expect(")")
             return naive.PatternPair(left, right)
-        raise ParseError(
-            f"expected a pattern, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
+        self.fail("a pattern")
 
     # ---- programs ----
 
     def command(self) -> naive.Command:
-        tok = self.peek()
-        if tok.kind not in ("check", "compute"):
-            raise ParseError(
-                f"expected 'check' or 'compute', found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        self.advance()
+        kind = self.kinds[self.i]
+        if kind != "check" and kind != "compute":
+            self.fail("'check' or 'compute'")
+        self.i += 1
         term = self.term()
         self.expect(":")
         annot = self.term()
         self.expect(";")
-        if tok.kind == "check":
-            return naive.Check(term, annot)
-        return naive.Compute(term, annot)
+        return (naive.Check if kind == "check" else naive.Compute)(term, annot)
 
     def program(self) -> list[naive.Command]:
         commands: list[naive.Command] = []
-        while self.peek().kind != "eof":
+        while self.kinds[self.i] != "eof":
             commands.append(self.command())
         return commands
 

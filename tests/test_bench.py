@@ -23,6 +23,7 @@ from scopefoil.bench import (
     write_csv,
 )
 from scopefoil.bridge import to_foil_closed
+from scopefoil.fuel import FuelExceededError
 from scopefoil.oracles import alpha_eq, nf_named, to_debruijn, nf_debruijn
 from scopefoil.syntax import parse_term, pretty_term
 from scopefoil.terms import check_scope_direct
@@ -133,14 +134,40 @@ def test_gen_random_admits_frozen_terms():
 
 def test_gen_random_admits_the_random_workload_pool():
     # the 200 terms of normbench's ``random`` workload: admission rejects on
-    # RecursionError as well as on fuel, so a change to the de Bruijn
-    # normalizer's fuel or frame count can change which terms exist
+    # fuel, so a change to the de Bruijn normalizer's fuel rule can change
+    # which terms exist
     text = "\n".join(
         pretty_term(gen_random(42 + i, s)) for s in (15, 20) for i in range(100)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3a99182d92898628338c4db2a55497b197238b6255abd199d62b785699bd52ee"
     )
+
+
+def test_gen_random_rejects_on_fuel_alone(monkeypatch):
+    """A candidate that runs out of fuel is redrawn; a ``RecursionError``
+    inside admission is a bug, not a rejection, and propagates."""
+    calls = 0
+    real = bench.nf_debruijn
+
+    def out_of_fuel_once(term, fuel):
+        nonlocal calls
+        calls += 1
+        if calls == 1:
+            raise FuelExceededError(fuel)
+        return real(term, fuel)
+
+    monkeypatch.setattr(bench, "nf_debruijn", out_of_fuel_once)
+    second = gen_random(7, 15)  # the first candidate ran out of fuel
+    assert calls == 2
+    assert second != gen_random(7, 15)  # admitted: the first candidate
+
+    def too_deep(term, fuel):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(bench, "nf_debruijn", too_deep)
+    with pytest.raises(RecursionError):
+        gen_random(7, 15)
 
 
 def test_mismatch_detection(monkeypatch):

@@ -170,3 +170,15 @@ def test_bench_rejects_unknown_group(capsys):
         main(["bench", "--group", "weird", "--csv", "/tmp/x.csv"])
     assert exc_info.value.code == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_unbound_variable_on_a_later_line(tmp_path, capsys):
+    src = "check U : U ; -- fine\n{- x -} compute lam x .\n  {- y\n -} x y : U ;\n"
+    path = _write(tmp_path, "bad.lp", src)
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "scope-ok\n"
+    assert captured.err == f"error: {path}:4:7: unbound variable 'y'\n"
+    path = _write(tmp_path, "bad2.lp", "check U : U ;\ncompute zz : U ;\n")
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2:9: unbound variable 'zz'\n"

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import gen_naive_term
 
-from scopefoil import generic, lambda_pi
+from scopefoil import encoding, generic, lambda_pi
 from scopefoil.bench import church_fact, gen_random
 from scopefoil.bridge import rename_from_env, to_foil_closed, to_foil_term
 from scopefoil.fuel import FuelExceededError
@@ -78,8 +78,66 @@ def test_generic_operations_cover_a_signature_defined_elsewhere():
         check_scope(escaping, Scope([0]))
 
 
-@pytest.mark.parametrize("not_a_tree", [42, "x0", None, (Var(Name(0)),)])
+@dataclass(frozen=True, slots=True)
+class HoleSig:
+    """A signature class with no fields, known only to this file."""
+
+
+@dataclass(frozen=True, slots=True)
+class BoxSig:
+    """One field: a term in the node's own scope."""
+
+    inner: AST
+
+
+@dataclass(frozen=True, slots=True)
+class IfSig:
+    """Three fields, the last one under a binder."""
+
+    cond: AST
+    then: AST
+    bind: ScopedAST
+
+
+def test_field_getters_serve_classes_defined_elsewhere():
+    """``children`` builds one getter per class the first time it sees the
+    class, whatever its field count, so every generic walk covers a
+    signature the package has never seen."""
+    x0, x1 = Var(Name(0)), Var(Name(1))
+    node = IfSig(BoxSig(x0), HoleSig(), ScopedAST(NameBinder(1), AppSig(x0, x1)))
+    assert children(HoleSig()) == ()
+    assert children(BoxSig(x0)) == (x0,)
+    assert children(node) == (BoxSig(x0), HoleSig(), node.bind)
+    getter = generic._FIELD_GETTERS[IfSig]
+    assert children(IfSig(x1, x1, node.bind))[:2] == (x1, x1)
+    assert generic._FIELD_GETTERS[IfSig] is getter  # built once per class
+
+    # [x0 := x1]: the binder collides with the live x1 and is refreshed
+    subst = add_subst(identity_subst(), NameBinder(0), x1)
+    out = substitute(Scope([0, 1]), subst, node)
+    assert out == IfSig(
+        BoxSig(x1), HoleSig(), ScopedAST(NameBinder(2), AppSig(x1, Var(Name(2))))
+    )
+    assert check_scope(out, Scope([1])) == 0b10
+    with pytest.raises(ScopeViolationError):
+        check_scope(out, Scope([0]))
+    assert substitute(Scope([0, 1]), subst, HoleSig()) == HoleSig()
+
+    tags = {**encoding._FREE_TAGS, HoleSig: 0x70, BoxSig: 0x71, IfSig: 0x72}
+    # tag, the scoped field's binder, then the fields in order
+    assert encoding._encoded(out, tags) == bytes.fromhex("7202710101700501010102")
+
+
+class NoFields:
+    """A plain class: no match arguments, so not a tree."""
+
+
+@pytest.mark.parametrize("not_a_tree", [42, "x0", None, (Var(Name(0)),), NoFields()])
 def test_non_trees_are_type_errors(not_a_tree):
+    for _ in range(2):  # a failed lookup caches nothing
+        with pytest.raises(TypeError, match="not a syntax tree"):
+            children(not_a_tree)
+    assert type(not_a_tree) not in generic._FIELD_GETTERS
     subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
     with pytest.raises(TypeError):
         substitute(Scope(), subst, not_a_tree)
@@ -311,6 +369,16 @@ def test_recorded_masks_equal_a_plain_free_name_walk(monkeypatch):
     assert built > 500
 
 
+def test_a_renamed_pattern_binder_joins_the_domain():
+    """A pattern binder refreshed against the scope is renamed in its body,
+    so a body subtree that mentions only that binder is not skipped."""
+    term = _free("lam (a, b) . (u, first (a b))")  # a, b are #2, #3
+    subst = add_subst(identity_subst(), NameBinder(0), Var(Name(1)))
+    out = substitute(Scope([0, 1, 2, 3]), subst, term)
+    assert alpha_eq(out, _free("lam (a, b) . (v, first (a b))"))
+    check_scope(out, Scope([0, 1, 2, 3]))
+
+
 def test_untouched_subtrees_come_back_as_they_are():
     term = _free("(lam x . x v) (u, v)")
     subst = add_subst(identity_subst(), NameBinder(0), _free("U"))
@@ -402,17 +470,17 @@ def test_a_pair_pattern_beta_records_masks():
 
 
 def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
-    """351,807 ``substitute`` calls without the shortcut."""
+    """351,807 nodes visited (one ``_substitute`` frame each) without the
+    shortcut."""
     calls = 0
-    walk = generic.substitute
+    walk = generic._substitute
 
-    def counted(scope, subst, ast):
+    def counted(scope, subst, dom, ast):
         nonlocal calls
         calls += 1
-        return walk(scope, subst, ast)
+        return walk(scope, subst, dom, ast)
 
-    monkeypatch.setattr(generic, "substitute", counted)
-    monkeypatch.setattr(lambda_pi, "substitute", counted)
+    monkeypatch.setattr(generic, "_substitute", counted)
     term = direct_to_free(to_foil_closed(church_fact(6)))
     nf_free(Scope(), term)
     assert 0 < calls <= 351_807 // 4

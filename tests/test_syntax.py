@@ -1,6 +1,7 @@
 """Parser and pretty-printer: precedence, comments, locations, round-trips."""
 
 import random
+import re
 
 import pytest
 
@@ -117,6 +118,11 @@ def test_var_ident_validation():
         naive.VarIdent("first")
     with pytest.raises(ValueError):
         naive.VarIdent("")
+    for _ in range(2):  # accepted texts are remembered; rejected ones never
+        for bad in sorted(naive.RESERVED_WORDS) + ["", "3x", "_a", "a-b", "x y"]:
+            with pytest.raises(ValueError):
+                naive.VarIdent(bad)
+        naive.VarIdent("x'")
 
 
 def test_idents_carry_location_without_affecting_equality():
@@ -162,3 +168,80 @@ def test_parse_pretty_roundtrip_random():
     for _ in range(200):
         term = gen_naive_term(rng, rng.randrange(1, 6))
         assert parse_term(pretty_term(term)) == term
+
+
+def test_ident_locations_after_comments():
+    """Lines are counted through both comment forms; columns restart after
+    the last newline a comment or a run of whitespace contains."""
+    term = parse_term("lam a . -- note\n {- one\ntwo -}\n   a")
+    match term:
+        case naive.Lam(naive.PatternVar(binder), naive.ScopedTerm(naive.Var(use))):
+            assert binder.loc == (1, 5)
+            assert use.loc == (4, 4)
+        case _:
+            raise AssertionError(term)
+    term = parse_term("{- x\n -} lam (p, q) . {-\n-}q")
+    match term:
+        case naive.Lam(naive.PatternPair(naive.PatternVar(p), naive.PatternVar(q)), body):
+            assert (p.loc, q.loc, body.term.ident.loc) == ((2, 10), (2, 13), (3, 3))
+        case _:
+            raise AssertionError(term)
+
+
+@pytest.mark.parametrize(
+    "src, line, col, message",
+    [
+        ("lam x . {- a\nbb -}  x $", 2, 10, "unexpected character '$'"),
+        ("lam x . x {- never\n closed", 1, 11, "unexpected character '{'"),
+        ("lam x . x -y", 1, 11, "unexpected character '-'"),
+        ("lam x . -- trailing", 1, 20, "expected a term, found 'end of input'"),
+        ("(lam x . x -- trailing\n", 2, 1, "expected ')', found 'end of input'"),
+        ("lam x . x ) -- trailing", 1, 11, "expected 'eof', found ')'"),
+        ("lam {- c -} 3 . x", 1, 13, "unexpected character '3'"),
+        ("lam x {- c -} x", 1, 15, "expected '.', found 'x'"),
+        ("fun (x : U) {- -} x", 1, 19, "expected '->', found 'x'"),
+        ("lam ( . x", 1, 7, "expected a pattern, found '.'"),
+    ],
+)
+def test_parse_error_positions_and_messages(src, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_term(src)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
+def test_program_error_after_a_multiline_comment():
+    with pytest.raises(ParseError) as err:
+        parse_program("compute U : U ; {- c\n -} check")
+    assert (err.value.line, err.value.col) == (2, 10)
+    assert err.value.message == "expected a term, found 'end of input'"
+    with pytest.raises(ParseError) as err:
+        parse_program("compute U : U ;\n\n  U")
+    assert (err.value.line, err.value.col) == (3, 3)
+    assert err.value.message == "expected 'check' or 'compute', found 'U'"
+
+
+_PRINTED_TOKEN = re.compile(r"->|[A-Za-z][A-Za-z0-9_']*|[(),:;._]")
+_LAYOUT = (" ", "\n", "\t ", "  -- note\n", "{- c -}", "{- one\n two -- not a line comment -}", "\n\n  ")
+
+
+def _noisy(text: str, rng: random.Random) -> str:
+    """``text`` with its tokens separated by random whitespace and comments."""
+    tokens = _PRINTED_TOKEN.findall(text)
+    assert "".join(tokens) == "".join(text.split())
+    out = [rng.choice(_LAYOUT)]
+    for token in tokens:
+        out.append(token)
+        out.append("".join(rng.choice(_LAYOUT) for _ in range(rng.randrange(1, 3))))
+    return "".join(out)
+
+
+def test_parse_noisy_layout_roundtrip_random():
+    """parse(pretty(t)) == t whatever layout and comments sit between the
+    tokens; identifier locations never take part in equality."""
+    rng = random.Random(7241)
+    for _ in range(200):
+        term = gen_naive_term(rng, rng.randrange(1, 6))
+        assert parse_term(_noisy(pretty_term(term), rng)) == term
+    program = [naive.Compute(gen_naive_term(rng, 4), naive.Universe()) for _ in range(5)]
+    assert parse_program(_noisy(pretty_program(program), rng)) == program

@@ -271,6 +271,16 @@ def test_recorded_masks_equal_a_plain_free_name_walk(monkeypatch):
     assert built > 500
 
 
+def test_a_renamed_pattern_binder_joins_the_domain():
+    """A pattern binder refreshed against the scope is renamed in its body,
+    so a body subtree that mentions only that binder is not skipped."""
+    term = _direct("lam (a, b) . (u, first (a b))")  # a, b are #2, #3
+    subst = add_subst(identity_subst(), NameBinder(0), Var(Name(1)))
+    out = subst_direct(Scope([0, 1, 2, 3]), subst, term)
+    assert alpha_eq(out, _direct("lam (a, b) . (v, first (a b))"))
+    check_scope_direct(out, Scope([0, 1, 2, 3]))
+
+
 def test_untouched_subtrees_come_back_as_they_are():
     term = _direct("(lam x . x v) (u, v)")
     subst = add_subst(identity_subst(), NameBinder(0), _direct("U"))
@@ -332,15 +342,16 @@ def test_a_pair_pattern_beta_records_masks():
 
 
 def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
-    """351,807 ``subst_direct`` calls without the shortcut."""
+    """351,807 nodes visited (one ``_subst_direct`` frame each) without the
+    shortcut."""
     calls = 0
-    walk = terms.subst_direct
+    walk = terms._subst_direct
 
-    def counted(scope, subst, term):
+    def counted(scope, subst, dom, term):
         nonlocal calls
         calls += 1
-        return walk(scope, subst, term)
+        return walk(scope, subst, dom, term)
 
-    monkeypatch.setattr(terms, "subst_direct", counted)
+    monkeypatch.setattr(terms, "_subst_direct", counted)
     nf_direct(Scope(), to_foil_closed(church_fact(6)))
     assert 0 < calls <= 351_807 // 4
