@@ -26,7 +26,6 @@ from .names import (
     add_subst,
     check_mask,
     debug_scopes_enabled,
-    domain_mask,
     extend_scope,
     name_of,
     set_mask,
@@ -88,13 +87,11 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
     inline path, a pattern goes through :func:`with_pattern`.  Every node
     built here records its mask.
     """
-    return _substitute(scope, subst, domain_mask(subst), ast)
-
-
-def _substitute(scope: Scope, subst: Subst, dom: int, ast: AST) -> AST:
-    """:func:`substitute`, one frame per node; ``dom`` is ``subst``'s key mask."""
     if type(ast) is Var:
         return subst.get(ast.name.raw, ast)
+    dom = 0
+    for raw in subst:
+        dom |= 1 << raw
     fv = getattr(ast, "fv", -1)
     if fv >= 0 and not fv & dom:
         return ast
@@ -107,22 +104,20 @@ def _substitute(scope: Scope, subst: Subst, dom: int, ast: AST) -> AST:
                 binder2 = with_refreshed(scope, name_of(binder))
                 raw2 = binder2.raw
                 if raw2 == binder.raw and raw2 not in subst:
-                    subst2, dom2 = subst, dom  # a reused binder maps to itself
+                    subst2 = subst  # a reused binder maps to itself
                 else:
                     subst2 = add_subst(subst, binder, Var(Name(raw2)))
-                    dom2 = dom | 1 << binder.raw
                 scope2 = extend_scope(binder2, scope)
                 bound = 1 << raw2
             else:
                 binder2, subst2, scope2 = with_pattern(scope, binder, subst)
-                dom2 = dom if subst2 is subst else domain_mask(subst2)
                 bound = pattern_mask(binder2)
-            body = _substitute(scope2, subst2, dom2, child.body)
+            body = substitute(scope2, subst2, child.body)
             child = ScopedAST(binder2, body)
             fv = (1 << body.name.raw if type(body) is Var else getattr(body, "fv", -1)) & ~bound
             set_mask(child, fv)
         else:
-            child = _substitute(scope, subst, dom, child)
+            child = substitute(scope, subst, child)
             fv = 1 << child.name.raw if type(child) is Var else getattr(child, "fv", -1)
         mask |= fv
         new.append(child)

@@ -9,7 +9,6 @@ from typing import Union
 RESERVED_WORDS = frozenset({"check", "compute", "lam", "fun", "first", "second", "U"})
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
-_VALID_IDENTS: set[str] = set()  # texts that have passed the check below
 
 
 @dataclass(frozen=True, slots=True)
@@ -21,11 +20,8 @@ class VarIdent:
     loc: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        text = self.text
-        if text not in _VALID_IDENTS:
-            if not _IDENT_RE.match(text) or text in RESERVED_WORDS:
-                raise ValueError(f"invalid identifier: {text!r}")
-            _VALID_IDENTS.add(text)
+        if not _IDENT_RE.match(self.text) or self.text in RESERVED_WORDS:
+            raise ValueError(f"invalid identifier: {self.text!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -246,14 +246,6 @@ def identity_subst() -> Subst:
     return {}
 
 
-def domain_mask(subst: Subst) -> int:
-    """The keys of ``subst`` as a mask in ``Scope``'s format."""
-    dom = 0
-    for raw in subst:
-        dom |= 1 << raw
-    return dom
-
-
 def add_subst(subst: Subst, binder: NameBinder, expr: Any) -> Subst:
     """Substitution extended with ``binder -> expr``; overrides a stale entry."""
     env = dict(subst)

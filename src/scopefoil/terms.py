@@ -22,7 +22,6 @@ from .names import (
     Subst,
     Var,
     check_mask,
-    domain_mask,
     free_mask,
     identity_subst,
     masked,
@@ -87,41 +86,37 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
     misses every key of ``subst``, come back as they are; every node built
     here records its mask.
     """
-    return _subst_direct(scope, subst, domain_mask(subst), term)
-
-
-def _subst_direct(scope: Scope, subst: Subst, dom: int, term: Term) -> Term:
-    """:func:`subst_direct`, one frame per node; ``dom`` is ``subst``'s key mask."""
     if type(term) is Var:
         return subst.get(term.name.raw, term)
+    dom = 0
+    for raw in subst:
+        dom |= 1 << raw
     fv = getattr(term, "fv", -1)
     if fv >= 0 and not fv & dom:
         return term
     match term:
         case Pair(left, right):
-            left = _subst_direct(scope, subst, dom, left)
-            right = _subst_direct(scope, subst, dom, right)
+            left = subst_direct(scope, subst, left)
+            right = subst_direct(scope, subst, right)
             node, fv = Pair(left, right), free_mask(left) | free_mask(right)
         case First(t):
-            t = _subst_direct(scope, subst, dom, t)
+            t = subst_direct(scope, subst, t)
             node, fv = First(t), free_mask(t)
         case Second(t):
-            t = _subst_direct(scope, subst, dom, t)
+            t = subst_direct(scope, subst, t)
             node, fv = Second(t), free_mask(t)
         case App(fun, arg):
-            fun = _subst_direct(scope, subst, dom, fun)
-            arg = _subst_direct(scope, subst, dom, arg)
+            fun = subst_direct(scope, subst, fun)
+            arg = subst_direct(scope, subst, arg)
             node, fv = App(fun, arg), free_mask(fun) | free_mask(arg)
         case Lam(pattern, body):
             pattern2, subst2, scope2 = with_pattern(scope, pattern, subst)
-            dom2 = dom if subst2 is subst else domain_mask(subst2)
-            body = _subst_direct(scope2, subst2, dom2, body)
+            body = subst_direct(scope2, subst2, body)
             node, fv = Lam(pattern2, body), free_mask(body) & ~pattern_mask(pattern2)
         case Pi(pattern, domain, codomain):
             pattern2, subst2, scope2 = with_pattern(scope, pattern, subst)
-            dom2 = dom if subst2 is subst else domain_mask(subst2)
-            domain = _subst_direct(scope, subst, dom, domain)
-            codomain = _subst_direct(scope2, subst2, dom2, codomain)
+            domain = subst_direct(scope, subst, domain)
+            codomain = subst_direct(scope2, subst2, codomain)
             node = Pi(pattern2, domain, codomain)
             fv = free_mask(domain) | free_mask(codomain) & ~pattern_mask(pattern2)
         case Universe():

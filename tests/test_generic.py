@@ -470,17 +470,17 @@ def test_a_pair_pattern_beta_records_masks():
 
 
 def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
-    """351,807 nodes visited (one ``_substitute`` frame each) without the
-    shortcut."""
+    """351,807 ``substitute`` calls without the shortcut."""
     calls = 0
-    walk = generic._substitute
+    walk = generic.substitute
 
-    def counted(scope, subst, dom, ast):
+    def counted(scope, subst, ast):
         nonlocal calls
         calls += 1
-        return walk(scope, subst, dom, ast)
+        return walk(scope, subst, ast)
 
-    monkeypatch.setattr(generic, "_substitute", counted)
+    monkeypatch.setattr(generic, "substitute", counted)
+    monkeypatch.setattr(lambda_pi, "substitute", counted)
     term = direct_to_free(to_foil_closed(church_fact(6)))
     nf_free(Scope(), term)
     assert 0 < calls <= 351_807 // 4

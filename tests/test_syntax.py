@@ -118,7 +118,7 @@ def test_var_ident_validation():
         naive.VarIdent("first")
     with pytest.raises(ValueError):
         naive.VarIdent("")
-    for _ in range(2):  # accepted texts are remembered; rejected ones never
+    for _ in range(2):  # an accepted text in between changes no verdict
         for bad in sorted(naive.RESERVED_WORDS) + ["", "3x", "_a", "a-b", "x y"]:
             with pytest.raises(ValueError):
                 naive.VarIdent(bad)
