@@ -10,13 +10,13 @@ Layers, bottom to top:
 
 - :mod:`scopefoil.names` / :mod:`scopefoil.patterns` -- scopes,
   binders, substitutions, and binding patterns.
-- :mod:`scopefoil.terms` -- a lambda-Pi calculus written directly
-  against the discipline, with one hand-written substitution.
-- :mod:`scopefoil.generic` / :mod:`scopefoil.lambda_pi` -- the same
-  calculus as an instantiation of a signature-generic AST whose
-  substitution is written once, for every signature, and whose
-  conversions are derived from the fields of the :mod:`scopefoil.naive`
-  classes.
+- :mod:`scopefoil.generic` -- a signature-generic AST whose
+  substitution is written once, for every signature, and ``derive``,
+  which generates node classes from the :mod:`scopefoil.naive` ones.
+- :mod:`scopefoil.terms` / :mod:`scopefoil.lambda_pi` -- a lambda-Pi
+  calculus on the generated direct classes, with one hand-written
+  substitution, and on the generated signature classes of the generic
+  AST, with conversions derived from the same naive fields.
 - :mod:`scopefoil.naive` / :mod:`scopefoil.syntax` /
   :mod:`scopefoil.bridge` -- raw named syntax, a parser and printer
   for it, and conversion into and out of the scope-safe forms.

@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Callable
 
 from . import naive, terms
-from .generic import children
-from .lambda_pi import BY_DIRECT, BY_NAIVE, PATTERN, SCOPED, constructor
+from .generic import PATTERN, SCOPED, children
+from .lambda_pi import BY_DIRECT, BY_NAIVE, constructor
 from .names import Name, RawName, Scope, Var, fresh_binder, name_of, set_mask
 from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard, pattern_mask
 

@@ -11,7 +11,9 @@ and the benchmark result hashes rely on.
 
 Tags, direct and scope-indexed terms (the two scope-indexed forms share the
 tag space; a lambda carries a pattern in the direct form and a bare binder
-varint in the generic form)::
+varint in the generic form).  A node's tag is its surface class's position
+in ``naive.Term``, from 0x01, for the generated ``terms.Pair`` …
+``terms.Universe`` and ``PairSig`` … ``UniverseSig`` alike::
 
     0x01 var <raw>        0x05 app f a            patterns:
     0x02 pair l r         0x06 lam <binder> body    0x10 wildcard
@@ -34,19 +36,13 @@ Tags, de Bruijn terms (shapes reuse the pattern tags, minus payloads)::
 from __future__ import annotations
 
 import hashlib
+from typing import get_args
 
+from . import naive
 from . import oracles as db
 from . import terms
 from .generic import AST, ScopedAST, children
-from .lambda_pi import (
-    AppSig,
-    FirstSig,
-    LamSig,
-    PairSig,
-    PiSig,
-    SecondSig,
-    UniverseSig,
-)
+from .lambda_pi import CONSTRUCTORS
 from .naive import VarIdent
 from .names import Name, NameBinder, Var
 from .patterns import PatternPair, PatternVar, PatternWildcard
@@ -65,33 +61,12 @@ def _varint(n: int, out: bytearray) -> None:
             return
 
 
-_DIRECT_TAGS = {
-    Var: 0x01,
-    terms.Pair: 0x02,
-    terms.First: 0x03,
-    terms.Second: 0x04,
-    terms.App: 0x05,
-    terms.Lam: 0x06,
-    terms.Pi: 0x07,
-    terms.Universe: 0x08,
-    PatternWildcard: 0x10,
-    PatternVar: 0x11,
-    PatternPair: 0x12,
-}
-
-_FREE_TAGS = {
-    Var: 0x01,
-    PairSig: 0x02,
-    FirstSig: 0x03,
-    SecondSig: 0x04,
-    AppSig: 0x05,
-    LamSig: 0x06,
-    PiSig: 0x07,
-    UniverseSig: 0x08,
-    PatternWildcard: 0x10,
-    PatternVar: 0x11,
-    PatternPair: 0x12,
-}
+_NODE_TAGS = {cls: tag for tag, cls in enumerate(get_args(naive.Term), 0x01)}
+_PATTERN_TAGS = {PatternWildcard: 0x10, PatternVar: 0x11, PatternPair: 0x12}
+_DIRECT_TAGS = {Var: _NODE_TAGS[naive.Var], **_PATTERN_TAGS}
+_FREE_TAGS = dict(_DIRECT_TAGS)
+for _con in CONSTRUCTORS:
+    _DIRECT_TAGS[_con.direct] = _FREE_TAGS[_con.free] = _NODE_TAGS[_con.naive]
 
 _PATTERN_BINDERS = 0x09
 

@@ -6,15 +6,17 @@ or a :class:`ScopedAST` (a term under a binder), and the code here tells
 the two apart by the value it finds in the field, so a new constructor needs
 no table, method or registration.  Given that, this module supplies the
 operations every language shares — a single capture-avoiding substitution,
-a scope checker and scope weakening — written once, from the fields.
+a scope checker and scope weakening — written once, from the fields — and
+:func:`derive`, which generates node classes from a surface grammar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
+from . import naive
 from .names import (
     Name,
     NameBinder,
@@ -45,6 +47,69 @@ class ScopedAST(Node):
 
 # A tree is a ``Var`` or an instance of a signature class.
 AST = Any
+
+
+# The roles a surface field can play: the node's binding pattern, a body in
+# the pattern's scope, or a term in the node's own scope.
+PATTERN, SCOPED, TERM = "pattern", "scoped", "term"
+
+
+@dataclass(frozen=True, slots=True)
+class Constructor:
+    """One constructor in its surface, direct and generic classes: the role
+    of each surface (and direct) field, and the position of the pattern,
+    which precedes the bodies under it.  The generic class drops the
+    pattern field; each scoped field's :class:`ScopedAST` holds its binder.
+    """
+
+    naive: type
+    direct: type
+    free: type
+    roles: tuple[str, ...]
+    pattern: int | None
+
+
+def derive(surface: type, direct_module: str, free_module: str) -> Constructor:
+    """The direct and generic classes of one surface constructor.
+
+    A ``naive.Pattern`` field is the node's pattern, a ``naive.ScopedTerm``
+    field a body in its scope, and any other field a term.  The direct class
+    ``X`` keeps every field; the generic class ``XSig`` drops the pattern and
+    holds each body as a :class:`ScopedAST`.  Both are frozen, slotted
+    :class:`Node` dataclasses of the named module, which must bind them under
+    their names.  Scoped fields need the one pattern field before them, and a
+    pattern needs a scoped field: anything else is a ``TypeError``.
+    """
+    name, fields = surface.__name__, surface.__match_args__
+    hints = get_type_hints(surface)
+    roles = tuple(
+        PATTERN if hints[field] == naive.Pattern
+        else SCOPED if hints[field] is naive.ScopedTerm
+        else TERM
+        for field in fields
+    )
+    pattern = roles.index(PATTERN) if PATTERN in roles else None
+    # the conversions read a scoped field's binder from the pattern before it
+    if roles.count(PATTERN) != (SCOPED in roles) or SCOPED in roles[:pattern]:
+        raise TypeError(f"{name} needs one pattern field before its scoped fields")
+    pairs = list(zip(fields, roles))
+    direct = [(f, Pattern if r is PATTERN else AST) for f, r in pairs]
+    free = [(f, AST if r is TERM else ScopedAST) for f, r in pairs if r is not PATTERN]
+    return Constructor(
+        surface,
+        _node_class(name, direct, direct_module),
+        _node_class(name + "Sig", free, free_module),
+        roles,
+        pattern,
+    )
+
+
+def _node_class(name: str, fields: list, module: str) -> type:
+    # without the namespace entry, ``__module__`` would be ``make_dataclass``'s
+    return make_dataclass(
+        name, fields, bases=(Node,), namespace={"__module__": module},
+        frozen=True, slots=True,
+    )
 
 
 _FIELD_GETTERS: dict[type, Callable[[AST], tuple]] = {}

@@ -1,14 +1,14 @@
 """Lambda-Pi with pairs and patterns, assembled on the signature-generic AST.
 
-The signature classes below are the tree nodes: application, lambda, Pi and
-the universe, plus pairs with projections.  Every field is a term or a
+The tree nodes are the signature classes ``AppSig``, ``LamSig``, ``PiSig``,
+``UniverseSig``, ``PairSig``, ``FirstSig`` and ``SecondSig``, generated with
+the direct classes from the :mod:`scopefoil.naive` ones (:data:`CONSTRUCTORS`
+records all three and each field's role).  They keep the surface fields but
+the pattern, so every field is a term or a
 :class:`~scopefoil.generic.ScopedAST`, whose binder is a bare variable or a
-wildcard/pair pattern, so substitution, scope checking, the congruence part
-of normalization and the canonical encoding are derived from the fields,
-with no code per constructor.  So are the conversions: each surface class
-of :mod:`scopefoil.naive` names its direct and signature classes (``Lam``,
-``terms.Lam``, ``LamSig``), and its field types say which field is the
-pattern and which bodies lie under it (:data:`CONSTRUCTORS`).
+wildcard/pair pattern, and substitution, scope checking, the congruence part
+of normalization, the canonical encoding and the conversions are derived
+from the fields, with no code per constructor.
 
 ``mk_lam`` builds a single-binder lambda; the ``as_*`` views return a node's
 fields, or ``None`` on mismatch.
@@ -16,15 +16,11 @@ fields, or ``None`` on mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import get_args, get_type_hints
-
-from . import naive, terms
+from . import terms
 from .fuel import Fuel
-from .generic import AST, ScopedAST, children, substitute
+from .generic import AST, PATTERN, SCOPED, Constructor, ScopedAST, children, substitute
 from .names import (
     NameBinder,
-    Node,
     Scope,
     Var,
     add_rename,
@@ -36,50 +32,13 @@ from .names import (
     with_refreshed,
 )
 from .patterns import PatternVar, beta_bindings, pattern_mask, with_pattern
+from .terms import CONSTRUCTORS
 
 
-# --------------------------------------------------------------------------
-# signature classes
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class AppSig(Node):
-    fun: AST
-    arg: AST
-
-
-@dataclass(frozen=True, slots=True)
-class LamSig(Node):
-    scoped: ScopedAST
-
-
-@dataclass(frozen=True, slots=True)
-class PiSig(Node):
-    domain: AST
-    codomain: ScopedAST
-
-
-@dataclass(frozen=True, slots=True)
-class UniverseSig(Node):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PairSig(Node):
-    left: AST
-    right: AST
-
-
-@dataclass(frozen=True, slots=True)
-class FirstSig(Node):
-    term: AST
-
-
-@dataclass(frozen=True, slots=True)
-class SecondSig(Node):
-    term: AST
-
+# The signature classes, generated in :mod:`scopefoil.terms` with the direct ones.
+PairSig, FirstSig, SecondSig, AppSig, LamSig, PiSig, UniverseSig = (
+    con.free for con in CONSTRUCTORS
+)
 
 # A lambda-Pi term is a ``Var`` or an instance of a signature class.
 Term = AST
@@ -99,7 +58,7 @@ def as_app(term: Term) -> tuple[Term, Term] | None:
 
 
 def as_lam(term: Term) -> tuple[NameBinder, Term] | None:
-    return (term.scoped.binder, term.scoped.body) if type(term) is LamSig else None
+    return (term.body.binder, term.body.body) if type(term) is LamSig else None
 
 
 def as_pair(term: Term) -> tuple[Term, Term] | None:
@@ -135,7 +94,7 @@ def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
             fun2 = _whnf(scope, fun, fuel)
             if type(fun2) is LamSig:
                 fuel.spend()
-                binder, body = fun2.scoped.binder, fun2.scoped.body
+                binder, body = fun2.body.binder, fun2.body.body
                 subst = beta_bindings(identity_subst(), binder, arg, _FIRST, _SECOND)
                 return _whnf(scope, substitute(scope, subst, body), fuel)
             return term if fun2 is fun else AppSig(fun2, arg)
@@ -183,45 +142,6 @@ def nf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 # the constructor correspondence, and the conversions derived from it
 # --------------------------------------------------------------------------
 
-# The roles a surface field can play: the node's binding pattern, a body in
-# the pattern's scope, or a term in the node's own scope.
-PATTERN, SCOPED, TERM = "pattern", "scoped", "term"
-
-
-@dataclass(frozen=True, slots=True)
-class Constructor:
-    """One constructor in its surface, direct and generic classes: the role
-    of each surface (and direct) field, and the position of the pattern,
-    which precedes the bodies under it.  The generic class drops the
-    pattern field; each scoped field's :class:`ScopedAST` holds its binder.
-    """
-
-    naive: type
-    direct: type
-    free: type
-    roles: tuple[str, ...]
-    pattern: int | None
-
-
-def _derive(cls: type) -> Constructor:
-    hints = get_type_hints(cls)
-    roles = tuple(
-        PATTERN if hints[field] == naive.Pattern
-        else SCOPED if hints[field] is naive.ScopedTerm
-        else TERM
-        for field in cls.__match_args__
-    )
-    pattern = roles.index(PATTERN) if PATTERN in roles else None
-    name = cls.__name__
-    return Constructor(
-        cls, getattr(terms, name), globals()[name + "Sig"], roles, pattern
-    )
-
-
-# Every constructor but ``Var``, which the direct and generic forms share.
-CONSTRUCTORS = tuple(
-    _derive(cls) for cls in get_args(naive.Term) if cls is not naive.Var
-)
 BY_NAIVE = {con.naive: con for con in CONSTRUCTORS}
 BY_DIRECT = {con.direct: con for con in CONSTRUCTORS}
 BY_FREE = {con.free: con for con in CONSTRUCTORS}

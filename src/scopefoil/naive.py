@@ -111,7 +111,6 @@ class Compute:
 
 
 Command = Union[Check, Compute]
-Program = list  # list[Command]
 
 
 def pattern_idents(pattern: Pattern) -> list[VarIdent]:

@@ -2,21 +2,25 @@
 
 Every construct carries its binders as :mod:`scopefoil.patterns` patterns
 directly in the node (``Lam``/``Pi``), and variables are the shared
-:class:`scopefoil.names.Var` node.  Substitution is the rapier-style single
-pass: binders are reused unless they collide with the ambient scope, and a
-subtree whose recorded free-name mask (:class:`scopefoil.names.Node`) misses
-the substitution's domain is returned as it is.
+:class:`scopefoil.names.Var` node.  The node classes ``Pair``, ``First``,
+``Second``, ``App``, ``Lam``, ``Pi`` and ``Universe`` are generated from the
+:mod:`scopefoil.naive` ones, with the same fields in the same order.
+
+Substitution is the rapier-style single pass: binders are reused unless they
+collide with the ambient scope, and a subtree whose recorded free-name mask
+(:class:`scopefoil.names.Node`) misses the substitution's domain is returned
+as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
+from . import naive
 from .fuel import Fuel
+from .generic import derive
 from .names import (
     Name,
-    Node,
     Scope,
     ScopeViolationError,
     Subst,
@@ -28,7 +32,6 @@ from .names import (
     set_mask,
 )
 from .patterns import (
-    Pattern,
     beta_bindings,
     check_pattern_scope,
     pattern_mask,
@@ -36,45 +39,13 @@ from .patterns import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Pair(Node):
-    left: "Term"
-    right: "Term"
-
-
-@dataclass(frozen=True, slots=True)
-class First(Node):
-    term: "Term"
-
-
-@dataclass(frozen=True, slots=True)
-class Second(Node):
-    term: "Term"
-
-
-@dataclass(frozen=True, slots=True)
-class App(Node):
-    fun: "Term"
-    arg: "Term"
-
-
-@dataclass(frozen=True, slots=True)
-class Lam(Node):
-    pattern: Pattern
-    body: "Term"
-
-
-@dataclass(frozen=True, slots=True)
-class Pi(Node):
-    pattern: Pattern
-    domain: "Term"
-    codomain: "Term"
-
-
-@dataclass(frozen=True, slots=True)
-class Universe(Node):
-    pass
-
+# One record per compound surface constructor, in ``naive.Term`` order; the
+# generic classes are bound by :mod:`scopefoil.lambda_pi`.
+CONSTRUCTORS = tuple(
+    derive(cls, __name__, f"{__package__}.lambda_pi")
+    for cls in get_args(naive.Term) if cls is not naive.Var
+)
+Pair, First, Second, App, Lam, Pi, Universe = (con.direct for con in CONSTRUCTORS)
 
 Term = Union[Var, Pair, First, Second, App, Lam, Pi, Universe]
 

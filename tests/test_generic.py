@@ -1,18 +1,32 @@
 """The signature-generic layer: the shared substitution and scope checking,
-for the lambda-Pi signature and for one defined here."""
+for the lambda-Pi signature and for one defined here, and the derivation of
+signature classes from a surface grammar."""
 
+import copy
+import pickle
 import random
-from dataclasses import FrozenInstanceError, dataclass
+import sys
+from dataclasses import FrozenInstanceError, dataclass, make_dataclass
 
 import pytest
 
 from conftest import gen_naive_term
 
-from scopefoil import encoding, generic, lambda_pi
+from scopefoil import encoding, generic, lambda_pi, naive, terms
 from scopefoil.bench import church_fact, gen_random
 from scopefoil.bridge import rename_from_env, to_foil_closed, to_foil_term
 from scopefoil.fuel import FuelExceededError
-from scopefoil.generic import AST, ScopedAST, check_scope, children, sink_ast, substitute
+from scopefoil.generic import (
+    AST,
+    PATTERN,
+    SCOPED,
+    TERM,
+    ScopedAST,
+    check_scope,
+    children,
+    sink_ast,
+    substitute,
+)
 from scopefoil.lambda_pi import (
     AppSig,
     LamSig,
@@ -43,11 +57,71 @@ from scopefoil.terms import Lam, check_scope_direct
 
 
 @dataclass(frozen=True, slots=True)
-class LetSig:
-    """``let x = value in body``: a signature class known only to this file."""
+class Let:
+    """``let pattern = value in body``: a surface constructor known only to
+    this file, from which the direct ``Let`` and the generic ``LetSig`` are
+    derived the way the package derives its own."""
 
-    value: AST
-    body: ScopedAST
+    pattern: naive.Pattern
+    value: naive.Term
+    body: naive.ScopedTerm
+
+
+LET = generic.derive(Let, __name__, __name__)
+LetSig = LET.free
+
+
+def test_derive_a_grammar_defined_elsewhere():
+    """The roles come from the surface field types, the generic class drops
+    the pattern, and the encoder takes the derived classes from a tag table
+    alone: the direct form encodes the pattern in place, the generic form
+    its binder after the tag."""
+    assert LET.roles == (PATTERN, TERM, SCOPED) and LET.pattern == 0
+    assert LET.naive is Let and LET.direct.__name__ == "Let"
+    assert LET.direct.__match_args__ == ("pattern", "value", "body")
+    assert LetSig.__name__ == "LetSig"
+    assert LetSig.__match_args__ == ("value", "body")
+    x0, x1 = Var(Name(0)), Var(Name(1))
+    node = LetSig(x0, ScopedAST(NameBinder(1), AppSig(x0, x1)))
+    tags = {**encoding._FREE_TAGS, LetSig: 0x70}
+    assert encoding._encoded(node, tags) == bytes.fromhex("70 01 01 00 05 0100 0101")
+    direct = LET.direct(PatternVar(NameBinder(1)), x0, terms.App(x0, x1))
+    tags = {**encoding._DIRECT_TAGS, LET.direct: 0x70}
+    assert encoding._encoded(direct, tags) == bytes.fromhex("70 1101 0100 05 0100 0101")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        [("value", naive.Term), ("body", naive.ScopedTerm)],
+        [("body", naive.ScopedTerm), ("pattern", naive.Pattern)],
+        [("p", naive.Pattern), ("q", naive.Pattern), ("body", naive.ScopedTerm)],
+        [("pattern", naive.Pattern), ("value", naive.Term)],
+    ],
+    ids=["no-pattern", "pattern-after-body", "two-patterns", "nothing-bound"],
+)
+def test_derive_rejects_a_malformed_constructor(fields):
+    """The conversions read a scoped field's binder from the one pattern
+    field before it, so any other shape is refused when it is derived."""
+    surface = make_dataclass("Bad", fields, frozen=True)
+    with pytest.raises(TypeError, match="Bad needs one pattern field"):
+        generic.derive(surface, __name__, __name__)
+
+
+def test_generated_classes_pickle_and_copy():
+    """Each generated class is bound under its name in the module it names,
+    so its nodes pickle; copies and reprs are those of plain dataclasses."""
+    for con in lambda_pi.CONSTRUCTORS:
+        for cls in (con.direct, con.free):
+            assert getattr(sys.modules[cls.__module__], cls.__qualname__) is cls
+    src = "fun ((a, _) : U) -> lam b . (first (a, b), second (b a))"
+    direct = to_foil_closed(parse_term(src))
+    free = direct_to_free(direct)
+    for node in (direct, free):
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert copy.deepcopy(node) == node
+    assert repr(direct).startswith("Pi(pattern=")
+    assert repr(free).startswith("PiSig(domain=")
 
 
 def test_generic_operations_cover_a_signature_defined_elsewhere():
@@ -398,7 +472,7 @@ def test_untouched_subtrees_come_back_as_they_are():
     # shadows the live #2): raw names may differ from a full walk, but the
     # term is the same up to alpha, and scope-safe
     closed = _free("lam x . x")
-    assert closed.scoped.binder.raw == 2
+    assert closed.body.binder.raw == 2
     assert substitute(Scope([0, 1, 2]), subst, closed) is closed
     # a node built without a mask is walked, and its copy records one
     hand = AppSig(Var(Name(1)), UniverseSig())
@@ -410,11 +484,11 @@ def test_untouched_subtrees_come_back_as_they_are():
 def test_masks_are_not_part_of_the_structure():
     masked = _free("lam x . x")
     hand = mk_lam(NameBinder(2), Var(Name(2)))
-    assert free_mask(masked) == 0 and free_mask(masked.scoped) == 0
+    assert free_mask(masked) == 0 and free_mask(masked.body) == 0
     assert free_mask(hand) == -1
     assert masked == hand and hash(masked) == hash(hand)
     assert repr(masked) == repr(hand)
-    assert LamSig.__match_args__ == ("scoped",)
+    assert LamSig.__match_args__ == ("body",)
     assert ScopedAST.__match_args__ == ("binder", "body")
     # plain assignment cannot change it (CPython 3.11 raises TypeError for
     # a non-field name of a slotted frozen dataclass)
@@ -426,7 +500,7 @@ def test_masks_are_not_part_of_the_structure():
 def test_check_scope_catches_a_stale_mask():
     term = _free("lam x . lam y . (x, u)")
     assert check_scope(term, ENV_SCOPE) == 0b01
-    set_mask(term.scoped.body, 0b01)  # lam y . (x, u) has x free too
+    set_mask(term.body.body, 0b01)  # lam y . (x, u) has x free too
     with pytest.raises(ScopeViolationError):
         check_scope(term, ENV_SCOPE)
     negative = _free("lam x . v")
@@ -437,12 +511,22 @@ def test_check_scope_catches_a_stale_mask():
     check_scope(negative, ENV_SCOPE)
 
 
+@dataclass(frozen=True, slots=True)
+class PlainLetSig:
+    """``LetSig`` declared by hand, without the ``Node`` base."""
+
+    value: AST
+    body: ScopedAST
+
+
 def test_a_foreign_node_substitutes_and_skips_its_masked_children():
     value, body = _free("u v"), _free("(v, U)")
-    let = LetSig(value, ScopedAST(NameBinder(2), body))
+    let = PlainLetSig(value, ScopedAST(NameBinder(2), body))
     subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
     out = substitute(ENV_SCOPE, subst, let)
-    assert out == LetSig(AppSig(UniverseSig(), Var(Name(1))), ScopedAST(NameBinder(2), body))
+    assert out == PlainLetSig(
+        AppSig(UniverseSig(), Var(Name(1))), ScopedAST(NameBinder(2), body)
+    )
     assert out.body.body is body
     assert free_mask(out) == -1  # no slot to record it in
     elsewhere = add_subst(identity_subst(), NameBinder(7), UniverseSig())

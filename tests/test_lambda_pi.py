@@ -108,7 +108,7 @@ def test_direct_free_roundtrip_over_pattern_binders():
     ):
         direct = to_foil_closed(parse_term(src))
         free = direct_to_free(direct)
-        scoped = free.scoped if type(free) is LamSig else free.codomain
+        scoped = free.body if type(free) is LamSig else free.codomain
         assert scoped.binder == binder, src
         assert free_to_direct(free) == direct
 
