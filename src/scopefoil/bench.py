@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import naive
-from .bridge import default_ident, from_foil_term, to_foil_closed
+from .bridge import default_ident, from_foil_term, from_free_term, to_foil_closed
 from .encoding import hash_debruijn
 from .fuel import FuelExceededError
-from .lambda_pi import direct_to_free, free_to_direct, nf_free
+from .lambda_pi import direct_to_free, nf_free
 from .names import Scope
 from .nbe import nf_nbe
 from .oracles import (
@@ -290,7 +290,7 @@ def _prepare(
             lambda r: to_debruijn(from_foil_term(default_ident, r)),
         )
     free = direct_to_free(direct)
-    back = lambda r: to_debruijn(from_foil_term(default_ident, free_to_direct(r)))  # noqa: E731
+    back = lambda r: to_debruijn(from_free_term(default_ident, r))  # noqa: E731
     if impl == "free_foil":
         return (lambda: nf_free(empty, free, fuel)), back
     if impl == "nbe":

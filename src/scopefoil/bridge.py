@@ -1,6 +1,6 @@
 """Conversions between string-named surface terms and scope-indexed terms.
 
-Both walks are derived from the surface classes' fields through
+The walks are derived from the surface classes' fields through
 :data:`scopefoil.lambda_pi.CONSTRUCTORS`: a node's pattern field binds the
 bodies in its ``naive.ScopedTerm`` fields, and every other field is a term
 in the node's own scope.  Only variables and patterns are converted by hand.
@@ -9,9 +9,14 @@ in the node's own scope.  Only variables and patterns are converted by hand.
 way you expect), allocates every binder fresh against the accumulated scope
 — so its output is globally distinct and passes the debug scope checker —
 and calls the supplied ``rename`` function for identifiers bound by neither
-a binder nor the environment.
+a binder nor the environment.  ``to_free_term`` is the same walk building
+the generic AST of :mod:`scopefoil.lambda_pi` directly, the tree
+``direct_to_free(to_foil_term(...))`` builds, with no direct tree in between.
 
-``from_foil_term`` forgets scope indices.  The default identifier scheme
+``from_foil_term`` forgets scope indices, and ``from_free_term`` does the
+same for a generic AST without going through ``free_to_direct``.  The
+direct engine takes the ``foil`` walks, the generic and NbE engines the
+``free`` ones.  The default identifier scheme
 maps raw name ``n`` to ``x{n}``.  BEWARE: this scheme knows nothing about
 the identifiers the term had before ``to_foil_term``; if a term has free
 names, printing it with the default scheme will rename them (e.g. a free
@@ -24,9 +29,9 @@ from __future__ import annotations
 from typing import Callable
 
 from . import naive, terms
-from .generic import PATTERN, SCOPED, children
-from .lambda_pi import BY_DIRECT, BY_NAIVE, constructor
-from .names import Name, RawName, Scope, Var, fresh_binder, name_of, set_mask
+from .generic import PATTERN, SCOPED, ScopedAST, children
+from .lambda_pi import BY_DIRECT, BY_FREE, BY_NAIVE, Term, constructor
+from .names import Name, NameBinder, RawName, Scope, Var, fresh_raw_name, set_mask
 from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard, pattern_mask
 
 
@@ -48,6 +53,9 @@ class DuplicateBinderError(Exception):
 
 RenameFn = Callable[[naive.VarIdent], Name]
 IdentFn = Callable[[RawName], naive.VarIdent]
+# An identifier's environment entry: its innermost name, and the entry that
+# name shadows (``None`` where it shadows nothing).
+_Entry = tuple[Name, "_Entry | None"]
 
 
 def fail_on_free(ident: naive.VarIdent) -> Name:
@@ -67,6 +75,38 @@ def rename_from_env(env: dict[str, Name]) -> RenameFn:
     return rename
 
 
+def _bind_pattern(
+    scope: Scope, pattern: naive.Pattern, bound: list[tuple[str, Name]]
+) -> tuple[NameBinder | Pattern, Scope]:
+    """Allocate a pattern's binders left to right, each fresh against
+    ``scope`` extended by the ones before it.
+
+    Returns the binder in the generic AST's form (a bare ``NameBinder`` for
+    a single variable, else the pattern) and the body's scope; ``bound``
+    gains each bound identifier's text and name, in order.
+    """
+    kind = type(pattern)
+    if kind is naive.PatternVar:
+        ident = pattern.ident
+        for text, _ in bound:
+            if text == ident.text:
+                raise DuplicateBinderError(ident)
+        raw = fresh_raw_name(scope)
+        bound.append((ident.text, Name(raw)))
+        return NameBinder(raw), scope.add(raw)
+    if kind is naive.PatternPair:
+        left, scope = _bind_pattern(scope, pattern.left, bound)
+        right, scope = _bind_pattern(scope, pattern.right, bound)
+        return PatternPair(_as_pattern(left), _as_pattern(right)), scope
+    if kind is naive.PatternWildcard:
+        return PatternWildcard(), scope
+    raise TypeError(f"not a pattern: {pattern!r}")
+
+
+def _as_pattern(binder: NameBinder | Pattern) -> Pattern:
+    return PatternVar(binder) if type(binder) is NameBinder else binder
+
+
 def to_foil_pattern(
     scope: Scope, pattern: naive.Pattern
 ) -> tuple[Pattern, dict[str, Name], Scope]:
@@ -75,61 +115,43 @@ def to_foil_pattern(
     Returns the scope-indexed pattern, the identifier -> name environment
     extension its body should be resolved under, and the body's scope.
     """
-    env: dict[str, Name] = {}
-
-    def go(scope: Scope, p: naive.Pattern) -> tuple[Pattern, Scope]:
-        match p:
-            case naive.PatternWildcard():
-                return PatternWildcard(), scope
-            case naive.PatternVar(ident):
-                if ident.text in env:
-                    raise DuplicateBinderError(ident)
-                binder = fresh_binder(scope)
-                env[ident.text] = name_of(binder)
-                return PatternVar(binder), scope.add(binder.raw)
-            case naive.PatternPair(left, right):
-                left2, scope2 = go(scope, left)
-                right2, scope3 = go(scope2, right)
-                return PatternPair(left2, right2), scope3
-        raise TypeError(f"not a pattern: {p!r}")
-
-    pattern2, body_scope = go(scope, pattern)
-    return pattern2, env, body_scope
+    bound: list[tuple[str, Name]] = []
+    binder, body_scope = _bind_pattern(scope, pattern, bound)
+    return _as_pattern(binder), dict(bound), body_scope
 
 
 def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term:
     """Convert a surface term to the scope-indexed direct representation.
 
-    Identifiers resolve through one mutable environment: a pattern's
-    identifiers are set on the way into each body under it and the shadowed
-    entries put back on the way out, so entering a binder never copies it.
-    Every node built records its free-name mask.
+    Identifiers resolve through one mutable environment: on the way into
+    each body under a pattern, every identifier it binds gets an entry
+    linking its name to the entry it shadows, put back on the way out, so
+    entering a binder never copies the environment.  Every node built
+    records its free-name mask.
     """
-    env: dict[str, Name] = {}
+    env: dict[str, _Entry | None] = {}
 
     def go(scope: Scope, t: naive.Term) -> terms.Term:
         if type(t) is naive.Var:
-            name = env.get(t.ident.text)
-            return Var(rename(t.ident) if name is None else name)
+            entry = env.get(t.ident.text)
+            return Var(rename(t.ident) if entry is None else entry[0])
         con = constructor(BY_NAIVE, t)
         new = []
         mask = 0
         for role, field in zip(con.roles, children(t)):
             if role is PATTERN:
-                pattern, ext, body_scope = to_foil_pattern(scope, field)
-                bound = pattern_mask(pattern)
-                new.append(pattern)
+                bound: list[tuple[str, Name]] = []
+                binder, body_scope = _bind_pattern(scope, field, bound)
+                bits = pattern_mask(binder)
+                new.append(_as_pattern(binder))
             elif role is SCOPED:
-                saved = [(ident, env.get(ident)) for ident in ext]
-                env.update(ext)
+                for text, name in bound:
+                    env[text] = (name, env.get(text))
                 body = go(body_scope, field.term)
-                mask |= (1 << body.name.raw if type(body) is Var else body.fv) & ~bound
+                for text, _ in bound:
+                    env[text] = env[text][1]
+                mask |= (1 << body.name.raw if type(body) is Var else body.fv) & ~bits
                 new.append(body)
-                for ident, old in saved:
-                    if old is None:
-                        del env[ident]
-                    else:
-                        env[ident] = old
             else:
                 child = go(scope, field)
                 mask |= 1 << child.name.raw if type(child) is Var else child.fv
@@ -141,28 +163,92 @@ def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term
     return go(scope, term)
 
 
+def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
+    """Convert a surface term straight to the generic AST.
+
+    The same walk as :func:`to_foil_term`, with the same binders, errors and
+    masks, but each body comes out as a :class:`ScopedAST` holding its
+    binder, as :func:`~scopefoil.lambda_pi.direct_to_free` would make it; a
+    single-variable pattern becomes a bare ``NameBinder``.  Every node and
+    every ``ScopedAST`` built records its free-name mask.
+    """
+    env: dict[str, _Entry | None] = {}
+
+    def go(scope: Scope, t: naive.Term) -> Term:
+        if type(t) is naive.Var:
+            entry = env.get(t.ident.text)
+            return Var(rename(t.ident) if entry is None else entry[0])
+        con = constructor(BY_NAIVE, t)
+        new = []
+        mask = 0
+        for role, field in zip(con.roles, children(t)):
+            if role is PATTERN:
+                bound: list[tuple[str, Name]] = []
+                binder, body_scope = _bind_pattern(scope, field, bound)
+                bits = pattern_mask(binder)
+            elif role is SCOPED:
+                for text, name in bound:
+                    env[text] = (name, env.get(text))
+                body = go(body_scope, field.term)
+                for text, _ in bound:
+                    env[text] = env[text][1]
+                child = ScopedAST(binder, body)
+                fv = (1 << body.name.raw if type(body) is Var else body.fv) & ~bits
+                set_mask(child, fv)
+                mask |= fv
+                new.append(child)
+            else:
+                child = go(scope, field)
+                mask |= 1 << child.name.raw if type(child) is Var else child.fv
+                new.append(child)
+        node = con.free(*new)
+        set_mask(node, mask)
+        return node
+
+    return go(scope, term)
+
+
 def to_foil_closed(term: naive.Term) -> terms.Term:
     """Convert a closed term (free identifiers are an error)."""
     return to_foil_term(fail_on_free, Scope(), term)
 
 
+def to_free_closed(term: naive.Term) -> Term:
+    """Convert a closed term to the generic AST (free identifiers are an error)."""
+    return to_free_term(fail_on_free, Scope(), term)
+
+
+# ``default_ident``'s identifiers, indexed by raw name.
+_DEFAULT_IDENTS: list[naive.VarIdent] = []
+
+
 def default_ident(raw: RawName) -> naive.VarIdent:
     """The default raw -> identifier scheme, ``n -> x{n}``.  See the module
-    docstring for the free-variable caveat."""
-    return naive.VarIdent(f"x{raw}")
+    docstring for the free-variable caveat.
+
+    Each raw name has one shared identifier, built the first time it is
+    asked for: ``VarIdent`` is frozen and these carry no location.
+    """
+    idents = _DEFAULT_IDENTS
+    if 0 <= raw < len(idents):
+        return idents[raw]
+    ident = naive.VarIdent(f"x{raw}")  # a negative raw is an invalid identifier
+    idents.extend(naive.VarIdent(f"x{n}") for n in range(len(idents), raw))
+    idents.append(ident)
+    return ident
 
 
 def from_foil_pattern(raw_to_ident: IdentFn, pattern: Pattern) -> naive.Pattern:
-    match pattern:
-        case PatternWildcard():
-            return naive.PatternWildcard()
-        case PatternVar(binder):
-            return naive.PatternVar(raw_to_ident(binder.raw))
-        case PatternPair(left, right):
-            return naive.PatternPair(
-                from_foil_pattern(raw_to_ident, left),
-                from_foil_pattern(raw_to_ident, right),
-            )
+    kind = type(pattern)
+    if kind is PatternVar:
+        return naive.PatternVar(raw_to_ident(pattern.binder.raw))
+    if kind is PatternPair:
+        return naive.PatternPair(
+            from_foil_pattern(raw_to_ident, pattern.left),
+            from_foil_pattern(raw_to_ident, pattern.right),
+        )
+    if kind is PatternWildcard:
+        return naive.PatternWildcard()
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
@@ -179,4 +265,27 @@ def from_foil_term(raw_to_ident: IdentFn, term: terms.Term) -> naive.Term:
             new.append(naive.ScopedTerm(from_foil_term(raw_to_ident, field)))
         else:
             new.append(from_foil_term(raw_to_ident, field))
+    return con.naive(*new)
+
+
+def from_free_term(raw_to_ident: IdentFn, term: Term) -> naive.Term:
+    """Convert a generic AST back to surface syntax by forgetting scope
+    indices: the same term as ``from_foil_term`` of its direct form, with
+    no direct tree in between."""
+    if type(term) is Var:
+        return naive.Var(raw_to_ident(term.name.raw))
+    con = constructor(BY_FREE, term)
+    new = []
+    for field in children(term):
+        if type(field) is ScopedAST:
+            binder = field.binder
+            new.append(naive.ScopedTerm(from_free_term(raw_to_ident, field.body)))
+        else:
+            new.append(from_free_term(raw_to_ident, field))
+    if con.pattern is not None:
+        if type(binder) is NameBinder:
+            pattern = naive.PatternVar(raw_to_ident(binder.raw))
+        else:
+            pattern = from_foil_pattern(raw_to_ident, binder)
+        new.insert(con.pattern, pattern)
     return con.naive(*new)

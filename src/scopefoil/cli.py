@@ -33,10 +33,12 @@ from .bridge import (
     UnboundVariableError,
     default_ident,
     from_foil_term,
+    from_free_term,
     to_foil_closed,
+    to_free_closed,
 )
 from .fuel import FuelExceededError
-from .lambda_pi import direct_to_free, free_to_direct, nf_free, whnf_free
+from .lambda_pi import nf_free, whnf_free
 from .names import Scope, ScopeViolationError
 from .nbe import EvalError, nf_nbe
 from .syntax import ParseError, parse_program, parse_term, pretty_program, pretty_term
@@ -71,18 +73,21 @@ def _located(path: str, exc: Exception) -> CliError:
 
 
 def _normalize_surface(term: naive.Term, engine: str, whnf: bool) -> naive.Term:
-    """Convert, normalize with the chosen engine, and convert back."""
-    direct = to_foil_closed(term)
+    """Convert, normalize with the chosen engine, and convert back.
+
+    The direct engine works on the direct tree; the others on the generic
+    AST, converted to and from the surface term in one walk each way."""
     scope = Scope()
     if engine == "direct":
+        direct = to_foil_closed(term)
         out = whnf_direct(scope, direct) if whnf else nf_direct(scope, direct)
         return from_foil_term(default_ident, out)
-    free = direct_to_free(direct)
+    free = to_free_closed(term)
     if engine == "free":
         result = whnf_free(scope, free) if whnf else nf_free(scope, free)
     else:
         result = nf_nbe(scope, free)
-    return from_foil_term(default_ident, free_to_direct(result))
+    return from_free_term(default_ident, result)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -92,11 +97,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for command in program:
             match command:
                 case naive.Check(term, annot):
-                    to_foil_closed(term)
-                    to_foil_closed(annot)
+                    to_free_closed(term)
+                    to_free_closed(annot)
                     print("scope-ok")
                 case naive.Compute(term, annot):
-                    to_foil_closed(annot)
+                    to_free_closed(annot)
                     result = _normalize_surface(term, args.engine, whnf=False)
                     print(pretty_term(result))
     except (ParseError, UnboundVariableError, DuplicateBinderError) as exc:

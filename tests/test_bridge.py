@@ -7,18 +7,25 @@ import pytest
 from conftest import gen_naive_term
 
 from scopefoil import naive
+from scopefoil.bench import gen_random
 from scopefoil.bridge import (
     DuplicateBinderError,
     UnboundVariableError,
     default_ident,
     from_foil_pattern,
     from_foil_term,
+    from_free_term,
     rename_from_env,
     to_foil_closed,
     to_foil_pattern,
     to_foil_term,
+    to_free_closed,
 )
-from scopefoil.names import Name, Scope
+from scopefoil.encoding import encode_free
+from scopefoil.fuel import FuelExceededError
+from scopefoil.generic import ScopedAST, check_scope, children
+from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
+from scopefoil.names import Name, Scope, Var, debug_scopes_enabled, set_debug_scopes
 from scopefoil.oracles import alpha_eq
 from scopefoil.patterns import (
     PatternPair,
@@ -119,6 +126,9 @@ def test_from_foil_pattern_names():
 
 def test_default_ident_scheme():
     assert default_ident(12) == naive.VarIdent("x12")
+    assert default_ident(5) is default_ident(5)
+    with pytest.raises(ValueError):
+        default_ident(-1)
 
 
 def test_pi_domain_scoped_outside_binder():
@@ -139,3 +149,80 @@ def test_random_roundtrip_alpha_equal():
         check_scope_direct(direct, Scope())
         back = from_foil_term(default_ident, direct)
         assert alpha_eq(back, surface), pretty_term(surface)
+
+
+# --------------------------------------------------------------------------
+# the one-walk generic conversions against the direct tree's two walks
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def equivalence_corpus() -> list:
+    """300 full-grammar terms (wildcard, pair and Pi binders) and the 200
+    terms of the ``random`` benchmark pool."""
+    rng = random.Random(4242)
+    terms = [gen_naive_term(rng, rng.randrange(1, 7)) for _ in range(300)]
+    terms += [gen_random(42 + i, s) for s in (15, 20) for i in range(100)]
+    return terms
+
+
+def _masks(ast, out: list) -> list:
+    """The recorded mask of every node and every ``ScopedAST``, in walk order."""
+    if type(ast) is Var:
+        return out
+    out.append((type(ast), ast.fv))
+    for child in children(ast):
+        if type(child) is ScopedAST:
+            out.append((ScopedAST, child.fv))
+            _masks(child.body, out)
+        else:
+            _masks(child, out)
+    return out
+
+
+def test_to_free_is_direct_to_free_of_to_foil(equivalence_corpus):
+    previous = debug_scopes_enabled()
+    set_debug_scopes(True)
+    try:
+        for term in equivalence_corpus:
+            one = to_free_closed(term)
+            two = direct_to_free(to_foil_closed(term))
+            assert encode_free(one) == encode_free(two), pretty_term(term)
+            assert _masks(one, []) == _masks(two, []), pretty_term(term)
+            assert check_scope(one, Scope()) == 0
+    finally:
+        set_debug_scopes(previous)
+
+
+def test_from_free_is_from_foil_of_free_to_direct(equivalence_corpus):
+    normalized = 0
+    for term in equivalence_corpus:
+        try:
+            normal = nf_free(Scope(), to_free_closed(term), fuel=50_000)
+        except FuelExceededError:
+            continue
+        normalized += 1
+        assert from_free_term(default_ident, normal) == from_foil_term(
+            default_ident, free_to_direct(normal)
+        ), pretty_term(term)
+    assert normalized >= 400
+
+
+@pytest.mark.parametrize(
+    "src, error, loc",
+    [
+        ("lam x . (x, fun (A : U) -> y)", UnboundVariableError, (1, 28)),
+        ("(lam x . x, x)", UnboundVariableError, (1, 13)),
+        ("lam ((a, b), (c, (d, b))) . a", DuplicateBinderError, (1, 22)),
+        ("fun ((p, q) : U) -> lam (q, (r, q)) . U", DuplicateBinderError, (1, 33)),
+    ],
+)
+def test_both_walks_raise_the_same_errors(src, error, loc):
+    term = parse_term(src)
+    raised = []
+    for convert in (to_free_closed, to_foil_closed):
+        with pytest.raises(error) as err:
+            convert(term)
+        raised.append((str(err.value), err.value.message, err.value.ident.loc))
+    assert raised[0] == raised[1]
+    assert raised[0][2] == loc

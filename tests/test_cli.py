@@ -1,6 +1,7 @@
 """The command-line interface: subcommands, exit codes, error formatting."""
 
 import csv
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,25 @@ def test_run_pattern_programs_agree_across_engines(tmp_path, capsys):
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2], program
     assert outputs[0] == "U\nfun ((x0, x1) : U) -> x0\nU\n"
+
+
+# sha256 of the standard output of ``scopefoil run corpus/<file>``, the same
+# under every engine
+CORPUS_RUN_SHA256 = {
+    "church.lp": "fbe7025bf0f75be3ba84c762a2298af6e44820c0f8710ef530d58b831dae9b2b",
+    "idents.lp": "445f2a936d4de613e8747ff79dc772b134cdb43d3f6a80d167419842575c5aeb",
+    "pairs.lp": "e4d0af57133706c246a7ff256a5ac1f9296c40123485d90621c857a9f356b32e",
+}
+
+
+def test_run_corpus_output_is_pinned(capsys):
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    assert sorted(p.name for p in corpus.glob("*.lp")) == sorted(CORPUS_RUN_SHA256)
+    for name, digest in CORPUS_RUN_SHA256.items():
+        for engine in ("direct", "free", "nbe"):
+            assert main(["run", str(corpus / name), "--engine", engine]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, engine)
 
 
 def test_normalize_file_and_stdin(tmp_path, capsys, monkeypatch):
