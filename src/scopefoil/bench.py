@@ -191,7 +191,11 @@ def gen_random(seed: int, size: int) -> naive.Term:
     number of reduction steps and the size the term reaches along the way.
     Candidates that exceed it are rejected and regenerated; after many
     rejections the size shrinks by one (with a logged warning) so the call
-    always terminates.
+    always terminates.  A divergent candidate whose weak-head reduction
+    returns to a term it has passed is rejected at that first repeated term
+    (see :func:`~scopefoil.oracles.whnf_debruijn`) instead of after the whole
+    budget: such a candidate would have spent it, so exactly the candidates
+    fuel rejects are rejected.
     """
     ensure_deep_recursion()
     rng = random.Random(f"random-term:{seed}:{size}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Union
 
 from . import bridge, lambda_pi, naive
-from .fuel import Fuel
+from .fuel import Fuel, FuelExceededError
 from .names import Var as FoilVar
 
 
@@ -625,34 +625,58 @@ def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
     return _map_db(body, on_bvar, 0)
 
 
+_CYCLE = "reduction returns to a term it has passed: it never ends"
+
+
 def _whnf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
-    # ``type`` tests rather than ``match``, as in :func:`_map_db`.
-    kind = type(term)
-    if kind is DBApp:
-        fun = term.fun
-        fun2 = fun if type(fun) is DBLam else _whnf_db(fun, fuel)
-        if type(fun2) is DBLam:
+    # ``type`` tests rather than ``match``, as in :func:`_map_db`.  The two
+    # tail contractions continue the loop, so a chain of them takes no
+    # Python frame each, and Brent's cycle check runs over the loop's terms:
+    # ``saved`` is re-set to the current term at power-of-two step counts,
+    # and a later term equal to it (de Bruijn equality is alpha-equivalence)
+    # means this deterministic loop would go round forever.  A term that
+    # reaches a whnf never repeats one, so it can never trip the check.
+    saved = term
+    steps = 0
+    while True:
+        kind = type(term)
+        if kind is DBApp:
+            fun = term.fun
+            fun2 = fun if type(fun) is DBLam else _whnf_db(fun, fuel)
+            if type(fun2) is not DBLam:
+                return term if fun2 is fun else DBApp(fun2, term.arg)
             # Charge in proportion to the argument being copied into the
             # body: this makes the budget a bound on allocation, so terms
             # whose intermediates explode in size (while taking few
             # steps) are cut off instead of eating the machine.
             arg = term.arg
             fuel.spend(1 + arg.size)
-            return _whnf_db(_db_beta(fun2.shape, fun2.body, arg), fuel)
-        return term if fun2 is fun else DBApp(fun2, term.arg)
-    if kind is DBFirst or kind is DBSecond:
-        t = term.term
-        t2 = _whnf_db(t, fuel)
-        if type(t2) is not DBPair:
-            return term if t2 is t else kind(t2)
-        fuel.spend()
-        return _whnf_db(t2.left if kind is DBFirst else t2.right, fuel)
-    return term
+            term = _db_beta(fun2.shape, fun2.body, arg)
+        elif kind is DBFirst or kind is DBSecond:
+            t = term.term
+            t2 = _whnf_db(t, fuel)
+            if type(t2) is not DBPair:
+                return term if t2 is t else kind(t2)
+            fuel.spend()
+            term = t2.left if kind is DBFirst else t2.right
+        else:
+            return term
+        if term.size == saved.size and term == saved:
+            raise FuelExceededError(_CYCLE)
+        steps += 1
+        if steps & (steps - 1) == 0:
+            saved = term
 
 
 def whnf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
     """Weak head normal form.  ``fuel`` bounds *work*: projections cost one
-    unit, a beta step costs one plus the size of the argument it copies."""
+    unit, a beta step costs one plus the size of the argument it copies.
+
+    Raises :class:`FuelExceededError` with "work budget exhausted" when the
+    budget runs out, and with "reduction returns to a term it has passed:
+    it never ends" when the head reduction comes back to a term it already
+    reached, so it can never end, whatever the budget (``None`` included).
+    """
     return _whnf_db(term, Fuel(fuel))
 
 
@@ -694,7 +718,10 @@ def nf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
     """Normal-order normalization on de Bruijn terms.
 
     ``fuel`` is a work budget (see :func:`whnf_debruijn`), so it also bounds
-    how large the intermediate terms can grow before giving up.
+    how large the intermediate terms can grow before giving up.  It fails
+    as :func:`whnf_debruijn` does: :class:`FuelExceededError` with "work
+    budget exhausted", or with "reduction returns to a term it has passed:
+    it never ends" under any budget.
     """
     return _nf_db(term, Fuel(fuel))
 

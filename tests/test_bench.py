@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from scopefoil import bench
+from scopefoil import bench, oracles
 from scopefoil.bench import (
     CSV_HEADER,
     GROUPS,
@@ -142,6 +142,26 @@ def test_gen_random_admits_the_random_workload_pool():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3a99182d92898628338c4db2a55497b197238b6255abd199d62b785699bd52ee"
     )
+
+
+def test_gen_random_admission_work_is_bounded(monkeypatch):
+    """A candidate whose head reduction comes back to a term it passed is
+    rejected there, not after its whole budget: the beta contractions that
+    admitting the frozen terms takes stay at most what they were when the
+    check came in (48,879 before it)."""
+    calls = 0
+    real = oracles._db_beta
+
+    def counted(shape, body, arg):
+        nonlocal calls
+        calls += 1
+        return real(shape, body, arg)
+
+    monkeypatch.setattr(oracles, "_db_beta", counted)
+    for s in (15, 20):
+        for i in range(20):
+            gen_random(42 + i, s)
+    assert calls <= 12_998
 
 
 def test_gen_random_rejects_on_fuel_alone(monkeypatch):

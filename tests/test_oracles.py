@@ -6,13 +6,17 @@ agreement on random terms (the named and de Bruijn normalizers share no
 code, so agreement is meaningful evidence).
 """
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from conftest import gen_naive_term
 
+import scopefoil
 from scopefoil import naive
 from scopefoil.bench import (
     DEFAULT_GEN_FUEL,
@@ -360,6 +364,75 @@ def test_fuel_exhausts_on_omega_in_both_oracles():
         nf_named(omega, fuel=300)
     with pytest.raises(FuelExceededError):
         nf_debruijn(to_debruijn(omega), fuel=300)
+
+
+_OMEGA = "(lam x . x x) (lam x . x x)"
+_PROJECTION_CYCLE = "(lam x . first (x x, x)) (lam x . first (x x, x))"
+_GROWING = "(lam x . x x x) (lam x . x x x)"
+_CYCLE = "reduction returns to a term it has passed: it never ends"
+
+
+@pytest.mark.parametrize("fuel", [10**9, None], ids=["ample", "unlimited"])
+@pytest.mark.parametrize("src", [_OMEGA, _PROJECTION_CYCLE], ids=["omega", "projection"])
+def test_debruijn_stops_at_a_repeated_term(src, fuel):
+    db = to_debruijn(parse_term(src))
+    with pytest.raises(FuelExceededError, match=_CYCLE):
+        whnf_debruijn(db, fuel)
+    with pytest.raises(FuelExceededError, match=_CYCLE):
+        nf_debruijn(db, fuel)
+
+
+def test_debruijn_growing_divergence_still_spends_its_budget():
+    # each beta nests the head one level deeper, so no whnf loop ever sees
+    # a term twice: only the budget stops it (under the raised limit)
+    with pytest.raises(FuelExceededError, match="work budget exhausted"):
+        nf_debruijn(to_debruijn(parse_term(_GROWING)), DEFAULT_GEN_FUEL)
+
+
+def test_debruijn_divergence_at_the_default_recursion_limit():
+    # a fresh interpreter keeps Python's default recursion limit; the two
+    # cycles end by the check, the growing term still by the stack
+    script = """
+import sys
+limit = sys.getrecursionlimit()
+from scopefoil.fuel import FuelExceededError
+from scopefoil.oracles import nf_debruijn, to_debruijn
+from scopefoil.syntax import parse_term
+assert sys.getrecursionlimit() == limit
+for src in sys.argv[1:]:
+    for fuel in (10**9, None):
+        try:
+            nf_debruijn(to_debruijn(parse_term(src)), fuel)
+        except FuelExceededError as e:
+            print(e)
+        except RecursionError:
+            print("RecursionError")
+"""
+    src_dir = os.path.dirname(os.path.dirname(scopefoil.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    out = subprocess.run(
+        [sys.executable, "-c", script, _OMEGA, _PROJECTION_CYCLE, _GROWING],
+        capture_output=True, text=True, timeout=120, env=env, check=True,
+    ).stdout
+    assert out.splitlines() == [_CYCLE] * 4 + ["RecursionError"] * 2
+
+
+def test_debruijn_cycle_check_ignores_terms_of_a_returned_call():
+    # both betas give lam . 0: the first in the nested whnf of the head,
+    # which has returned before the outer loop makes the second
+    ident = DBLam(ShapeVar(), BVar(0))
+    term = to_debruijn(parse_term("(lam x . x) (lam y . y) (lam z . z)"))
+    assert whnf_debruijn(term) == ident
+    assert nf_debruijn(term) == ident
+
+
+def test_debruijn_cycle_check_compares_terms_not_sizes():
+    # the first beta gives a different term of the same size
+    term = to_debruijn(parse_term("(lam x . x x) (lam y . y a)"))
+    step = _db_beta(term.fun.shape, term.fun.body, term.arg)
+    assert step.size == term.size and step != term
+    a = FVar(naive.VarIdent("a"))
+    assert nf_debruijn(term) == DBApp(a, a)
 
 
 def test_alpha_eq_basics():
