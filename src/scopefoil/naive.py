@@ -115,48 +115,51 @@ Command = Union[Check, Compute]
 
 def pattern_idents(pattern: Pattern) -> list[VarIdent]:
     """Identifiers bound by the pattern, left to right."""
-    match pattern:
-        case PatternWildcard():
-            return []
-        case PatternVar(ident):
-            return [ident]
-        case PatternPair(left, right):
-            return pattern_idents(left) + pattern_idents(right)
+    kind = type(pattern)
+    if kind is PatternVar:
+        return [pattern.ident]
+    if kind is PatternWildcard:
+        return []
+    if kind is PatternPair:
+        return pattern_idents(pattern.left) + pattern_idents(pattern.right)
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
 def free_idents(term: Term, memo: dict | None = None) -> frozenset[str]:
     """Free identifier texts of a term.
 
-    With ``memo``, each node's set is computed once and cached under
+    Each compound node's set is computed once per ``memo`` and cached under
     ``id(node)``; the entry holds the node itself, so its id cannot be
-    reused by another object while the memo lives.
+    reused by another object while the memo lives.  The named normalizer
+    keeps one memo for a whole ``nf_named``/``whnf_named`` call, so a node
+    that many substitutions pass is walked once.  Without ``memo`` the call
+    makes its own.  Nothing is stored on the nodes.
     """
-    if memo is not None:
-        hit = memo.get(id(term))
-        if hit is not None:
-            return hit[1]
-    match term:
-        case Var(ident):
-            out = frozenset({ident.text})
-        case Pair(left, right):
-            out = free_idents(left, memo) | free_idents(right, memo)
-        case First(t) | Second(t):
-            out = free_idents(t, memo)
-        case App(fun, arg):
-            out = free_idents(fun, memo) | free_idents(arg, memo)
-        case Lam(pattern, ScopedTerm(body)):
-            bound = {i.text for i in pattern_idents(pattern)}
-            out = frozenset(free_idents(body, memo) - bound)
-        case Pi(pattern, domain, ScopedTerm(codomain)):
-            bound = {i.text for i in pattern_idents(pattern)}
-            out = free_idents(domain, memo) | frozenset(
-                free_idents(codomain, memo) - bound
-            )
-        case Universe():
-            out = frozenset()
-        case _:
-            raise TypeError(f"not a term: {term!r}")
-    if memo is not None:
-        memo[id(term)] = (term, out)
+    kind = type(term)
+    if kind is Var:
+        return frozenset((term.ident.text,))
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(term))
+    if hit is not None:
+        return hit[1]
+    if kind is App:
+        out = free_idents(term.fun, memo) | free_idents(term.arg, memo)
+    elif kind is Lam:
+        out = free_idents(term.body.term, memo).difference(
+            [i.text for i in pattern_idents(term.pattern)]
+        )
+    elif kind is First or kind is Second:
+        out = free_idents(term.term, memo)
+    elif kind is Pair:
+        out = free_idents(term.left, memo) | free_idents(term.right, memo)
+    elif kind is Pi:
+        out = free_idents(term.domain, memo) | free_idents(
+            term.codomain.term, memo
+        ).difference([i.text for i in pattern_idents(term.pattern)])
+    elif kind is Universe:
+        out = frozenset()
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    memo[id(term)] = (term, out)
     return out

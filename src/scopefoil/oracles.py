@@ -5,7 +5,10 @@ not share the scope-indexed machinery:
 
 * a plain named normalizer over the surface syntax, doing textbook
   capture-avoiding substitution with free-variable sets and a deterministic
-  fresh-identifier supply, and
+  fresh-identifier supply.  Each ``nf_named``/``whnf_named`` call keeps one
+  free-identifier memo for all its substitutions, and a substitution
+  returns a subterm whose free identifiers miss its domain as it is;
+  after whnf a stuck spine is normalized without being reduced again, and
 * a de Bruijn normalizer whose shifting and beta contraction share one
   index walk, :func:`_map_db` (TAPL's ``tmmap``).
 
@@ -66,22 +69,23 @@ def _pattern_refresh(
     value_free: set[str] = set()
     for v in live.values():
         value_free |= naive.free_idents(v, memo)
-    avoid = value_free | set(body_free) | bound
+    avoid = value_free | body_free | bound
     sub2 = dict(live)
 
     def rebuild(p: naive.Pattern) -> naive.Pattern:
-        match p:
-            case naive.PatternWildcard():
+        kind = type(p)
+        if kind is naive.PatternVar:
+            text = p.ident.text
+            if text not in value_free:
                 return p
-            case naive.PatternVar(ident):
-                if ident.text in value_free:
-                    fresh = _fresh_ident(ident.text, avoid)
-                    avoid.add(fresh.text)
-                    sub2[ident.text] = naive.Var(fresh)
-                    return naive.PatternVar(fresh)
-                return p
-            case naive.PatternPair(left, right):
-                return naive.PatternPair(rebuild(left), rebuild(right))
+            fresh = _fresh_ident(text, avoid)
+            avoid.add(fresh.text)
+            sub2[text] = naive.Var(fresh)
+            return naive.PatternVar(fresh)
+        if kind is naive.PatternWildcard:
+            return p
+        if kind is naive.PatternPair:
+            return naive.PatternPair(rebuild(p.left), rebuild(p.right))
         raise TypeError(f"not a pattern: {p!r}")
 
     return rebuild(pattern), sub2
@@ -92,105 +96,119 @@ def subst_named(
 ) -> naive.Term:
     """Capture-avoiding parallel substitution on surface terms.
 
-    One free-identifier memo (see :func:`naive.free_idents`) serves the whole
-    substitution, so each node's free set, and each substituted value's, is
-    computed once rather than at every binder the substitution passes.
+    A subterm none of whose free identifiers is a key of ``sub`` is
+    returned as it is, so a substitution rebuilds only the path to the
+    occurrences it replaces.  Free-identifier sets come from ``memo`` (see
+    :func:`naive.free_idents`); :func:`nf_named` and :func:`whnf_named`
+    pass one memo to every substitution of their call, so each node's set,
+    and each substituted value's, is computed once per normalization.
     """
     if not sub:
         return term
     if memo is None:
         memo = {}
-    match term:
-        case naive.Var(ident):
-            return sub.get(ident.text, term)
-        case naive.Pair(left, right):
-            return naive.Pair(
-                subst_named(sub, left, memo), subst_named(sub, right, memo)
-            )
-        case naive.First(t):
-            return naive.First(subst_named(sub, t, memo))
-        case naive.Second(t):
-            return naive.Second(subst_named(sub, t, memo))
-        case naive.App(fun, arg):
-            return naive.App(subst_named(sub, fun, memo), subst_named(sub, arg, memo))
-        case naive.Lam(pattern, naive.ScopedTerm(body)):
-            pattern2, sub2 = _pattern_refresh(pattern, sub, body, memo)
-            return naive.Lam(pattern2, naive.ScopedTerm(subst_named(sub2, body, memo)))
-        case naive.Pi(pattern, domain, naive.ScopedTerm(codomain)):
-            domain2 = subst_named(sub, domain, memo)
-            pattern2, sub2 = _pattern_refresh(pattern, sub, codomain, memo)
-            return naive.Pi(
-                pattern2, domain2, naive.ScopedTerm(subst_named(sub2, codomain, memo))
-            )
-        case naive.Universe():
-            return term
-    raise TypeError(f"not a term: {term!r}")
+    kind = type(term)
+    if kind is naive.Var:
+        return sub.get(term.ident.text, term)
+    if sub.keys().isdisjoint(naive.free_idents(term, memo)):
+        return term
+    if kind is naive.App:
+        return naive.App(
+            subst_named(sub, term.fun, memo), subst_named(sub, term.arg, memo)
+        )
+    if kind is naive.Lam:
+        body = term.body.term
+        pattern2, sub2 = _pattern_refresh(term.pattern, sub, body, memo)
+        return naive.Lam(pattern2, naive.ScopedTerm(subst_named(sub2, body, memo)))
+    if kind is naive.First or kind is naive.Second:
+        return kind(subst_named(sub, term.term, memo))
+    if kind is naive.Pair:
+        return naive.Pair(
+            subst_named(sub, term.left, memo), subst_named(sub, term.right, memo)
+        )
+    # A Pi: the Universe has no free identifiers and returned above.
+    codomain = term.codomain.term
+    domain2 = subst_named(sub, term.domain, memo)
+    pattern2, sub2 = _pattern_refresh(term.pattern, sub, codomain, memo)
+    return naive.Pi(
+        pattern2, domain2, naive.ScopedTerm(subst_named(sub2, codomain, memo))
+    )
 
 
 def _bindings_named(pattern: naive.Pattern, arg: naive.Term) -> dict[str, naive.Term]:
-    match pattern:
-        case naive.PatternWildcard():
-            return {}
-        case naive.PatternVar(ident):
-            return {ident.text: arg}
-        case naive.PatternPair(left, right):
-            out = _bindings_named(left, naive.First(arg))
-            out.update(_bindings_named(right, naive.Second(arg)))
-            return out
+    kind = type(pattern)
+    if kind is naive.PatternVar:
+        return {pattern.ident.text: arg}
+    if kind is naive.PatternWildcard:
+        return {}
+    if kind is naive.PatternPair:
+        out = _bindings_named(pattern.left, naive.First(arg))
+        out.update(_bindings_named(pattern.right, naive.Second(arg)))
+        return out
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-def _whnf_named(term: naive.Term, fuel: Fuel) -> naive.Term:
-    match term:
-        case naive.First(t) | naive.Second(t):
-            t2 = _whnf_named(t, fuel)
-            if type(t2) is not naive.Pair:
-                return term if t2 is t else type(term)(t2)
+def _whnf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
+    kind = type(term)
+    if kind is naive.App:
+        fun = term.fun
+        fun2 = _whnf_named(fun, fuel, memo)
+        if type(fun2) is naive.Lam:
             fuel.spend()
-            component = t2.left if type(term) is naive.First else t2.right
-            return _whnf_named(component, fuel)
-        case naive.App(fun, arg):
-            fun2 = _whnf_named(fun, fuel)
-            if type(fun2) is naive.Lam:
-                fuel.spend()
-                sub = _bindings_named(fun2.pattern, arg)
-                return _whnf_named(subst_named(sub, fun2.body.term), fuel)
-            return term if fun2 is fun else naive.App(fun2, arg)
-        case _:
-            return term
+            sub = _bindings_named(fun2.pattern, term.arg)
+            return _whnf_named(subst_named(sub, fun2.body.term, memo), fuel, memo)
+        return term if fun2 is fun else naive.App(fun2, term.arg)
+    if kind is naive.First or kind is naive.Second:
+        t = term.term
+        t2 = _whnf_named(t, fuel, memo)
+        if type(t2) is not naive.Pair:
+            return term if t2 is t else kind(t2)
+        fuel.spend()
+        return _whnf_named(t2.left if kind is naive.First else t2.right, fuel, memo)
+    return term
 
 
 def whnf_named(term: naive.Term, fuel: int | None = None) -> naive.Term:
-    return _whnf_named(term, Fuel(fuel))
+    return _whnf_named(term, Fuel(fuel), {})
 
 
-def _nf_named(term: naive.Term, fuel: Fuel) -> naive.Term:
-    term = _whnf_named(term, fuel)
-    match term:
-        case naive.Var() | naive.Universe():
-            return term
-        case naive.Pair(left, right):
-            return naive.Pair(_nf_named(left, fuel), _nf_named(right, fuel))
-        case naive.First(t):
-            return naive.First(_nf_named(t, fuel))
-        case naive.Second(t):
-            return naive.Second(_nf_named(t, fuel))
-        case naive.App(fun, arg):
-            return naive.App(_nf_named(fun, fuel), _nf_named(arg, fuel))
-        case naive.Lam(pattern, naive.ScopedTerm(body)):
-            return naive.Lam(pattern, naive.ScopedTerm(_nf_named(body, fuel)))
-        case naive.Pi(pattern, domain, naive.ScopedTerm(codomain)):
-            return naive.Pi(
-                pattern,
-                _nf_named(domain, fuel),
-                naive.ScopedTerm(_nf_named(codomain, fuel)),
-            )
+def _nf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
+    return _nf_whnf_named(_whnf_named(term, fuel, memo), fuel, memo)
+
+
+def _nf_whnf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
+    # ``term`` is in whnf, so a spine's heads are too: they are normalized
+    # here without being reduced again, and a stuck spine costs time linear
+    # in its length.
+    kind = type(term)
+    if kind is naive.App:
+        return naive.App(
+            _nf_whnf_named(term.fun, fuel, memo), _nf_named(term.arg, fuel, memo)
+        )
+    if kind is naive.Lam:
+        return naive.Lam(
+            term.pattern, naive.ScopedTerm(_nf_named(term.body.term, fuel, memo))
+        )
+    if kind is naive.Var or kind is naive.Universe:
+        return term
+    if kind is naive.First or kind is naive.Second:
+        return kind(_nf_whnf_named(term.term, fuel, memo))
+    if kind is naive.Pair:
+        return naive.Pair(
+            _nf_named(term.left, fuel, memo), _nf_named(term.right, fuel, memo)
+        )
+    if kind is naive.Pi:
+        return naive.Pi(
+            term.pattern,
+            _nf_named(term.domain, fuel, memo),
+            naive.ScopedTerm(_nf_named(term.codomain.term, fuel, memo)),
+        )
     raise TypeError(f"not a term: {term!r}")
 
 
 def nf_named(term: naive.Term, fuel: int | None = None) -> naive.Term:
     """Normal-order normalization on the surface syntax."""
-    return _nf_named(term, Fuel(fuel))
+    return _nf_named(term, Fuel(fuel), {})
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,10 @@ one.  Entering a binder costs O(1) in every engine, which keeps a
 2000-binder nest cheap, and all five engines agree on them.
 
 The two spine shapes, a long application and a long projection chain over
-a variable, are already normal.  The de Bruijn normalizer reduces such a
-spine's head once and then normalizes only its arguments, so it is linear
-in the spine's length; ``nbe`` works in head-plus-spine form throughout.
+a variable, are already normal.  The named and de Bruijn normalizers reduce
+such a spine's head once and then normalize only its arguments, so they are
+linear in the spine's length; ``nbe`` works in head-plus-spine form
+throughout.
 """
 
 import pytest
@@ -68,6 +69,7 @@ STUCK = {
 @pytest.mark.parametrize("shape", sorted(STUCK))
 def test_a_long_stuck_spine_is_its_own_normal_form(shape):
     surface = parse_term(STUCK[shape])
+    assert nf_named(surface, DEFAULT_FUEL) == surface
     db = to_debruijn(surface)
     assert nf_debruijn(db, DEFAULT_FUEL) == db
     free = direct_to_free(to_foil_closed(surface))
