@@ -28,10 +28,8 @@ from .names import (
     add_subst,
     check_mask,
     debug_scopes_enabled,
-    extend_scope,
-    name_of,
+    enter,
     set_mask,
-    with_refreshed,
 )
 from .patterns import Pattern, check_pattern_scope, pattern_mask, with_pattern
 
@@ -147,10 +145,10 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
     Variables are looked up (a name outside the domain comes back as the
     same ``Var``), and a node whose recorded free-name mask misses every
     key of ``subst`` comes back as it is.  Otherwise each scoped child
-    refreshes its binder against the ambient scope with the reuse rule and
-    threads the extended substitution under it: a bare binder takes the
-    inline path, a pattern goes through :func:`with_pattern`.  Every node
-    built here records its mask.
+    enters its binder from the ambient scope with the reuse rule
+    (:func:`~scopefoil.names.enter`) and threads the extended substitution
+    under it: a bare binder takes the inline path, a pattern goes through
+    :func:`with_pattern`.  Every node built here records its mask.
     """
     if type(ast) is Var:
         return subst.get(ast.name.raw, ast)
@@ -166,13 +164,12 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
         if type(child) is ScopedAST:
             binder = child.binder
             if type(binder) is NameBinder:
-                binder2 = with_refreshed(scope, name_of(binder))
+                binder2, scope2 = enter(scope, binder)
                 raw2 = binder2.raw
-                if raw2 == binder.raw and raw2 not in subst:
+                if binder2 is binder and raw2 not in subst:
                     subst2 = subst  # a reused binder maps to itself
                 else:
                     subst2 = add_subst(subst, binder, Var(Name(raw2)))
-                scope2 = extend_scope(binder2, scope)
                 bound = 1 << raw2
             else:
                 binder2, subst2, scope2 = with_pattern(scope, binder, subst)

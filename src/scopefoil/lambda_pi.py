@@ -8,7 +8,9 @@ the pattern, so every field is a term or a
 :class:`~scopefoil.generic.ScopedAST`, whose binder is a bare variable or a
 wildcard/pair pattern, and substitution, scope checking, the congruence part
 of normalization, the canonical encoding and the conversions are derived
-from the fields, with no code per constructor.
+from the fields, with no code per constructor.  The congruence part of
+normalization returns a node whose children all come back as the same
+objects as it is.
 
 ``mk_lam`` builds a single-binder lambda; the ``as_*`` views return a node's
 fields, or ``None`` on mismatch.
@@ -20,16 +22,14 @@ from . import terms
 from .fuel import Fuel
 from .generic import AST, PATTERN, SCOPED, Constructor, ScopedAST, children, substitute
 from .names import (
+    Name,
     NameBinder,
     Scope,
     Var,
-    add_rename,
-    extend_scope,
+    enter,
     identity_subst,
     masked,
-    name_of,
     set_mask,
-    with_refreshed,
 )
 from .patterns import PatternVar, beta_bindings, pattern_mask, with_pattern
 from .terms import CONSTRUCTORS
@@ -82,24 +82,27 @@ _FIRST, _SECOND = masked(FirstSig), masked(SecondSig)
 
 
 def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
-    match term:
-        case FirstSig(t) | SecondSig(t):
-            t2 = _whnf(scope, t, fuel)
-            if type(t2) is not PairSig:
-                return term if t2 is t else type(term)(t2)
+    kind = type(term)
+    if kind is AppSig:
+        fun = term.fun
+        fun2 = _whnf(scope, fun, fuel)
+        if type(fun2) is LamSig:
             fuel.spend()
-            component = t2.left if type(term) is FirstSig else t2.right
-            return _whnf(scope, component, fuel)
-        case AppSig(fun, arg):
-            fun2 = _whnf(scope, fun, fuel)
-            if type(fun2) is LamSig:
-                fuel.spend()
-                binder, body = fun2.body.binder, fun2.body.body
-                subst = beta_bindings(identity_subst(), binder, arg, _FIRST, _SECOND)
-                return _whnf(scope, substitute(scope, subst, body), fuel)
-            return term if fun2 is fun else AppSig(fun2, arg)
-        case _:
-            return term
+            binder, body = fun2.body.binder, fun2.body.body
+            if type(binder) is NameBinder:
+                subst = {binder.raw: term.arg}
+            else:
+                subst = beta_bindings(identity_subst(), binder, term.arg, _FIRST, _SECOND)
+            return _whnf(scope, substitute(scope, subst, body), fuel)
+        return term if fun2 is fun else AppSig(fun2, term.arg)
+    if kind is FirstSig or kind is SecondSig:
+        t = term.term
+        t2 = _whnf(scope, t, fuel)
+        if type(t2) is not PairSig:
+            return term if t2 is t else kind(t2)
+        fuel.spend()
+        return _whnf(scope, t2.left if kind is FirstSig else t2.right, fuel)
+    return term
 
 
 def whnf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
@@ -108,29 +111,36 @@ def whnf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 
 
 def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
-    """After whnf, normalize every child; a scoped child's binder is
-    refreshed against ``scope`` and its body renamed only on a collision."""
+    """After whnf, normalize every child; a scoped child's binder is entered
+    from ``scope`` and its body renamed only on a collision.  A node whose
+    children all come back as the same objects is returned as it is."""
     term = _whnf(scope, term, fuel)
     if type(term) is Var:
         return term
     new = []
+    changed = False
     for child in children(term):
         if type(child) is ScopedAST:
             binder, body = child.binder, child.body
             if type(binder) is NameBinder:
-                binder2 = with_refreshed(scope, name_of(binder))
-                scope2 = extend_scope(binder2, scope)
-                rename = None
-                if binder2.raw != binder.raw:
-                    rename = add_rename(identity_subst(), binder, name_of(binder2))
+                binder2, scope2 = enter(scope, binder)
+                if binder2 is not binder:
+                    body = substitute(scope2, {binder.raw: Var(Name(binder2.raw))}, body)
             else:
                 binder2, rename, scope2 = with_pattern(scope, binder, identity_subst())
-            if rename:  # some binder was renamed
-                body = substitute(scope2, rename, body)
-            new.append(ScopedAST(binder2, _nf(scope2, body, fuel)))
+                if rename:  # some binder was renamed
+                    body = substitute(scope2, rename, body)
+            body = _nf(scope2, body, fuel)
+            if binder2 is not binder or body is not child.body:
+                child = ScopedAST(binder2, body)
+                changed = True
         else:
-            new.append(_nf(scope, child, fuel))
-    return type(term)(*new)
+            child2 = _nf(scope, child, fuel)
+            if child2 is not child:
+                child = child2
+                changed = True
+        new.append(child)
+    return type(term)(*new) if changed else term
 
 
 def nf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:

@@ -5,14 +5,17 @@ capture-avoiding substitution: every operation carries an explicit ``Scope``
 (the set of raw names that may occur free), binders are *reused* when they do
 not collide with the ambient scope and refreshed otherwise, and moving a term
 into an extended scope (``sink``) costs nothing because the representation
-does not change.
+does not change.  The engines enter every binder with one call, :func:`enter`,
+which applies the reuse rule and extends the scope's bitmask; a reused binder
+comes back as the same object, and only a collision calls
+:func:`with_refreshed` for a fresh name.
 
 Static scope indices cannot be expressed in Python's type system, so the
 scope-safety contract is enforced dynamically when the environment variable
 ``SCOPEFOIL_DEBUG_SCOPES=1`` is set (or :func:`set_debug_scopes` is called):
-scope extensions assert distinctness, ``sink`` asserts that the target scope
-is a superset of the source, and the term modules expose whole-term checkers
-that re-validate membership node by node.
+:func:`extend_scope` asserts distinctness, ``sink`` asserts that the target
+scope is a superset of the source, and the term modules expose whole-term
+checkers that re-validate membership node by node.
 """
 
 from __future__ import annotations
@@ -217,6 +220,27 @@ def with_refreshed(scope: Scope, name: Name) -> NameBinder:
     if name.raw in scope:
         return NameBinder(fresh_raw_name(scope))
     return NameBinder(name.raw)
+
+
+def enter(scope: Scope, binder: NameBinder) -> tuple[NameBinder, Scope]:
+    """Enter ``binder`` from ``scope``: the binder to use and the inner scope.
+
+    The one step every engine takes at a binder: the reuse rule of
+    :func:`with_refreshed` and the scope extension of :func:`extend_scope`
+    in one call.  A binder that does not collide comes back as the same
+    object; a colliding one is replaced by :func:`with_refreshed`'s fresh
+    binder, so ``with_refreshed`` runs only on a collision.  Either way the
+    returned binder is not in ``scope``, so there is no distinctness left to
+    check in debug mode.
+    """
+    mask = scope._mask
+    raw = binder.raw
+    if mask >> raw & 1:
+        binder = with_refreshed(scope, Name(raw))
+        raw = binder.raw
+    inner = Scope.__new__(Scope)
+    inner._mask = mask | 1 << raw
+    return binder, inner
 
 
 def sink(value: Any, source: Scope | None = None, target: Scope | None = None) -> Any:

@@ -4,7 +4,10 @@ Terms evaluate to values in an environment (raw name -> thunk/value); a
 binder's body is never traversed by a substitution — it is captured in a
 closure together with its environment and only evaluated when the closure
 is applied.  Quotation reads normal forms back, applying closures to fresh
-neutral variables under an extended scope.
+neutral variables under an extended scope: each binder is entered with
+:func:`scopefoil.names.enter`, so a binder that does not collide keeps its
+name.  Evaluation, application, projection and quotation dispatch with
+``type`` tests, most frequent case first.
 
 Arguments and pair components are delayed with memoized thunks, and a pair
 pattern binds its variables to thunks of the argument's projections, so
@@ -39,10 +42,8 @@ from .names import (
     NameBinder,
     Scope,
     Var,
-    extend_scope,
+    enter,
     identity_subst,
-    name_of,
-    with_refreshed,
 )
 from .patterns import Pattern, beta_bindings, names_of_pattern, with_pattern
 
@@ -155,85 +156,89 @@ def _second(arg: Thunk) -> Thunk:
 
 
 def apply_value(fun: Value, arg: Thunk) -> Value:
-    match fun:
-        case VLam(env, binder, body):
-            if type(binder) is NameBinder:
-                return eval_term((binder.raw, arg, env), body)
-            bindings = beta_bindings(identity_subst(), binder, arg, _first, _second)
-            for raw, value in bindings.items():
-                env = (raw, value, env)
-            return eval_term(env, body)
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (EApp(arg),))
+    kind = type(fun)
+    if kind is VLam:
+        binder, env = fun.binder, fun.env
+        if type(binder) is NameBinder:
+            return eval_term((binder.raw, arg, env), fun.body)
+        bindings = beta_bindings(identity_subst(), binder, arg, _first, _second)
+        for raw, value in bindings.items():
+            env = (raw, value, env)
+        return eval_term(env, fun.body)
+    if kind is VNeutral:
+        return VNeutral(fun.head, fun.spine + (EApp(arg),))
     raise EvalError("cannot apply a non-function value")
 
 
 def _project(value: Value, which: int) -> Value:
-    match value:
-        case VPair(left, right):
-            return _force(left if which == 0 else right)
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + ((EFirst() if which == 0 else ESecond()),))
+    kind = type(value)
+    if kind is VPair:
+        return _force(value.left if which == 0 else value.right)
+    if kind is VNeutral:
+        elim = EFirst() if which == 0 else ESecond()
+        return VNeutral(value.head, value.spine + (elim,))
     raise EvalError("cannot project a non-pair value")
 
 
 def eval_term(env: Env, term: Term) -> Value:
-    match term:
-        case Var(name):
-            hit = _lookup(env, name.raw)
-            return VNeutral(name, ()) if hit is None else _force(hit)
-        case AppSig(fun, arg):
-            return apply_value(eval_term(env, fun), Thunk(arg, env))
-        case LamSig(ScopedAST(binder, body)):
-            return VLam(env, binder, body)
-        case PiSig(domain, ScopedAST(binder, codomain)):
-            return VPi(env, eval_term(env, domain), binder, codomain)
-        case UniverseSig():
-            return VUniverse()
-        case PairSig(left, right):
-            return VPair(Thunk(left, env), Thunk(right, env))
-        case FirstSig(t):
-            return _project(eval_term(env, t), 0)
-        case SecondSig(t):
-            return _project(eval_term(env, t), 1)
+    kind = type(term)
+    if kind is Var:
+        name = term.name
+        hit = _lookup(env, name.raw)
+        return VNeutral(name, ()) if hit is None else _force(hit)
+    if kind is AppSig:
+        return apply_value(eval_term(env, term.fun), Thunk(term.arg, env))
+    if kind is LamSig:
+        scoped = term.body
+        return VLam(env, scoped.binder, scoped.body)
+    if kind is FirstSig:
+        return _project(eval_term(env, term.term), 0)
+    if kind is SecondSig:
+        return _project(eval_term(env, term.term), 1)
+    if kind is PairSig:
+        return VPair(Thunk(term.left, env), Thunk(term.right, env))
+    if kind is PiSig:
+        scoped = term.codomain
+        return VPi(env, eval_term(env, term.domain), scoped.binder, scoped.body)
+    if kind is UniverseSig:
+        return VUniverse()
     raise TypeError(f"not a term: {term!r}")
 
 
 def quote(scope: Scope, value: Value) -> Term:
     """Read a value back as a normal-form term under ``scope``."""
-    match value:
-        case VUniverse():
-            return UniverseSig()
-        case VPair(left, right):
-            return PairSig(quote(scope, _force(left)), quote(scope, _force(right)))
-        case VNeutral(head, spine):
-            acc: Term = Var(head)
-            for elim in spine:
-                match elim:
-                    case EApp(arg):
-                        acc = AppSig(acc, quote(scope, _force(arg)))
-                    case EFirst():
-                        acc = FirstSig(acc)
-                    case ESecond():
-                        acc = SecondSig(acc)
-            return acc
-        case VLam(env, binder, body):
-            return LamSig(_quote_scoped(scope, env, binder, body))
-        case VPi(env, domain, binder, codomain):
-            domain_ast = quote(scope, domain)
-            return PiSig(domain_ast, _quote_scoped(scope, env, binder, codomain))
+    kind = type(value)
+    if kind is VNeutral:
+        acc: Term = Var(value.head)
+        for elim in value.spine:
+            elim_kind = type(elim)
+            if elim_kind is EApp:
+                acc = AppSig(acc, quote(scope, _force(elim.arg)))
+            elif elim_kind is EFirst:
+                acc = FirstSig(acc)
+            else:
+                acc = SecondSig(acc)
+        return acc
+    if kind is VLam:
+        return LamSig(_quote_scoped(scope, value.env, value.binder, value.body))
+    if kind is VPair:
+        return PairSig(quote(scope, _force(value.left)), quote(scope, _force(value.right)))
+    if kind is VPi:
+        domain = quote(scope, value.domain)
+        return PiSig(domain, _quote_scoped(scope, value.env, value.binder, value.codomain))
+    if kind is VUniverse:
+        return UniverseSig()
     raise TypeError(f"not a value: {value!r}")
 
 
 def _quote_scoped(
     scope: Scope, env: Env, binder: NameBinder | Pattern, body: Term
 ) -> ScopedAST:
-    """Quote a closure body under its binder, refreshed against ``scope``:
-    each name the old binder bound is bound to a neutral of its new name."""
+    """Quote a closure body under its binder, entered from ``scope``: each
+    name the old binder bound is bound to a neutral of its new name."""
     if type(binder) is NameBinder:
-        binder2 = with_refreshed(scope, name_of(binder))
-        scope2 = extend_scope(binder2, scope)
-        env = (binder.raw, VNeutral(name_of(binder2), ()), env)
+        binder2, scope2 = enter(scope, binder)
+        env = (binder.raw, VNeutral(Name(binder2.raw), ()), env)
     else:
         binder2, _, scope2 = with_pattern(scope, binder, identity_subst())
         for old, new in zip(names_of_pattern(binder), names_of_pattern(binder2)):

@@ -5,9 +5,10 @@ sub-patterns).  Scopes chain left to right: the right sub-pattern of a pair
 is resolved in the scope already extended by the left one, which fixes the
 order in which duplicate-free freshness is guaranteed.
 
-The generic AST binds one variable with a bare :class:`NameBinder`, which
-its engines handle inline, and its wildcard and pair patterns go through the
-same functions here as the direct engine's patterns.
+The generic AST binds one variable with a bare :class:`NameBinder`, and the
+direct AST with a :class:`PatternVar`; the engines of both handle that one
+variable inline, and send wildcard and pair patterns through the functions
+here.
 
 The functions here dispatch with ``type`` tests, most frequent case first:
 the engines call them at every binder they pass, and a class-pattern
@@ -27,9 +28,9 @@ from .names import (
     Subst,
     add_rename,
     add_subst,
+    enter,
     extend_scope,
     name_of,
-    with_refreshed,
 )
 
 
@@ -96,22 +97,25 @@ def with_pattern(
 ) -> tuple[Pattern, Subst, Scope]:
     """Refresh a pattern against ``scope``, threading a substitution under it.
 
-    Each binder is refreshed with the reuse rule (:func:`with_refreshed`),
-    the substitution gains the old-binder -> new-name renaming (unless
+    Each binder is entered with the reuse rule (:func:`enter`), the
+    substitution gains the old-binder -> new-name renaming (unless
     :func:`add_rename` finds a reused binder that already maps to itself),
-    and the scope gains the new binder.  Returns the rebuilt pattern, the
-    substitution to apply to the pattern's body, and the body's scope.
+    and the scope gains the new binder.  Returns the pattern, the
+    substitution to apply to the pattern's body, and the body's scope; a
+    pattern whose binders are all reused comes back as the same object.
     """
     kind = type(pattern)
     if kind is PatternVar:
         binder = pattern.binder
-        binder2 = with_refreshed(scope, name_of(binder))
+        binder2, scope2 = enter(scope, binder)
         subst2 = add_rename(subst, binder, name_of(binder2))
-        scope2 = extend_scope(binder2, scope)
-        return PatternVar(binder2), subst2, scope2
+        return (pattern if binder2 is binder else PatternVar(binder2)), subst2, scope2
     if kind is PatternPair:
-        left2, subst2, scope2 = with_pattern(scope, pattern.left, subst)
-        right2, subst3, scope3 = with_pattern(scope2, pattern.right, subst2)
+        left, right = pattern.left, pattern.right
+        left2, subst2, scope2 = with_pattern(scope, left, subst)
+        right2, subst3, scope3 = with_pattern(scope2, right, subst2)
+        if left2 is left and right2 is right:
+            return pattern, subst3, scope3
         return PatternPair(left2, right2), subst3, scope3
     if kind is PatternWildcard:
         return pattern, subst, scope

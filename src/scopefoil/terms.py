@@ -9,7 +9,10 @@ directly in the node (``Lam``/``Pi``), and variables are the shared
 Substitution is the rapier-style single pass: binders are reused unless they
 collide with the ambient scope, and a subtree whose recorded free-name mask
 (:class:`scopefoil.names.Node`) misses the substitution's domain is returned
-as it is.
+as it is.  Substitution and normalization enter a single-variable pattern
+inline with :func:`scopefoil.names.enter` and dispatch with ``type`` tests,
+most frequent case first; normalization returns a node whose subterms all
+come back as the same objects as it is, so a normal term is not copied.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ from .names import (
     ScopeViolationError,
     Subst,
     Var,
+    add_subst,
     check_mask,
+    enter,
     free_mask,
     identity_subst,
     masked,
     set_mask,
 )
 from .patterns import (
+    PatternVar,
     beta_bindings,
     check_pattern_scope,
     pattern_mask,
@@ -55,7 +61,8 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
 
     A variable outside the domain, and a node whose recorded free-name mask
     misses every key of ``subst``, come back as they are; every node built
-    here records its mask.
+    here records its mask.  A single-variable pattern is entered inline, any
+    other goes through :func:`with_pattern`.
     """
     if type(term) is Var:
         return subst.get(term.name.raw, term)
@@ -65,35 +72,46 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
     fv = getattr(term, "fv", -1)
     if fv >= 0 and not fv & dom:
         return term
-    match term:
-        case Pair(left, right):
-            left = subst_direct(scope, subst, left)
-            right = subst_direct(scope, subst, right)
-            node, fv = Pair(left, right), free_mask(left) | free_mask(right)
-        case First(t):
-            t = subst_direct(scope, subst, t)
-            node, fv = First(t), free_mask(t)
-        case Second(t):
-            t = subst_direct(scope, subst, t)
-            node, fv = Second(t), free_mask(t)
-        case App(fun, arg):
-            fun = subst_direct(scope, subst, fun)
-            arg = subst_direct(scope, subst, arg)
-            node, fv = App(fun, arg), free_mask(fun) | free_mask(arg)
-        case Lam(pattern, body):
-            pattern2, subst2, scope2 = with_pattern(scope, pattern, subst)
-            body = subst_direct(scope2, subst2, body)
-            node, fv = Lam(pattern2, body), free_mask(body) & ~pattern_mask(pattern2)
-        case Pi(pattern, domain, codomain):
-            pattern2, subst2, scope2 = with_pattern(scope, pattern, subst)
-            domain = subst_direct(scope, subst, domain)
-            codomain = subst_direct(scope2, subst2, codomain)
-            node = Pi(pattern2, domain, codomain)
-            fv = free_mask(domain) | free_mask(codomain) & ~pattern_mask(pattern2)
-        case Universe():
-            return term
-        case _:
-            raise TypeError(f"not a term: {term!r}")
+    kind = type(term)
+    if kind is App:
+        fun = subst_direct(scope, subst, term.fun)
+        arg = subst_direct(scope, subst, term.arg)
+        node, fv = App(fun, arg), free_mask(fun) | free_mask(arg)
+    elif kind is Lam or kind is Pi:
+        pattern = term.pattern
+        if type(pattern) is PatternVar:
+            binder = pattern.binder
+            binder2, scope2 = enter(scope, binder)
+            raw2 = binder2.raw
+            if binder2 is binder and raw2 not in subst:
+                subst2 = subst  # a reused binder maps to itself
+            else:
+                subst2 = add_subst(subst, binder, Var(Name(raw2)))
+                if binder2 is not binder:
+                    pattern = PatternVar(binder2)
+            bound = 1 << raw2
+        else:
+            pattern, subst2, scope2 = with_pattern(scope, pattern, subst)
+            bound = pattern_mask(pattern)
+        if kind is Lam:
+            body = subst_direct(scope2, subst2, term.body)
+            node, fv = Lam(pattern, body), free_mask(body) & ~bound
+        else:
+            domain = subst_direct(scope, subst, term.domain)
+            codomain = subst_direct(scope2, subst2, term.codomain)
+            node = Pi(pattern, domain, codomain)
+            fv = free_mask(domain) | free_mask(codomain) & ~bound
+    elif kind is First or kind is Second:
+        t = subst_direct(scope, subst, term.term)
+        node, fv = kind(t), free_mask(t)
+    elif kind is Pair:
+        left = subst_direct(scope, subst, term.left)
+        right = subst_direct(scope, subst, term.right)
+        node, fv = Pair(left, right), free_mask(left) | free_mask(right)
+    elif kind is Universe:
+        return term
+    else:
+        raise TypeError(f"not a term: {term!r}")
     set_mask(node, fv)
     return node
 
@@ -102,30 +120,27 @@ _FIRST, _SECOND = masked(First), masked(Second)
 
 
 def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
-    match term:
-        case First(t):
-            t2 = _whnf(scope, t, fuel)
-            if type(t2) is Pair:
-                fuel.spend()
-                return _whnf(scope, t2.left, fuel)
-            return term if t2 is t else First(t2)
-        case Second(t):
-            t2 = _whnf(scope, t, fuel)
-            if type(t2) is Pair:
-                fuel.spend()
-                return _whnf(scope, t2.right, fuel)
-            return term if t2 is t else Second(t2)
-        case App(fun, arg):
-            fun2 = _whnf(scope, fun, fuel)
-            if type(fun2) is Lam:
-                fuel.spend()
-                bindings = beta_bindings(
-                    identity_subst(), fun2.pattern, arg, _FIRST, _SECOND
-                )
-                return _whnf(scope, subst_direct(scope, bindings, fun2.body), fuel)
-            return term if fun2 is fun else App(fun2, arg)
-        case _:
-            return term
+    kind = type(term)
+    if kind is App:
+        fun = term.fun
+        fun2 = _whnf(scope, fun, fuel)
+        if type(fun2) is Lam:
+            fuel.spend()
+            pattern = fun2.pattern
+            if type(pattern) is PatternVar:
+                bindings = {pattern.binder.raw: term.arg}
+            else:
+                bindings = beta_bindings(identity_subst(), pattern, term.arg, _FIRST, _SECOND)
+            return _whnf(scope, subst_direct(scope, bindings, fun2.body), fuel)
+        return term if fun2 is fun else App(fun2, term.arg)
+    if kind is First or kind is Second:
+        t = term.term
+        t2 = _whnf(scope, t, fuel)
+        if type(t2) is not Pair:
+            return term if t2 is t else kind(t2)
+        fuel.spend()
+        return _whnf(scope, t2.left if kind is First else t2.right, fuel)
+    return term
 
 
 def whnf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
@@ -134,28 +149,52 @@ def whnf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 
 
 def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
+    """After whnf, normalize the subterms; a node whose subterms all come
+    back as the same objects is returned as it is."""
     term = _whnf(scope, term, fuel)
-    match term:
-        case Var() | Universe():
+    kind = type(term)
+    if kind is App:
+        fun, arg = term.fun, term.arg
+        fun2, arg2 = _nf(scope, fun, fuel), _nf(scope, arg, fuel)
+        return term if fun2 is fun and arg2 is arg else App(fun2, arg2)
+    if kind is Lam or kind is Pi:
+        pattern = term.pattern
+        if type(pattern) is PatternVar:
+            binder = pattern.binder
+            binder2, scope2 = enter(scope, binder)
+            if binder2 is binder:
+                rename = None
+            else:
+                pattern = PatternVar(binder2)
+                rename = {binder.raw: Var(Name(binder2.raw))}
+        else:
+            pattern, rename, scope2 = with_pattern(scope, pattern, identity_subst())
+        if kind is Lam:
+            body = term.body
+            if rename:  # some binder was renamed
+                body = subst_direct(scope2, rename, body)
+            body = _nf(scope2, body, fuel)
+            if pattern is term.pattern and body is term.body:
+                return term
+            return Lam(pattern, body)
+        domain = _nf(scope, term.domain, fuel)
+        codomain = term.codomain
+        if rename:  # some binder was renamed
+            codomain = subst_direct(scope2, rename, codomain)
+        codomain = _nf(scope2, codomain, fuel)
+        if pattern is term.pattern and domain is term.domain and codomain is term.codomain:
             return term
-        case Pair(left, right):
-            return Pair(_nf(scope, left, fuel), _nf(scope, right, fuel))
-        case First(t):
-            return First(_nf(scope, t, fuel))
-        case Second(t):
-            return Second(_nf(scope, t, fuel))
-        case App(fun, arg):
-            return App(_nf(scope, fun, fuel), _nf(scope, arg, fuel))
-        case Lam(pattern, body):
-            pattern2, subst2, scope2 = with_pattern(scope, pattern, identity_subst())
-            if subst2:  # some binder was renamed
-                body = subst_direct(scope2, subst2, body)
-            return Lam(pattern2, _nf(scope2, body, fuel))
-        case Pi(pattern, domain, codomain):
-            pattern2, subst2, scope2 = with_pattern(scope, pattern, identity_subst())
-            if subst2:  # some binder was renamed
-                codomain = subst_direct(scope2, subst2, codomain)
-            return Pi(pattern2, _nf(scope, domain, fuel), _nf(scope2, codomain, fuel))
+        return Pi(pattern, domain, codomain)
+    if kind is Var or kind is Universe:
+        return term
+    if kind is First or kind is Second:
+        t = term.term
+        t2 = _nf(scope, t, fuel)
+        return term if t2 is t else kind(t2)
+    if kind is Pair:
+        left, right = term.left, term.right
+        left2, right2 = _nf(scope, left, fuel), _nf(scope, right, fuel)
+        return term if left2 is left and right2 is right else Pair(left2, right2)
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -17,6 +17,16 @@ from scopefoil.names import Scope
 ensure_deep_recursion()
 
 
+# Terms already in normal form: a stuck spine, a pair-pattern Pi with a
+# wildcard, and a nest of 1000 binders.  Normalizing one returns the input
+# object itself in the two scope-safe tree engines.
+ALREADY_NORMAL = (
+    "lam f . lam a . f a a",
+    "fun ((a, _) : U) -> fun ((b, c) : a) -> lam d . (first d, b (c d))",
+    " . ".join(f"lam x{i}" for i in range(1, 1001)) + " . x1 x500",
+)
+
+
 def gen_naive_pattern(rng: random.Random, depth: int, used: set[str]) -> naive.Pattern:
     """Random binding pattern with globally distinct variable names."""
     roll = rng.random()

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import gen_naive_term
+from conftest import ALREADY_NORMAL, gen_naive_term
 
 from scopefoil.bridge import default_ident, from_foil_term, to_foil_closed
 from scopefoil.fuel import FuelExceededError
@@ -127,3 +127,9 @@ def test_free_agrees_with_named_oracle_on_random_terms():
         checked += 1
         back = from_foil_term(default_ident, free_to_direct(got))
         assert alpha_eq(back, expected), surface
+
+
+@pytest.mark.parametrize("src", ALREADY_NORMAL, ids=("spine", "pair_pi", "nest"))
+def test_nf_free_returns_a_normal_term_itself(src):
+    term = direct_to_free(to_foil_closed(parse_term(src)))
+    assert nf_free(Scope(), term) is term

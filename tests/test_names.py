@@ -1,10 +1,14 @@
 """Scopes, binders, freshness, and the reuse rule."""
 
 import random
+import sys
 
 import pytest
 
+from scopefoil import names
+from scopefoil.bridge import to_foil_closed
 from scopefoil.generic import substitute
+from scopefoil.lambda_pi import direct_to_free, nf_free
 from scopefoil.names import (
     Name,
     NameBinder,
@@ -14,6 +18,7 @@ from scopefoil.names import (
     add_rename,
     add_subst,
     debug_scopes_enabled,
+    enter,
     extend_scope,
     fresh_binder,
     fresh_raw_name,
@@ -23,6 +28,9 @@ from scopefoil.names import (
     sink,
     with_refreshed,
 )
+from scopefoil.nbe import nf_nbe
+from scopefoil.syntax import parse_term
+from scopefoil.terms import nf_direct
 
 
 def _apply(subst, raw):
@@ -111,6 +119,29 @@ def test_with_refreshed_renames_on_collision():
     assert binder.raw == 8  # max + 1
 
 
+def test_enter_returns_a_reused_binder_itself():
+    binder = NameBinder(7)
+    binder2, inner = enter(Scope([0, 1]), binder)
+    assert binder2 is binder
+    assert inner == Scope([0, 1, 7])
+
+
+def test_enter_refreshes_a_colliding_binder_to_max_plus_one():
+    binder2, inner = enter(Scope([0, 3, 7]), NameBinder(3))
+    assert binder2.raw == 8
+    assert 8 in inner
+    assert inner == Scope([0, 3, 7, 8])
+
+
+def test_enter_agrees_with_with_refreshed_and_extend_scope():
+    for mask in range(64):
+        scope = Scope(raw for raw in range(6) if mask >> raw & 1)
+        for candidate in range(7):
+            binder2, inner = enter(scope, NameBinder(candidate))
+            assert binder2 == with_refreshed(scope, Name(candidate))
+            assert inner == extend_scope(binder2, scope)
+
+
 def test_with_refreshed_exhaustive_small():
     # every subset of {0..5} crossed with every candidate name in {0..5}
     for mask in range(64):
@@ -188,3 +219,30 @@ def test_names_and_binders_are_hashable_values():
     assert len({Name(1), Name(1), NameBinder(1)}) == 2
     with pytest.raises(AttributeError):
         Name(3).raw = 4  # frozen
+
+
+# Each binder of this pair-pattern redex is numbered from raw 0 (a, b, c are
+# 0, 1, 2 and x, y are 0), so in a scope of {0, 1, 2} three binders collide:
+# c where the beta's substitution (or nbe's readback) passes it, then y and x
+# where normalization reaches the two projected identities.  In the empty
+# scope every binder is reused.
+COLLIDING = "(lam (a, b) . lam c . (b, (a, c))) (lam x . x, lam y . y)"
+
+
+@pytest.mark.parametrize("scope, refreshes", [(Scope(), 0), (Scope(range(3)), 3)])
+def test_each_engine_refreshes_exactly_the_colliding_binders(monkeypatch, scope, refreshes):
+    """The reuse-vs-refresh count: only a collision asks for a fresh name."""
+    calls = []
+    fresh = names.fresh_raw_name
+
+    def counted(scope):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return fresh(scope)
+
+    monkeypatch.setattr(names, "fresh_raw_name", counted)
+    direct = to_foil_closed(parse_term(COLLIDING))
+    free = direct_to_free(direct)
+    for normalize, term in ((nf_direct, direct), (nf_free, free), (nf_nbe, free)):
+        calls.clear()
+        normalize(scope, term)
+        assert calls == ["with_refreshed"] * refreshes, normalize.__name__

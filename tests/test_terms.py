@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import gen_naive_term
+from conftest import ALREADY_NORMAL, gen_naive_term
 
 from scopefoil import terms
 from scopefoil.bench import church_fact, gen_random
@@ -354,3 +354,9 @@ def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
     monkeypatch.setattr(terms, "subst_direct", counted)
     nf_direct(Scope(), to_foil_closed(church_fact(6)))
     assert 0 < calls <= 351_807 // 4
+
+
+@pytest.mark.parametrize("src", ALREADY_NORMAL, ids=("spine", "pair_pi", "nest"))
+def test_nf_direct_returns_a_normal_term_itself(src):
+    term = to_foil_closed(parse_term(src))
+    assert nf_direct(Scope(), term) is term
