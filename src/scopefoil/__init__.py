@@ -37,13 +37,11 @@ from .names import (
     Var,
     add_rename,
     add_subst,
-    debug_scopes_enabled,
     extend_scope,
     fresh_binder,
     fresh_raw_name,
     identity_subst,
     name_of,
-    set_debug_scopes,
     sink,
     with_refreshed,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "Var",
     "add_rename",
     "add_subst",
-    "debug_scopes_enabled",
     "extend_scope",
     "extend_scope_pattern",
     "fresh_binder",
@@ -80,7 +77,6 @@ __all__ = [
     "identity_subst",
     "name_of",
     "names_of_pattern",
-    "set_debug_scopes",
     "sink",
     "with_pattern",
     "with_refreshed",

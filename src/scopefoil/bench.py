@@ -31,10 +31,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import naive
-from .bridge import default_ident, from_foil_term, from_free_term, to_foil_closed
+from .bridge import (
+    default_ident,
+    from_foil_term,
+    from_free_term,
+    to_foil_closed,
+    to_free_closed,
+)
 from .encoding import hash_debruijn
 from .fuel import FuelExceededError
-from .lambda_pi import direct_to_free, nf_free
+from .lambda_pi import nf_free
 from .names import Scope
 from .nbe import nf_nbe
 from .oracles import (
@@ -286,14 +292,14 @@ def _prepare(
         db = to_debruijn(term)
         return (lambda: nf_debruijn(db, fuel)), (lambda r: r)
 
-    direct = to_foil_closed(term)
     empty = Scope()
     if impl == "foil_direct":
+        direct = to_foil_closed(term)
         return (
             lambda: nf_direct(empty, direct, fuel),
             lambda r: to_debruijn(from_foil_term(default_ident, r)),
         )
-    free = direct_to_free(direct)
+    free = to_free_closed(term)
     back = lambda r: to_debruijn(from_free_term(default_ident, r))  # noqa: E731
     if impl == "free_foil":
         return (lambda: nf_free(empty, free, fuel)), back

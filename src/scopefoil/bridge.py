@@ -7,7 +7,7 @@ in the node's own scope.  Only variables and patterns are converted by hand.
 
 ``to_foil_term`` resolves identifiers innermost-first (shadowing works the
 way you expect), allocates every binder fresh against the accumulated scope
-— so its output is globally distinct and passes the debug scope checker —
+— so its output is globally distinct and passes the scope checkers —
 and calls the supplied ``rename`` function for identifiers bound by neither
 a binder nor the environment.  ``to_free_term`` is the same walk building
 the generic AST of :mod:`scopefoil.lambda_pi` directly, the tree

@@ -22,14 +22,12 @@ class Fuel:
     intermediate forms explode even though they take few steps.
     """
 
-    __slots__ = ("remaining", "spent")
+    __slots__ = ("remaining",)
 
     def __init__(self, budget: int | None = None):
         self.remaining = budget
-        self.spent = 0
 
     def spend(self, cost: int = 1) -> None:
-        self.spent += cost
         r = self.remaining
         if r is not None:
             if r < cost:

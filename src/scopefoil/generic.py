@@ -5,9 +5,10 @@ are the tree nodes themselves.  Each field holds either a term (same scope)
 or a :class:`ScopedAST` (a term under a binder), and the code here tells
 the two apart by the value it finds in the field, so a new constructor needs
 no table, method or registration.  Given that, this module supplies the
-operations every language shares — a single capture-avoiding substitution,
-a scope checker and scope weakening — written once, from the fields — and
-:func:`derive`, which generates node classes from a surface grammar.
+operations every language shares — a single capture-avoiding substitution
+and a scope checker, written once, from the fields — and :func:`derive`,
+which generates node classes from a surface grammar.  Scope weakening is
+:func:`scopefoil.names.sink`, the identity on every tree.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .names import (
     Var,
     add_subst,
     check_mask,
-    debug_scopes_enabled,
     enter,
     set_mask,
 )
@@ -108,6 +108,15 @@ def _node_class(name: str, fields: list, module: str) -> type:
         name, fields, bases=(Node,), namespace={"__module__": module},
         frozen=True, slots=True,
     )
+
+
+def constructor(table: dict[type, Constructor], term: object) -> Constructor:
+    """The record ``table`` keeps for the class of ``term``; a value of
+    any other class is not a term and raises ``TypeError``."""
+    con = table.get(type(term))
+    if con is None:
+        raise TypeError(f"not a term: {term!r}")
+    return con
 
 
 _FIELD_GETTERS: dict[type, Callable[[AST], tuple]] = {}
@@ -192,7 +201,7 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
 
 
 def check_scope(ast: AST, scope: Scope) -> int:
-    """Debug checker: every free name in ``ast`` must be in ``scope``, the
+    """Scope checker: every free name in ``ast`` must be in ``scope``, the
     binders of one pattern must be pairwise distinct, and every recorded
     free-name mask must be exact.  Returns the free-name mask of ``ast``."""
     if type(ast) is Var:
@@ -211,13 +220,3 @@ def check_scope(ast: AST, scope: Scope) -> int:
     check_mask(ast, mask)
     return mask
 
-
-def sink_ast(ast: AST, source: Scope | None = None, target: Scope | None = None) -> AST:
-    """Transport a tree into an extended scope: representation identity.
-
-    In debug mode, when a target scope is supplied, the tree is re-validated
-    against it node by node.
-    """
-    if debug_scopes_enabled() and target is not None:
-        check_scope(ast, target)
-    return ast

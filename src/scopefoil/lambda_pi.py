@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import terms
 from .fuel import Fuel
-from .generic import AST, PATTERN, SCOPED, Constructor, ScopedAST, children, substitute
+from .generic import AST, PATTERN, SCOPED, ScopedAST, children, constructor, substitute
 from .names import (
     Name,
     NameBinder,
@@ -32,7 +32,7 @@ from .names import (
     set_mask,
 )
 from .patterns import PatternVar, beta_bindings, pattern_mask, with_pattern
-from .terms import CONSTRUCTORS
+from .terms import BY_DIRECT, CONSTRUCTORS
 
 
 # The signature classes, generated in :mod:`scopefoil.terms` with the direct ones.
@@ -153,15 +153,7 @@ def nf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 # --------------------------------------------------------------------------
 
 BY_NAIVE = {con.naive: con for con in CONSTRUCTORS}
-BY_DIRECT = {con.direct: con for con in CONSTRUCTORS}
 BY_FREE = {con.free: con for con in CONSTRUCTORS}
-
-
-def constructor(table: dict[type, Constructor], term: object) -> Constructor:
-    con = table.get(type(term))
-    if con is None:
-        raise TypeError(f"not a term: {term!r}")
-    return con
 
 
 def direct_to_free(term: terms.Term) -> Term:

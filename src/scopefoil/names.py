@@ -11,16 +11,15 @@ comes back as the same object, and only a collision calls
 :func:`with_refreshed` for a fresh name.
 
 Static scope indices cannot be expressed in Python's type system, so the
-scope-safety contract is enforced dynamically when the environment variable
-``SCOPEFOIL_DEBUG_SCOPES=1`` is set (or :func:`set_debug_scopes` is called):
-:func:`extend_scope` asserts distinctness, ``sink`` asserts that the target
-scope is a superset of the source, and the term modules expose whole-term
-checkers that re-validate membership node by node.
+scope-safety contract is checked at run time instead: :func:`extend_scope`
+rejects a binder already in scope, ``sink`` rejects a target scope that does
+not extend the source, and the term modules expose whole-term checkers that
+re-validate membership node by node.  The engines enter binders with
+:func:`enter`, whose binder is never in scope, so they call none of these.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -30,20 +29,7 @@ RawName = int
 
 
 class ScopeViolationError(Exception):
-    """A scope-safety invariant was broken (only raised in debug mode)."""
-
-
-_debug = os.environ.get("SCOPEFOIL_DEBUG_SCOPES", "") == "1"
-
-
-def debug_scopes_enabled() -> bool:
-    return _debug
-
-
-def set_debug_scopes(enabled: bool) -> None:
-    """Toggle debug-mode scope assertions at runtime (used by tests)."""
-    global _debug
-    _debug = enabled
+    """A scope-safety invariant was broken."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +98,7 @@ def masked(cls: type) -> Callable[[Any], Any]:
 
 
 def check_mask(node: Any, free: int) -> None:
-    """Debug checker: a node's recorded mask equals ``free``, the mask of
+    """Scope checker: a node's recorded mask equals ``free``, the mask of
     its free names found by a plain walk, or, if negative, covers it."""
     fv = getattr(node, "fv", -1)
     if fv >= 0 and fv != free or free & ~fv:
@@ -138,18 +124,10 @@ class Scope:
             mask |= 1 << raw
         self._mask = mask
 
-    @property
-    def members(self) -> frozenset[RawName]:
-        return frozenset(self)
-
-    @property
-    def max_raw(self) -> RawName | None:
-        return self._mask.bit_length() - 1 if self._mask else None
-
     def add(self, raw: RawName) -> "Scope":
         """Extension without a distinctness check (shadowing allowed).
 
-        Used by the debug checkers, which must tolerate binders that shadow
+        Used by the scope checkers, which must tolerate binders that shadow
         an outer raw name: substitution inserts argument terms verbatim, so
         its *output* may shadow even though every binder it creates is fresh.
         """
@@ -199,11 +177,10 @@ def name_of(binder: NameBinder) -> Name:
 def extend_scope(binder: NameBinder, scope: Scope) -> Scope:
     """Scope extended with ``binder``.
 
-    In debug mode the binder must be distinct from the scope it extends;
-    binders produced by :func:`fresh_binder` / :func:`with_refreshed` always
-    are.
+    The binder must be distinct from the scope it extends; binders produced
+    by :func:`fresh_binder` / :func:`with_refreshed` always are.
     """
-    if _debug and binder.raw in scope:
+    if binder.raw in scope:
         raise ScopeViolationError(
             f"binder #{binder.raw} already occurs in {scope!r}"
         )
@@ -231,7 +208,7 @@ def enter(scope: Scope, binder: NameBinder) -> tuple[NameBinder, Scope]:
     object; a colliding one is replaced by :func:`with_refreshed`'s fresh
     binder, so ``with_refreshed`` runs only on a collision.  Either way the
     returned binder is not in ``scope``, so there is no distinctness left to
-    check in debug mode.
+    check.
     """
     mask = scope._mask
     raw = binder.raw
@@ -246,15 +223,14 @@ def enter(scope: Scope, binder: NameBinder) -> tuple[NameBinder, Scope]:
 def sink(value: Any, source: Scope | None = None, target: Scope | None = None) -> Any:
     """Transport a scope-indexed value into an extended scope.
 
-    This is representation identity: the value is returned unchanged, byte
-    for byte.  In debug mode, when both scopes are supplied, the target must
-    extend the source.
+    This is representation identity: the value (a direct or a generic tree)
+    is returned unchanged, byte for byte.  When both scopes are supplied,
+    the target must extend the source.
     """
-    if _debug and source is not None and target is not None:
-        if source._mask & ~target._mask:
-            raise ScopeViolationError(
-                f"sink target {target!r} does not extend source {source!r}"
-            )
+    if source is not None and target is not None and source._mask & ~target._mask:
+        raise ScopeViolationError(
+            f"sink target {target!r} does not extend source {source!r}"
+        )
     return value
 
 

@@ -149,7 +149,7 @@ def beta_bindings(
 
 
 def check_pattern_scope(pattern: Pattern | NameBinder, scope: Scope) -> Scope:
-    """Debug checker: the scope of the pattern's body.
+    """Scope checker: the scope of the pattern's body.
 
     Binders may shadow outer names (substitution outputs legitimately do),
     but binders within a single pattern must be pairwise distinct.

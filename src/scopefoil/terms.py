@@ -21,7 +21,7 @@ from typing import Union, get_args
 
 from . import naive
 from .fuel import Fuel
-from .generic import derive
+from .generic import PATTERN, SCOPED, children, constructor, derive
 from .names import (
     Name,
     Scope,
@@ -52,6 +52,7 @@ CONSTRUCTORS = tuple(
     for cls in get_args(naive.Term) if cls is not naive.Var
 )
 Pair, First, Second, App, Lam, Pi, Universe = (con.direct for con in CONSTRUCTORS)
+BY_DIRECT = {con.direct: con for con in CONSTRUCTORS}
 
 Term = Union[Var, Pair, First, Second, App, Lam, Pi, Universe]
 
@@ -204,33 +205,26 @@ def nf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 
 
 def check_scope_direct(term: Term, scope: Scope) -> int:
-    """Debug checker: every free name must be a member of ``scope``, and
+    """Scope checker: every free name must be a member of ``scope``, and
     every recorded free-name mask must be exact.  Returns the free-name mask.
 
-    Binders may shadow outer names (substitution outputs legitimately do),
-    but binders within a single pattern must be pairwise distinct.
+    The walk follows the field roles of :data:`CONSTRUCTORS`: a pattern's
+    scoped fields are checked under it, every other field in the node's own
+    scope.  Binders may shadow outer names (substitution outputs legitimately
+    do), but binders within a single pattern must be pairwise distinct.
     """
-    match term:
-        case Var(Name(raw)):
-            if raw not in scope:
-                raise ScopeViolationError(f"name #{raw} is not in {scope!r}")
-            return 1 << raw
-        case Pair(left, right):
-            free = check_scope_direct(left, scope) | check_scope_direct(right, scope)
-        case First(t) | Second(t):
-            free = check_scope_direct(t, scope)
-        case App(fun, arg):
-            free = check_scope_direct(fun, scope) | check_scope_direct(arg, scope)
-        case Lam(pattern, body):
-            free = check_scope_direct(body, check_pattern_scope(pattern, scope))
-            free &= ~pattern_mask(pattern)
-        case Pi(pattern, domain, codomain):
-            free = check_scope_direct(domain, scope)
-            inner = check_scope_direct(codomain, check_pattern_scope(pattern, scope))
-            free |= inner & ~pattern_mask(pattern)
-        case Universe():
-            free = 0
-        case _:
-            raise TypeError(f"not a term: {term!r}")
+    if type(term) is Var:
+        raw = term.name.raw
+        if raw not in scope:
+            raise ScopeViolationError(f"name #{raw} is not in {scope!r}")
+        return 1 << raw
+    free = 0
+    for role, field in zip(constructor(BY_DIRECT, term).roles, children(term)):
+        if role is PATTERN:
+            inner, bound = check_pattern_scope(field, scope), pattern_mask(field)
+        elif role is SCOPED:
+            free |= check_scope_direct(field, inner) & ~bound
+        else:
+            free |= check_scope_direct(field, scope)
     check_mask(term, free)
     return free

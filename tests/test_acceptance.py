@@ -27,14 +27,12 @@ from scopefoil.bridge import (
 )
 from scopefoil.encoding import encode_direct, encode_free
 from scopefoil.fuel import FuelExceededError
-from scopefoil.generic import check_scope, sink_ast, substitute
+from scopefoil.generic import check_scope, substitute
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
 from scopefoil.names import (
     Name,
     Scope,
-    debug_scopes_enabled,
     identity_subst,
-    set_debug_scopes,
     sink,
     with_refreshed,
 )
@@ -168,7 +166,7 @@ def test_03_sink_is_byte_identical_serialization():
             assert encode_direct(sunk) == before
             free = direct_to_free(direct)
             blob = encode_free(free)
-            sunk_free = sink_ast(free, source, target)
+            sunk_free = sink(free, source, target)
             assert sunk_free is free
             assert encode_free(sunk_free) == blob
             checked += 1
@@ -344,38 +342,33 @@ def _gen_full_grammar_term(rng: random.Random) -> naive.Term:
 
 
 def test_11_five_way_agreement_on_the_full_grammar_in_debug_mode():
-    with criterion(11, "five-way agreement, 600 full-grammar terms, debug", 10.0):
-        previous = debug_scopes_enabled()
-        set_debug_scopes(True)
-        try:
-            rng = random.Random(1111)
-            scope = Scope()
-            checked = nbe_checked = 0
-            while checked < 600:
-                term = _gen_full_grammar_term(rng)
-                try:
-                    reference = nf_debruijn(to_debruijn(term), fuel=20_000)
-                except FuelExceededError:
-                    continue  # the other engines spend no more fuel than this
-                direct = to_foil_closed(term)
-                free = direct_to_free(direct)
-                forms = {
-                    "named": nf_named(term, fuel=20_000),
-                    "foil_direct": nf_direct(scope, direct, fuel=20_000),
-                    "free_foil": nf_free(scope, free, fuel=20_000),
-                }
-                try:
-                    forms["nbe"] = nf_nbe(scope, free)
-                    nbe_checked += 1
-                except EvalError:
-                    pass  # an ill-typed elimination; the tree engines leave it stuck
-                for impl, form in forms.items():
-                    assert alpha_eq(form, reference), (impl, pretty_term(term))
-                check_scope_direct(forms["foil_direct"], scope)
-                check_scope(forms["free_foil"], scope)
-                if "nbe" in forms:
-                    check_scope(forms["nbe"], scope)
-                checked += 1
-            assert nbe_checked >= 200
-        finally:
-            set_debug_scopes(previous)
+    with criterion(11, "five-way agreement, 600 full-grammar terms, scope-checked", 10.0):
+        rng = random.Random(1111)
+        scope = Scope()
+        checked = nbe_checked = 0
+        while checked < 600:
+            term = _gen_full_grammar_term(rng)
+            try:
+                reference = nf_debruijn(to_debruijn(term), fuel=20_000)
+            except FuelExceededError:
+                continue  # the other engines spend no more fuel than this
+            direct = to_foil_closed(term)
+            free = direct_to_free(direct)
+            forms = {
+                "named": nf_named(term, fuel=20_000),
+                "foil_direct": nf_direct(scope, direct, fuel=20_000),
+                "free_foil": nf_free(scope, free, fuel=20_000),
+            }
+            try:
+                forms["nbe"] = nf_nbe(scope, free)
+                nbe_checked += 1
+            except EvalError:
+                pass  # an ill-typed elimination; the tree engines leave it stuck
+            for impl, form in forms.items():
+                assert alpha_eq(form, reference), (impl, pretty_term(term))
+            check_scope_direct(forms["foil_direct"], scope)
+            check_scope(forms["free_foil"], scope)
+            if "nbe" in forms:
+                check_scope(forms["nbe"], scope)
+            checked += 1
+        assert nbe_checked >= 200

@@ -25,7 +25,7 @@ from scopefoil.encoding import encode_free
 from scopefoil.fuel import FuelExceededError
 from scopefoil.generic import ScopedAST, check_scope, children
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
-from scopefoil.names import Name, Scope, Var, debug_scopes_enabled, set_debug_scopes
+from scopefoil.names import Name, Scope, Var
 from scopefoil.oracles import alpha_eq
 from scopefoil.patterns import (
     PatternPair,
@@ -181,17 +181,12 @@ def _masks(ast, out: list) -> list:
 
 
 def test_to_free_is_direct_to_free_of_to_foil(equivalence_corpus):
-    previous = debug_scopes_enabled()
-    set_debug_scopes(True)
-    try:
-        for term in equivalence_corpus:
-            one = to_free_closed(term)
-            two = direct_to_free(to_foil_closed(term))
-            assert encode_free(one) == encode_free(two), pretty_term(term)
-            assert _masks(one, []) == _masks(two, []), pretty_term(term)
-            assert check_scope(one, Scope()) == 0
-    finally:
-        set_debug_scopes(previous)
+    for term in equivalence_corpus:
+        one = to_free_closed(term)
+        two = direct_to_free(to_foil_closed(term))
+        assert encode_free(one) == encode_free(two), pretty_term(term)
+        assert _masks(one, []) == _masks(two, []), pretty_term(term)
+        assert check_scope(one, Scope()) == 0
 
 
 def test_from_free_is_from_foil_of_free_to_direct(equivalence_corpus):

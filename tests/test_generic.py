@@ -24,7 +24,6 @@ from scopefoil.generic import (
     ScopedAST,
     check_scope,
     children,
-    sink_ast,
     substitute,
 )
 from scopefoil.lambda_pi import (
@@ -44,10 +43,8 @@ from scopefoil.names import (
     ScopeViolationError,
     Var,
     add_subst,
-    debug_scopes_enabled,
     free_mask,
     identity_subst,
-    set_debug_scopes,
     set_mask,
 )
 from scopefoil.oracles import alpha_eq
@@ -299,20 +296,6 @@ def test_check_scope():
         check_scope_direct(Lam(twice, Var(Name(0))), Scope())
 
 
-def test_sink_ast_is_identity_and_checks_in_debug():
-    term = mk_lam(NameBinder(0), Var(Name(0)))
-    assert sink_ast(term) is term
-    previous = debug_scopes_enabled()
-    set_debug_scopes(True)
-    try:
-        assert sink_ast(term, Scope(), Scope().add(3)) is term
-        leaky = Var(Name(5))
-        with pytest.raises(ScopeViolationError):
-            sink_ast(leaky, Scope(), Scope().add(3))
-    finally:
-        set_debug_scopes(previous)
-
-
 def test_substitute_does_not_reach_under_shadowing_binder():
     # [#0 := U] (lam #0 . #0): the reused binder shadows the entry
     subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
@@ -538,19 +521,14 @@ def test_a_pair_pattern_beta_records_masks():
     """The projections a pair-pattern beta binds record the argument's
     mask, so the result, built over them, records a mask of 0 and not a
     negative one that the next substitution would have to walk in full."""
-    previous = debug_scopes_enabled()
-    set_debug_scopes(True)
-    try:
-        src = "(lam (a, b) . lam z . (b, a)) (lam x . x, lam y . y)"
-        out = whnf_free(Scope(), direct_to_free(to_foil_closed(parse_term(src))))
-        assert free_mask(out) == 0
-        subtrees = sum(1 for sub in _subtrees(out) if type(sub) is not Var)
-        assert _masked_nodes(out) == subtrees
-        assert check_scope(out, Scope()) == 0
-        pair = "(lam x . x, lam y . y)"
-        assert alpha_eq(out, parse_term(f"lam z . (second {pair}, first {pair})"))
-    finally:
-        set_debug_scopes(previous)
+    src = "(lam (a, b) . lam z . (b, a)) (lam x . x, lam y . y)"
+    out = whnf_free(Scope(), direct_to_free(to_foil_closed(parse_term(src))))
+    assert free_mask(out) == 0
+    subtrees = sum(1 for sub in _subtrees(out) if type(sub) is not Var)
+    assert _masked_nodes(out) == subtrees
+    assert check_scope(out, Scope()) == 0
+    pair = "(lam x . x, lam y . y)"
+    assert alpha_eq(out, parse_term(f"lam z . (second {pair}, first {pair})"))
 
 
 def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):

@@ -17,14 +17,12 @@ from scopefoil.names import (
     Var,
     add_rename,
     add_subst,
-    debug_scopes_enabled,
     enter,
     extend_scope,
     fresh_binder,
     fresh_raw_name,
     identity_subst,
     name_of,
-    set_debug_scopes,
     sink,
     with_refreshed,
 )
@@ -42,7 +40,7 @@ def test_empty_scope():
     scope = Scope()
     assert len(scope) == 0
     assert 0 not in scope
-    assert scope.max_raw is None
+    assert fresh_raw_name(scope) == 0
 
 
 def test_scope_bitmask_is_order_independent_and_unbounded():
@@ -59,9 +57,8 @@ def test_scope_bitmask_is_order_independent_and_unbounded():
         assert scope == built[0]
         assert hash(scope) == hash(built[0])
         assert len(scope) == len(raws)
-        assert scope.max_raw == 10_000
         assert fresh_raw_name(scope) == 10_001
-        assert scope.members == frozenset(raws)
+        assert frozenset(scope) == frozenset(raws)
         assert list(scope) == sorted(raws)
         assert all(raw in scope for raw in raws)
         assert not any(raw in scope for raw in (1, 2, 63, 65, 9_999, 10_001))
@@ -96,14 +93,9 @@ def test_extend_scope():
 
 
 def test_extend_scope_rejects_collision_in_debug_mode():
-    previous = debug_scopes_enabled()
-    set_debug_scopes(True)
-    try:
-        scope = extend_scope(NameBinder(3), Scope())
-        with pytest.raises(ScopeViolationError):
-            extend_scope(NameBinder(3), scope)
-    finally:
-        set_debug_scopes(previous)
+    scope = extend_scope(NameBinder(3), Scope())
+    with pytest.raises(ScopeViolationError):
+        extend_scope(NameBinder(3), scope)
 
 
 def test_with_refreshed_reuses_when_free():
@@ -169,16 +161,11 @@ def test_sink_is_identity():
 
 
 def test_sink_debug_checks_superset():
-    previous = debug_scopes_enabled()
-    set_debug_scopes(True)
-    try:
-        small = Scope().add(4)
-        big = small.add(9)
-        sink(Var(Name(4)), source=small, target=big)
-        with pytest.raises(ScopeViolationError):
-            sink(Var(Name(4)), source=big, target=small)
-    finally:
-        set_debug_scopes(previous)
+    small = Scope().add(4)
+    big = small.add(9)
+    sink(Var(Name(4)), source=small, target=big)
+    with pytest.raises(ScopeViolationError):
+        sink(Var(Name(4)), source=big, target=small)
 
 
 def test_substitution_lookup_defaults_to_variable():

@@ -1,7 +1,7 @@
 """Property test over the whole grammar: the named, scope-safe and NbE
 engines agree with the de Bruijn normalizer on open terms with wildcard and
-pair patterns and Pi types, with the debug scope checks (scopes and
-free-name masks) on throughout.
+pair patterns and Pi types, with the scope checkers (scopes and free-name
+masks) run on every engine's input and output.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same terms and takes the same time.
@@ -16,7 +16,7 @@ from scopefoil.bridge import default_ident, from_foil_term, rename_from_env, to_
 from scopefoil.fuel import FuelExceededError
 from scopefoil.generic import check_scope
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
-from scopefoil.names import Name, Scope, debug_scopes_enabled, set_debug_scopes
+from scopefoil.names import Name, Scope
 from scopefoil.nbe import EvalError, nf_nbe
 from scopefoil.oracles import (
     BVar,
@@ -126,26 +126,21 @@ def test_engines_agree_with_de_bruijn_on_open_terms(term):
         reference = nf_debruijn(to_debruijn(term), fuel=FUEL)
     except FuelExceededError:
         assume(False)  # the other engines spend no more fuel than this
-    previous = debug_scopes_enabled()
-    set_debug_scopes(True)
-    try:
-        direct = to_foil_term(rename_from_env(FREE), SCOPE, term)
-        check_scope_direct(direct, SCOPE)
-        free = direct_to_free(direct)
-        check_scope(free, SCOPE)
-        by_direct = nf_direct(SCOPE, direct, fuel=FUEL)
-        by_free = nf_free(SCOPE, free, fuel=FUEL)
-        check_scope_direct(by_direct, SCOPE)
-        check_scope(by_free, SCOPE)
-        if _eliminates_a_constructor(reference):
-            with pytest.raises(EvalError):
-                nf_nbe(SCOPE, free)
-            by_nbe = None
-        else:
-            by_nbe = nf_nbe(SCOPE, free)
-            check_scope(by_nbe, SCOPE)
-    finally:
-        set_debug_scopes(previous)
+    direct = to_foil_term(rename_from_env(FREE), SCOPE, term)
+    check_scope_direct(direct, SCOPE)
+    free = direct_to_free(direct)
+    check_scope(free, SCOPE)
+    by_direct = nf_direct(SCOPE, direct, fuel=FUEL)
+    by_free = nf_free(SCOPE, free, fuel=FUEL)
+    check_scope_direct(by_direct, SCOPE)
+    check_scope(by_free, SCOPE)
+    if _eliminates_a_constructor(reference):
+        with pytest.raises(EvalError):
+            nf_nbe(SCOPE, free)
+        by_nbe = None
+    else:
+        by_nbe = nf_nbe(SCOPE, free)
+        check_scope(by_nbe, SCOPE)
     assert alpha_eq(nf_named(term, FUEL), reference)
     assert alpha_eq(_named(by_direct), reference)
     assert alpha_eq(_named(free_to_direct(by_free)), reference)

@@ -28,10 +28,8 @@ from scopefoil.names import (
     ScopeViolationError,
     Var,
     add_subst,
-    debug_scopes_enabled,
     free_mask,
     identity_subst,
-    set_debug_scopes,
     set_mask,
 )
 from scopefoil.oracles import alpha_eq
@@ -165,6 +163,10 @@ def test_check_scope_accepts_and_rejects():
     check_scope_direct(Lam(PatternVar(NameBinder(1)), body), scope)
     with pytest.raises(ScopeViolationError):
         check_scope_direct(Lam(PatternVar(NameBinder(1)), body), Scope())
+    # a Pi's domain is outside its pattern: the binder scopes only the codomain
+    check_scope_direct(Pi(PatternVar(NameBinder(0)), Universe(), Var(Name(0))), Scope())
+    with pytest.raises(ScopeViolationError):
+        check_scope_direct(Pi(PatternVar(NameBinder(0)), Var(Name(0)), Universe()), Scope())
 
 
 def test_check_scope_rejects_duplicate_pattern_binders():
@@ -326,19 +328,14 @@ def test_a_pair_pattern_beta_records_masks():
     """The projections a pair-pattern beta binds record the argument's
     mask, so the result, built over them, records a mask of 0 and not a
     negative one that the next substitution would have to walk in full."""
-    previous = debug_scopes_enabled()
-    set_debug_scopes(True)
-    try:
-        src = "(lam (a, b) . lam z . (b, a)) (lam x . x, lam y . y)"
-        out = whnf_direct(Scope(), to_foil_closed(parse_term(src)))
-        assert free_mask(out) == 0
-        subtrees = sum(1 for sub in _subtrees(out) if type(sub) is not Var)
-        assert _masked_nodes(out) == subtrees
-        check_scope_direct(out, Scope())
-        pair = "(lam x . x, lam y . y)"
-        assert alpha_eq(out, parse_term(f"lam z . (second {pair}, first {pair})"))
-    finally:
-        set_debug_scopes(previous)
+    src = "(lam (a, b) . lam z . (b, a)) (lam x . x, lam y . y)"
+    out = whnf_direct(Scope(), to_foil_closed(parse_term(src)))
+    assert free_mask(out) == 0
+    subtrees = sum(1 for sub in _subtrees(out) if type(sub) is not Var)
+    assert _masked_nodes(out) == subtrees
+    check_scope_direct(out, Scope())
+    pair = "(lam x . x, lam y . y)"
+    assert alpha_eq(out, parse_term(f"lam z . (second {pair}, first {pair})"))
 
 
 def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
