@@ -10,7 +10,9 @@ not share the scope-indexed machinery:
   returns a subterm whose free identifiers miss its domain as it is;
   after whnf a stuck spine is normalized without being reduced again, and
 * a de Bruijn normalizer whose shifting and beta contraction share one
-  index walk, :func:`_map_db` (TAPL's ``tmmap``).
+  index walk, :func:`_map_db` (TAPL's ``tmmap``), and whose weak head step
+  is Krivine's machine: one loop over the head and an explicit spine of
+  pending eliminators, with Brent's cycle check over the machine states.
 
 ``alpha_eq`` converts any representation in this package to the de Bruijn
 form and compares structurally; it is the only alpha-equivalence used
@@ -646,89 +648,144 @@ def _db_beta(shape: Shape, body: DBTerm, arg: DBTerm) -> DBTerm:
 _CYCLE = "reduction returns to a term it has passed: it never ends"
 
 
-def _whnf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
-    # ``type`` tests rather than ``match``, as in :func:`_map_db`.  The two
-    # tail contractions continue the loop, so a chain of them takes no
-    # Python frame each, and Brent's cycle check runs over the loop's terms:
-    # ``saved`` is re-set to the current term at power-of-two step counts,
-    # and a later term equal to it (de Bruijn equality is alpha-equivalence)
-    # means this deterministic loop would go round forever.  A term that
-    # reaches a whnf never repeats one, so it can never trip the check.
-    saved = term
+def _frames_repeat(saved: list, low: int, spine: list) -> bool:
+    # The frames ``saved`` held above ``low`` against the same number of
+    # frames on top of ``spine``: an eliminator of the same kind, and for an
+    # application an equal argument.
+    k = len(saved) - low
+    top = len(spine) - k
+    if top < low:
+        return False
+    for i in range(k):
+        a, b = saved[low + i], spine[top + i]
+        if a is not b and (
+            type(a) is not type(b) or (type(a) is DBApp and a.arg != b.arg)
+        ):
+            return False
+    return True
+
+
+def _whnf_db(term: DBTerm, fuel: Fuel) -> tuple[DBTerm, list]:
+    # Krivine's machine: the eliminators above the head wait on ``spine``
+    # (the nodes themselves, innermost last), and each contraction takes
+    # the head and the top frame, so a nest of redexes takes no Python
+    # frame per level.  A redex ``App(Lam, arg)`` met on the way down is
+    # contracted at once, without a push and a pop.  Returns the head, no
+    # eliminator, and the frames it is stuck under.
+    #
+    # Brent's cycle check runs over machine states: at each power-of-two
+    # contraction count the head and a copy of the spine are saved, and
+    # ``low`` tracks the shortest the spine has been since.  The steps from
+    # the save to now never looked below ``low``, so when the head equals
+    # the saved one (de Bruijn equality is alpha-equivalence) and the
+    # saved frames above ``low`` match the current top ones, the same steps
+    # run again from here, and again, each round charging fuel: the loop
+    # never ends.  A term that reaches a whnf never passes such a state, so
+    # it can never trip the check.  ``type`` tests rather than ``match``,
+    # as in :func:`_map_db`.
+    spine: list = []
+    push = spine.append
+    pop = spine.pop
+    saved, saved_spine, low = term, [], 0
     steps = 0
     while True:
         kind = type(term)
         if kind is DBApp:
             fun = term.fun
-            fun2 = fun if type(fun) is DBLam else _whnf_db(fun, fuel)
-            if type(fun2) is not DBLam:
-                return term if fun2 is fun else DBApp(fun2, term.arg)
+            if type(fun) is not DBLam:
+                push(term)
+                term = fun
+                continue
             # Charge in proportion to the argument being copied into the
             # body: this makes the budget a bound on allocation, so terms
             # whose intermediates explode in size (while taking few
             # steps) are cut off instead of eating the machine.
             arg = term.arg
             fuel.spend(1 + arg.size)
-            term = _db_beta(fun2.shape, fun2.body, arg)
+            term = _db_beta(fun.shape, fun.body, arg)
         elif kind is DBFirst or kind is DBSecond:
-            t = term.term
-            t2 = _whnf_db(t, fuel)
-            if type(t2) is not DBPair:
-                return term if t2 is t else kind(t2)
-            fuel.spend()
-            term = t2.left if kind is DBFirst else t2.right
+            push(term)
+            term = term.term
+            continue
+        elif not spine:
+            return term, spine
         else:
-            return term
-        if term.size == saved.size and term == saved:
+            frame = spine[-1]
+            frame_kind = type(frame)
+            if kind is DBLam and frame_kind is DBApp:
+                pop()
+                arg = frame.arg
+                fuel.spend(1 + arg.size)
+                term = _db_beta(term.shape, term.body, arg)
+            elif kind is DBPair and frame_kind is not DBApp:
+                pop()
+                fuel.spend()
+                term = term.left if frame_kind is DBFirst else term.right
+            else:
+                return term, spine
+            if len(spine) < low:
+                low = len(spine)
+        if (
+            term.size == saved.size
+            and term == saved
+            and _frames_repeat(saved_spine, low, spine)
+        ):
             raise FuelExceededError(_CYCLE)
         steps += 1
         if steps & (steps - 1) == 0:
-            saved = term
+            saved, saved_spine, low = term, spine[:], len(spine)
 
 
 def whnf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
     """Weak head normal form.  ``fuel`` bounds *work*: projections cost one
     unit, a beta step costs one plus the size of the argument it copies.
 
+    The reduction is one loop over the head and a spine of pending
+    applications and projections; the stuck spine is rebuilt around the
+    head, reusing every node whose child came back unchanged.
+
     Raises :class:`FuelExceededError` with "work budget exhausted" when the
     budget runs out, and with "reduction returns to a term it has passed:
-    it never ends" when the head reduction comes back to a term it already
-    reached, so it can never end, whatever the budget (``None`` included).
+    it never ends" when the machine comes back to a head it already reached
+    under the same pending eliminators, above a part of the spine it never
+    touched in between.  That reduction repeats forever whatever the budget
+    (``None`` included), so exactly the terms the budget would stop are
+    stopped, growing ones like ``(lam x . x x x) (lam x . x x x)`` too.
     """
-    return _whnf_db(term, Fuel(fuel))
-
-
-_ELIMINATORS = (DBApp, DBFirst, DBSecond)
+    term, spine = _whnf_db(term, Fuel(fuel))
+    for frame in reversed(spine):
+        if type(frame) is DBApp:
+            term = frame if frame.fun is term else DBApp(term, frame.arg)
+        else:
+            term = frame if frame.term is term else type(frame)(term)
+    return term
 
 
 def _nf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
+    kind = type(term)
     # Only an eliminator can be a redex; every other node is its own whnf.
-    if type(term) in _ELIMINATORS:
-        term = _whnf_db(term, fuel)
-    match term:
-        case DBLam(shape, body):
-            return DBLam(shape, _nf_db(body, fuel))
-        case DBApp() | DBFirst() | DBSecond():
-            # A stuck spine, whose heads whnf has left in whnf: unwind them
-            # once and normalize only the head and the arguments, so the
-            # spine costs time linear in its length.
-            spine = []
-            while type(term) in _ELIMINATORS:
-                spine.append(term)
-                term = term.fun if type(term) is DBApp else term.term
-            term = _nf_db(term, fuel)
-            for node in reversed(spine):
-                if type(node) is DBApp:
-                    term = DBApp(term, _nf_db(node.arg, fuel))
-                else:
-                    term = type(node)(term)
-            return term
-        case DBPi(shape, domain, codomain):
-            return DBPi(shape, _nf_db(domain, fuel), _nf_db(codomain, fuel))
-        case DBPair(left, right):
-            return DBPair(_nf_db(left, fuel), _nf_db(right, fuel))
-        case BVar() | FVar() | DBUniverse():
-            return term
+    if kind is DBApp or kind is DBFirst or kind is DBSecond:
+        # Normalize the head whnf stopped at and the stuck spine's
+        # arguments, innermost first, so the spine is unwound once and
+        # costs time linear in its length.
+        term, spine = _whnf_db(term, fuel)
+        term = _nf_db(term, fuel)
+        for frame in reversed(spine):
+            if type(frame) is DBApp:
+                term = DBApp(term, _nf_db(frame.arg, fuel))
+            else:
+                term = type(frame)(term)
+        return term
+    if kind is DBLam:
+        return DBLam(term.shape, _nf_db(term.body, fuel))
+    if kind is BVar or kind is FVar or kind is DBUniverse:
+        return term
+    if kind is DBPair:
+        return DBPair(_nf_db(term.left, fuel), _nf_db(term.right, fuel))
+    if kind is DBPi:
+        return DBPi(
+            term.shape, _nf_db(term.domain, fuel), _nf_db(term.codomain, fuel)
+        )
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -736,10 +793,14 @@ def nf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
     """Normal-order normalization on de Bruijn terms.
 
     ``fuel`` is a work budget (see :func:`whnf_debruijn`), so it also bounds
-    how large the intermediate terms can grow before giving up.  It fails
-    as :func:`whnf_debruijn` does: :class:`FuelExceededError` with "work
-    budget exhausted", or with "reduction returns to a term it has passed:
-    it never ends" under any budget.
+    how large the intermediate terms can grow before giving up.  Each weak
+    head step leaves the head and the stuck spine unwound, and only they
+    are normalized further, so a stuck spine is walked once.  It fails as
+    :func:`whnf_debruijn` does: :class:`FuelExceededError` with "work budget
+    exhausted", or with "reduction returns to a term it has passed: it
+    never ends" under any budget when one weak head reduction comes back to
+    a state it passed.  A divergence that only spans several of them, under
+    a binder, is left to the budget.
     """
     return _nf_db(term, Fuel(fuel))
 

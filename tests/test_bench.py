@@ -144,11 +144,9 @@ def test_gen_random_admits_the_random_workload_pool():
     )
 
 
-def test_gen_random_admission_work_is_bounded(monkeypatch):
-    """A candidate whose head reduction comes back to a term it passed is
-    rejected there, not after its whole budget: the beta contractions that
-    admitting the frozen terms takes stay at most what they were when the
-    check came in (48,879 before it)."""
+def _admission_betas(monkeypatch, terms_per_size: int) -> int:
+    # the beta contractions that admitting gen_random(42 + i, s), s = 15/20,
+    # i < terms_per_size, takes
     calls = 0
     real = oracles._db_beta
 
@@ -159,9 +157,24 @@ def test_gen_random_admission_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(oracles, "_db_beta", counted)
     for s in (15, 20):
-        for i in range(20):
+        for i in range(terms_per_size):
             gen_random(42 + i, s)
-    assert calls <= 12_998
+    return calls
+
+
+def test_gen_random_admission_work_is_bounded(monkeypatch):
+    """A candidate whose reduction comes back to a state it passed is
+    rejected there, not after its whole budget: the beta contractions that
+    admitting the frozen terms takes stay at most what they were when the
+    check came to see the whole spine (12,998 with a check per nested whnf
+    call, 48,879 with none)."""
+    assert _admission_betas(monkeypatch, 20) <= 323
+
+
+def test_gen_random_admission_work_for_the_random_pool_is_bounded(monkeypatch):
+    """The same bound for the 200 terms of normbench's ``random`` workload
+    (42,106 betas with a check per nested whnf call)."""
+    assert _admission_betas(monkeypatch, 100) <= 7_082
 
 
 def test_gen_random_rejects_on_fuel_alone(monkeypatch):

@@ -404,6 +404,17 @@ def test_whnf_debruijn():
     assert head == to_debruijn(parse_term("((lam y . y) U, (lam y . y) U)"))
 
 
+def test_whnf_debruijn_rebuilds_only_what_changed():
+    # a stuck spine comes back as the same object; above a reduced head,
+    # each frame is rebuilt around the new head with its own argument
+    stuck = to_debruijn(parse_term("second (f (first p) a)"))
+    assert whnf_debruijn(stuck) is stuck
+    term = to_debruijn(parse_term("first ((lam y . y) f a)"))
+    head = whnf_debruijn(term)
+    assert head == to_debruijn(parse_term("first (f a)"))
+    assert head.term.arg is term.term.arg
+
+
 def test_fuel_exhausts_on_omega_in_both_oracles():
     omega = parse_term("(lam x . x x) (lam x . x x)")
     with pytest.raises(FuelExceededError):
@@ -428,16 +439,21 @@ def test_debruijn_stops_at_a_repeated_term(src, fuel):
         nf_debruijn(db, fuel)
 
 
-def test_debruijn_growing_divergence_still_spends_its_budget():
-    # each beta nests the head one level deeper, so no whnf loop ever sees
-    # a term twice: only the budget stops it (under the raised limit)
-    with pytest.raises(FuelExceededError, match="work budget exhausted"):
-        nf_debruijn(to_debruijn(parse_term(_GROWING)), DEFAULT_GEN_FUEL)
+def test_debruijn_growing_divergence_stops_at_its_first_repeat():
+    # each beta nests the head one level deeper: the machine comes back to
+    # the same head under one more pending application, above a spine it
+    # never touched, so the check stops it whatever the budget
+    db = to_debruijn(parse_term(_GROWING))
+    for fuel in (DEFAULT_GEN_FUEL, 10**9, None):
+        with pytest.raises(FuelExceededError, match=_CYCLE):
+            whnf_debruijn(db, fuel)
+        with pytest.raises(FuelExceededError, match=_CYCLE):
+            nf_debruijn(db, fuel)
 
 
 def test_debruijn_divergence_at_the_default_recursion_limit():
     # a fresh interpreter keeps Python's default recursion limit; the two
-    # cycles end by the check, the growing term still by the stack
+    # cycles and the growing term all end by the check, none by the stack
     script = """
 import sys
 limit = sys.getrecursionlimit()
@@ -460,7 +476,7 @@ for src in sys.argv[1:]:
         [sys.executable, "-c", script, _OMEGA, _PROJECTION_CYCLE, _GROWING],
         capture_output=True, text=True, timeout=120, env=env, check=True,
     ).stdout
-    assert out.splitlines() == [_CYCLE] * 4 + ["RecursionError"] * 2
+    assert out.splitlines() == [_CYCLE] * 6
 
 
 def test_debruijn_cycle_check_ignores_terms_of_a_returned_call():
@@ -470,6 +486,31 @@ def test_debruijn_cycle_check_ignores_terms_of_a_returned_call():
     term = to_debruijn(parse_term("(lam x . x) (lam y . y) (lam z . z)"))
     assert whnf_debruijn(term) == ident
     assert nf_debruijn(term) == ident
+
+
+def test_debruijn_cycle_check_sees_the_spine_shrink():
+    # the head lam y . y comes back after the spine has lost the frame it
+    # was saved under: an equal head alone is no repeat
+    ident = DBLam(ShapeVar(), BVar(0))
+    term = to_debruijn(parse_term("(lam x . x x x) (lam y . y)"))
+    assert whnf_debruijn(term) == ident
+    assert nf_debruijn(term) == ident
+
+
+def test_debruijn_cycle_check_compares_the_frames_it_popped():
+    # lam y . y comes back under one frame both times: an application of it
+    # to first (I I) at the save, a projection later.  The run popped the
+    # saved frame, so the low-water mark is below it and the two frames are
+    # compared
+    term = to_debruijn(parse_term("(lam x . x (first x)) ((lam y . y) (lam z . z))"))
+    assert nf_debruijn(term) == DBFirst(DBLam(ShapeVar(), BVar(0)))
+
+
+def test_debruijn_cycle_check_compares_pending_arguments():
+    # lam y . y comes back under one pending application both times, but
+    # applied first to (I I) and then to I: equal kinds, different arguments
+    term = to_debruijn(parse_term("(lam x . x (x x)) ((lam y . y) (lam z . z))"))
+    assert nf_debruijn(term) == DBLam(ShapeVar(), BVar(0))
 
 
 def test_debruijn_cycle_check_compares_terms_not_sizes():
