@@ -13,7 +13,6 @@ which generates node classes from a surface grammar.  Scope weakening is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, make_dataclass
 from operator import attrgetter
 from typing import Any, Callable, get_type_hints
 
@@ -34,7 +33,7 @@ from .names import (
 from .patterns import Pattern, check_pattern_scope, pattern_mask, with_pattern
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class ScopedAST(Node):
     """A subterm under a binder: a bare ``NameBinder`` for one variable, or
     a wildcard or pair pattern (never a top-level ``PatternVar``)."""
@@ -52,7 +51,7 @@ AST = Any
 PATTERN, SCOPED, TERM = "pattern", "scoped", "term"
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class Constructor:
     """One constructor in its surface, direct and generic classes: the role
     of each surface (and direct) field, and the position of the pattern,
@@ -103,11 +102,8 @@ def derive(surface: type, direct_module: str, free_module: str) -> Constructor:
 
 
 def _node_class(name: str, fields: list, module: str) -> type:
-    # without the namespace entry, ``__module__`` would be ``make_dataclass``'s
-    return make_dataclass(
-        name, fields, bases=(Node,), namespace={"__module__": module},
-        frozen=True, slots=True,
-    )
+    namespace = {"__annotations__": dict(fields), "__module__": module}
+    return naive.node_class(type(name, (Node,), namespace))
 
 
 def constructor(table: dict[type, Constructor], term: object) -> Constructor:

@@ -20,8 +20,9 @@ re-validate membership node by node.  The engines enter binders with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
+
+from .naive import node_class
 
 # Raw names are plain machine integers (>= 0).  Everything else is a thin,
 # immutable wrapper around them.
@@ -32,21 +33,21 @@ class ScopeViolationError(Exception):
     """A scope-safety invariant was broken."""
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Name:
     """A use of a name, valid in some scope."""
 
     raw: RawName
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class NameBinder:
     """A binding occurrence introducing ``raw`` into an inner scope."""
 
     raw: RawName
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Var:
     """Variable node, shared by every term representation in this package.
 

@@ -23,7 +23,6 @@ spines grow only from variables; those raise :class:`EvalError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .generic import ScopedAST
@@ -37,6 +36,7 @@ from .lambda_pi import (
     Term,
     UniverseSig,
 )
+from .naive import node_class
 from .names import (
     Name,
     NameBinder,
@@ -70,17 +70,17 @@ class Thunk:
         return v
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class EApp:
     arg: Thunk
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class EFirst:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class ESecond:
     pass
 
@@ -88,20 +88,20 @@ class ESecond:
 Elim = Union[EApp, EFirst, ESecond]
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class VNeutral:
     head: Name
     spine: tuple[Elim, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class VLam:
     env: "Env"
     binder: NameBinder | Pattern
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class VPi:
     env: "Env"
     domain: "Value"
@@ -109,13 +109,13 @@ class VPi:
     codomain: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class VPair:
     left: Thunk
     right: Thunk
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class VUniverse:
     pass
 

@@ -35,7 +35,7 @@ encoder, equality, hashing and ``repr`` see only the structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import field
 from typing import Callable, ClassVar, Union
 
 from . import bridge, lambda_pi, naive
@@ -218,17 +218,17 @@ def nf_named(term: naive.Term, fuel: int | None = None) -> naive.Term:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class ShapeWildcard:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class ShapeVar:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class ShapePair:
     left: "Shape"
     right: "Shape"
@@ -242,14 +242,7 @@ def _cache() -> int:
     return field(init=False, repr=False, compare=False)
 
 
-def _setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
-    # The slot descriptors' own setters, one per field in order: a frozen
-    # dataclass does not intercept them, and a call costs about 80 ns where
-    # ``object.__setattr__`` by field name costs 110.
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class BVar:
     index: int
     size: ClassVar[int] = 1
@@ -259,14 +252,14 @@ class BVar:
         return self.index + 1
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class FVar:
     ident: naive.VarIdent
     size: ClassVar[int] = 1
     loose: ClassVar[int] = 0
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class DBApp:
     fun: "DBTerm"
     arg: "DBTerm"
@@ -281,10 +274,10 @@ class DBApp:
         _app_loose(self, a if a > b else b)
 
 
-_app_fun, _app_arg, _app_size, _app_loose = _setters(DBApp)
+_app_fun, _app_arg, _app_size, _app_loose = naive.slot_setters(DBApp)
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class DBLam:
     shape: Shape
     body: "DBTerm"
@@ -299,10 +292,10 @@ class DBLam:
         _lam_loose(self, loose if loose > 0 else 0)
 
 
-_lam_shape, _lam_body, _lam_size, _lam_loose = _setters(DBLam)
+_lam_shape, _lam_body, _lam_size, _lam_loose = naive.slot_setters(DBLam)
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class DBPi:
     shape: Shape
     domain: "DBTerm"
@@ -320,10 +313,10 @@ class DBPi:
         _pi_loose(self, a if a > b else b)
 
 
-_pi_shape, _pi_domain, _pi_codomain, _pi_size, _pi_loose = _setters(DBPi)
+_pi_shape, _pi_domain, _pi_codomain, _pi_size, _pi_loose = naive.slot_setters(DBPi)
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class DBPair:
     left: "DBTerm"
     right: "DBTerm"
@@ -338,10 +331,10 @@ class DBPair:
         _pair_loose(self, a if a > b else b)
 
 
-_pair_left, _pair_right, _pair_size, _pair_loose = _setters(DBPair)
+_pair_left, _pair_right, _pair_size, _pair_loose = naive.slot_setters(DBPair)
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class DBFirst:
     term: "DBTerm"
     size: int = _cache()
@@ -353,10 +346,10 @@ class DBFirst:
         _first_loose(self, term.loose)
 
 
-_first_term, _first_size, _first_loose = _setters(DBFirst)
+_first_term, _first_size, _first_loose = naive.slot_setters(DBFirst)
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class DBSecond:
     term: "DBTerm"
     size: int = _cache()
@@ -368,10 +361,10 @@ class DBSecond:
         _second_loose(self, term.loose)
 
 
-_second_term, _second_size, _second_loose = _setters(DBSecond)
+_second_term, _second_size, _second_loose = naive.slot_setters(DBSecond)
 
 
-@dataclass(frozen=True, slots=True)
+@naive.node_class
 class DBUniverse:
     size: ClassVar[int] = 1
     loose: ClassVar[int] = 0

@@ -17,9 +17,9 @@ the engines call them at every binder they pass, and a class-pattern
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Union
 
+from .naive import node_class
 from .names import (
     Name,
     NameBinder,
@@ -34,17 +34,17 @@ from .names import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class PatternWildcard:
     """Binds nothing."""
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class PatternVar:
     binder: NameBinder
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class PatternPair:
     left: "Pattern"
     right: "Pattern"

@@ -341,7 +341,7 @@ def _gen_full_grammar_term(rng: random.Random) -> naive.Term:
     return naive.Lam(naive.PatternPair(e0, e1), naive.ScopedTerm(redex))
 
 
-def test_11_five_way_agreement_on_the_full_grammar_in_debug_mode():
+def test_11_five_way_agreement_on_the_full_grammar():
     with criterion(11, "five-way agreement, 600 full-grammar terms, scope-checked", 10.0):
         rng = random.Random(1111)
         scope = Scope()

@@ -92,7 +92,7 @@ def test_extend_scope():
     assert name_of(binder) == Name(binder.raw)
 
 
-def test_extend_scope_rejects_collision_in_debug_mode():
+def test_extend_scope_rejects_a_collision():
     scope = extend_scope(NameBinder(3), Scope())
     with pytest.raises(ScopeViolationError):
         extend_scope(NameBinder(3), scope)
@@ -160,7 +160,7 @@ def test_sink_is_identity():
     assert sink(term, source=small, target=big) is term
 
 
-def test_sink_debug_checks_superset():
+def test_sink_checks_superset():
     small = Scope().add(4)
     big = small.add(9)
     sink(Var(Name(4)), source=small, target=big)

@@ -1,0 +1,195 @@
+"""Every frozen, slotted node class is built one way: ``naive.node_class``.
+
+The classes are found by walking the package's modules, so a class added
+later is covered without a change here; ``Let``, derived outside the
+package in ``test_generic``, stands for a grammar the package has never
+seen.  Each must behave as the plain ``dataclass(frozen=True, slots=True)``
+would, while storing its fields through the slot setters.
+"""
+
+import importlib
+import inspect
+import pkgutil
+from dataclasses import (
+    MISSING,
+    FrozenInstanceError,
+    dataclass,
+    field,
+    fields,
+    is_dataclass,
+    make_dataclass,
+)
+
+import pytest
+
+from test_generic import LET
+
+import scopefoil
+from scopefoil import lambda_pi, naive
+from scopefoil.oracles import (
+    BVar,
+    DBApp,
+    DBFirst,
+    DBLam,
+    DBPair,
+    DBPi,
+    DBSecond,
+    DBUniverse,
+    FVar,
+    ShapeVar,
+)
+
+
+def _node_classes() -> list[type]:
+    found = []
+    for info in pkgutil.iter_modules(scopefoil.__path__):
+        module = importlib.import_module(f"scopefoil.{info.name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == module.__name__
+                and is_dataclass(value)
+                and value.__dataclass_params__.frozen
+                and "__slots__" in value.__dict__
+            ):
+                found.append(value)
+    return found + [LET.direct, LET.free]
+
+
+CLASSES = _node_classes()
+
+# Arguments for the classes that look at theirs; any other class is built
+# from one fresh object per field.
+SAMPLE_ARGS = {
+    naive.VarIdent: ("x", (1, 2)),
+    DBApp: (BVar(0), BVar(1)),
+    DBLam: (ShapeVar(), BVar(0)),
+    DBPi: (ShapeVar(), DBUniverse(), BVar(0)),
+    DBPair: (BVar(0), FVar(naive.VarIdent("y"))),
+    DBFirst: (BVar(0),),
+    DBSecond: (BVar(0),),
+}
+
+# Classes generated by ``generic.derive``, which have no docstring.
+DERIVED = {
+    cls for con in (*lambda_pi.CONSTRUCTORS, LET) for cls in (con.direct, con.free)
+}
+
+# These compute ``size`` and ``loose`` from their children in an
+# ``__init__`` of their own, which stores every slot with ``slot_setters``.
+HAND_WRITTEN = {DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond}
+
+
+def _init_names(cls: type) -> list[str]:
+    return [f.name for f in fields(cls) if f.init]
+
+
+def _sample(cls: type) -> tuple:
+    return SAMPLE_ARGS.get(cls) or tuple(object() for _ in _init_names(cls))
+
+
+def _id(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def test_the_walk_finds_the_classes_of_every_layer():
+    names = {_id(cls) for cls in CLASSES}
+    for expected in (
+        "scopefoil.naive.VarIdent",
+        "scopefoil.names.Name",
+        "scopefoil.patterns.PatternPair",
+        "scopefoil.generic.ScopedAST",
+        "scopefoil.terms.Lam",
+        "scopefoil.lambda_pi.AppSig",
+        "scopefoil.nbe.VLam",
+        "scopefoil.oracles.DBApp",
+        "test_generic.LetSig",
+    ):
+        assert expected in names
+    assert len(CLASSES) >= 55
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_id)
+def test_positional_and_keyword_construction_agree(cls):
+    args = _sample(cls)
+    names = _init_names(cls)
+    positional = cls(*args)
+    assert positional == cls(**dict(zip(names, args)))
+    for name, arg in zip(names, args):
+        assert getattr(positional, name) is arg
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_id)
+def test_every_field_is_frozen(cls):
+    node = cls(*_sample(cls))
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, f.name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, f.name)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_id)
+def test_no_class_keeps_the_setattr_initializer(cls):
+    init = cls.__dict__.get("__init__")
+    if init is None:
+        assert not fields(cls) and cls.__init__ is object.__init__
+    else:
+        assert "__setattr__" not in init.__code__.co_names
+
+
+def test_the_setattr_check_sees_a_plain_dataclass():
+    """The check above is not vacuous: ``dataclass``'s own initializer of a
+    frozen class stores through ``object.__setattr__``."""
+
+    @dataclass(frozen=True, slots=True)
+    class Plain:
+        value: object
+
+    assert "__setattr__" in Plain.__init__.__code__.co_names
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in CLASSES if fields(c) and c not in HAND_WRITTEN], ids=_id
+)
+def test_the_signature_is_the_one_dataclass_generates(cls):
+    spec = [(f.name, f.type, field(default=f.default)) for f in fields(cls)]
+    reference = make_dataclass(cls.__name__, spec, frozen=True, slots=True)
+    assert inspect.signature(cls.__init__) == inspect.signature(reference.__init__)
+    assert inspect.signature(cls) == inspect.signature(reference)
+    if cls in DERIVED or cls.__doc__.startswith(f"{cls.__name__}("):
+        assert cls.__doc__ == reference.__doc__  # it has no docstring of its own
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in CLASSES if any(f.default is not MISSING for f in fields(c))],
+    ids=_id,
+)
+def test_defaults_hold(cls):
+    required = [f for f in fields(cls) if f.default is MISSING]
+    node = cls(*_sample(cls)[: len(required)])
+    for f in fields(cls)[len(required):]:
+        assert getattr(node, f.name) is f.default
+
+
+def test_identifiers_are_still_validated():
+    assert naive.VarIdent("x").loc is None
+    assert naive.VarIdent("x", (3, 4)) == naive.VarIdent("x")
+    for bad in ("lam", "1x", ""):
+        with pytest.raises(ValueError, match="invalid identifier"):
+            naive.VarIdent(bad)
+
+
+def test_a_class_with_no_fields_takes_no_arguments():
+    for cls in (c for c in CLASSES if not fields(c)):
+        assert cls() == cls() and hash(cls()) == hash(cls())
+        with pytest.raises(TypeError):
+            cls(None)
+
+
+def test_node_class_refuses_a_field_it_cannot_store():
+    class Later:
+        value: int = field(default=0, kw_only=True)
+
+    with pytest.raises(TypeError, match="only plain fields"):
+        naive.node_class(Later)
