@@ -5,19 +5,18 @@ The walks are derived from the surface classes' fields through
 bodies in its ``naive.ScopedTerm`` fields, and every other field is a term
 in the node's own scope.  Only variables and patterns are converted by hand.
 
-``to_foil_term`` resolves identifiers innermost-first (shadowing works the
-way you expect), allocates every binder fresh against the accumulated scope
-— so its output is globally distinct and passes the scope checkers —
-and calls the supplied ``rename`` function for identifiers bound by neither
-a binder nor the environment.  ``to_free_term`` is the same walk building
-the generic AST of :mod:`scopefoil.lambda_pi` directly, the tree
-``direct_to_free(to_foil_term(...))`` builds, with no direct tree in between.
-
-``from_foil_term`` forgets scope indices, and ``from_free_term`` does the
-same for a generic AST without going through ``free_to_direct``.  The
-direct engine takes the ``foil`` walks, the generic and NbE engines the
-``free`` ones.  The default identifier scheme
-maps raw name ``n`` to ``x{n}``.  BEWARE: this scheme knows nothing about
+``to_free_term`` is the one walk from surface syntax: it resolves
+identifiers innermost-first (shadowing works the way you expect), allocates
+every binder fresh against the accumulated scope — so its output is
+globally distinct and passes the scope checkers — and calls the supplied
+``rename`` function for identifiers bound by neither a binder nor the
+environment.  ``from_free_term`` is the one walk back, forgetting scope
+indices.  The direct tree's conversions are compositions through the
+generic tree: ``to_foil_term`` is ``free_to_direct`` of ``to_free_term``,
+and ``from_foil_term`` is ``from_free_term`` of ``direct_to_free``.  The
+direct engine takes the ``foil`` conversions, the generic and NbE engines
+the ``free`` ones.  The default identifier scheme maps raw name ``n`` to
+``x{n}``.  BEWARE: this scheme knows nothing about
 the identifiers the term had before ``to_foil_term``; if a term has free
 names, printing it with the default scheme will rename them (e.g. a free
 ``y`` that entered as raw ``#0`` comes back as ``x0``).  Callers that care
@@ -30,7 +29,14 @@ from typing import Callable
 
 from . import naive, terms
 from .generic import PATTERN, SCOPED, ScopedAST, children
-from .lambda_pi import BY_DIRECT, BY_FREE, BY_NAIVE, Term, constructor
+from .lambda_pi import (
+    BY_FREE,
+    BY_NAIVE,
+    Term,
+    constructor,
+    direct_to_free,
+    free_to_direct,
+)
 from .names import Name, NameBinder, RawName, Scope, Var, fresh_raw_name, set_mask
 from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard, pattern_mask
 
@@ -107,70 +113,15 @@ def _as_pattern(binder: NameBinder | Pattern) -> Pattern:
     return PatternVar(binder) if type(binder) is NameBinder else binder
 
 
-def to_foil_pattern(
-    scope: Scope, pattern: naive.Pattern
-) -> tuple[Pattern, dict[str, Name], Scope]:
-    """Convert a pattern, allocating binders left to right against ``scope``.
-
-    Returns the scope-indexed pattern, the identifier -> name environment
-    extension its body should be resolved under, and the body's scope.
-    """
-    bound: list[tuple[str, Name]] = []
-    binder, body_scope = _bind_pattern(scope, pattern, bound)
-    return _as_pattern(binder), dict(bound), body_scope
-
-
-def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term:
-    """Convert a surface term to the scope-indexed direct representation.
+def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
+    """Convert a surface term to the generic AST.
 
     Identifiers resolve through one mutable environment: on the way into
     each body under a pattern, every identifier it binds gets an entry
     linking its name to the entry it shadows, put back on the way out, so
-    entering a binder never copies the environment.  Every node built
-    records its free-name mask.
-    """
-    env: dict[str, _Entry | None] = {}
-
-    def go(scope: Scope, t: naive.Term) -> terms.Term:
-        if type(t) is naive.Var:
-            entry = env.get(t.ident.text)
-            return Var(rename(t.ident) if entry is None else entry[0])
-        con = constructor(BY_NAIVE, t)
-        new = []
-        mask = 0
-        for role, field in zip(con.roles, children(t)):
-            if role is PATTERN:
-                bound: list[tuple[str, Name]] = []
-                binder, body_scope = _bind_pattern(scope, field, bound)
-                bits = pattern_mask(binder)
-                new.append(_as_pattern(binder))
-            elif role is SCOPED:
-                for text, name in bound:
-                    env[text] = (name, env.get(text))
-                body = go(body_scope, field.term)
-                for text, _ in bound:
-                    env[text] = env[text][1]
-                mask |= (1 << body.name.raw if type(body) is Var else body.fv) & ~bits
-                new.append(body)
-            else:
-                child = go(scope, field)
-                mask |= 1 << child.name.raw if type(child) is Var else child.fv
-                new.append(child)
-        node = con.direct(*new)
-        set_mask(node, mask)
-        return node
-
-    return go(scope, term)
-
-
-def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
-    """Convert a surface term straight to the generic AST.
-
-    The same walk as :func:`to_foil_term`, with the same binders, errors and
-    masks, but each body comes out as a :class:`ScopedAST` holding its
-    binder, as :func:`~scopefoil.lambda_pi.direct_to_free` would make it; a
-    single-variable pattern becomes a bare ``NameBinder``.  Every node and
-    every ``ScopedAST`` built records its free-name mask.
+    entering a binder never copies the environment.  A single-variable
+    pattern becomes a bare ``NameBinder``.  Every node and every
+    ``ScopedAST`` built records its free-name mask.
     """
     env: dict[str, _Entry | None] = {}
 
@@ -206,6 +157,13 @@ def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
         return node
 
     return go(scope, term)
+
+
+def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term:
+    """Convert a surface term to the scope-indexed direct representation:
+    :func:`to_free_term`'s tree in its direct form, every node with its
+    free-name mask."""
+    return free_to_direct(to_free_term(rename, scope, term))
 
 
 def to_foil_closed(term: naive.Term) -> terms.Term:
@@ -254,24 +212,12 @@ def from_foil_pattern(raw_to_ident: IdentFn, pattern: Pattern) -> naive.Pattern:
 
 def from_foil_term(raw_to_ident: IdentFn, term: terms.Term) -> naive.Term:
     """Convert back to surface syntax by forgetting scope indices."""
-    if type(term) is Var:
-        return naive.Var(raw_to_ident(term.name.raw))
-    con = constructor(BY_DIRECT, term)
-    new = []
-    for role, field in zip(con.roles, children(term)):
-        if role is PATTERN:
-            new.append(from_foil_pattern(raw_to_ident, field))
-        elif role is SCOPED:
-            new.append(naive.ScopedTerm(from_foil_term(raw_to_ident, field)))
-        else:
-            new.append(from_foil_term(raw_to_ident, field))
-    return con.naive(*new)
+    return from_free_term(raw_to_ident, direct_to_free(term))
 
 
 def from_free_term(raw_to_ident: IdentFn, term: Term) -> naive.Term:
     """Convert a generic AST back to surface syntax by forgetting scope
-    indices: the same term as ``from_foil_term`` of its direct form, with
-    no direct tree in between."""
+    indices."""
     if type(term) is Var:
         return naive.Var(raw_to_ident(term.name.raw))
     con = constructor(BY_FREE, term)

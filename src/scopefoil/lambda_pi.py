@@ -12,8 +12,7 @@ from the fields, with no code per constructor.  The congruence part of
 normalization returns a node whose children all come back as the same
 objects as it is.
 
-``mk_lam`` builds a single-binder lambda; the ``as_*`` views return a node's
-fields, or ``None`` on mismatch.
+The ``as_*`` views return a node's fields, or ``None`` on mismatch.
 """
 
 from __future__ import annotations
@@ -45,12 +44,8 @@ Term = AST
 
 
 # --------------------------------------------------------------------------
-# binder constructors and views
+# views
 # --------------------------------------------------------------------------
-
-
-def mk_lam(binder: NameBinder, body: Term) -> Term:
-    return LamSig(ScopedAST(binder, body))
 
 
 def as_app(term: Term) -> tuple[Term, Term] | None:
@@ -185,18 +180,27 @@ def direct_to_free(term: terms.Term) -> Term:
 
 
 def free_to_direct(term: Term) -> terms.Term:
-    """The direct form: a bare binder becomes a single-variable pattern."""
+    """The direct form: a bare binder becomes a single-variable pattern.
+    Every node built records its free-name mask."""
     if type(term) is Var:
         return term
     con = constructor(BY_FREE, term)
     new = []
+    mask = 0
     for field in children(term):
         if type(field) is ScopedAST:
             binder = field.binder
-            new.append(free_to_direct(field.body))
+            body = free_to_direct(field.body)
+            fv = 1 << body.name.raw if type(body) is Var else body.fv
+            mask |= fv & ~pattern_mask(binder)
+            new.append(body)
         else:
-            new.append(free_to_direct(field))
+            child = free_to_direct(field)
+            mask |= 1 << child.name.raw if type(child) is Var else child.fv
+            new.append(child)
     if con.pattern is not None:
         pattern = PatternVar(binder) if type(binder) is NameBinder else binder
         new.insert(con.pattern, pattern)
-    return con.direct(*new)
+    node = con.direct(*new)
+    set_mask(node, mask)
+    return node

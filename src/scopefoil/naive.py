@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import inspect
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from types import CodeType
 from typing import Callable, Union
 
@@ -27,16 +27,23 @@ def node_class(cls: type) -> type:
     frozen dataclass does not intercept either.  A two-field node then takes
     about 30% less time to build, a one-field node about 25% less (CPython
     3.11).  Defaults, ``__post_init__``, equality, hashing, ``repr``, match
-    arguments, the signature, the docstring and ``FrozenInstanceError`` on
-    assignment are those of the plain dataclass.  A class with no fields
-    keeps ``object.__init__``, and one that writes its own ``__init__``
-    keeps it (it can store its fields with :func:`slot_setters`).
+    arguments, the signature and the docstring are those of the plain
+    dataclass.  Assigning or deleting any attribute raises
+    ``FrozenInstanceError`` through one shared ``__setattr__`` and
+    ``__delattr__``: the ones ``dataclass(slots=True)`` writes close over
+    the class before its slotted copy, so for a name that is not a field
+    they fail with a ``TypeError`` from ``super()`` instead.  A class with
+    no fields keeps ``object.__init__``, and one that writes its own
+    ``__init__`` keeps it (it can store its fields with
+    :func:`slot_setters`).
     """
     doc = cls.__doc__
     # a placeholder keeps ``dataclass`` from writing a docstring from the
     # signature before the class has its ``__init__``
     cls.__doc__ = "node"
     cls = dataclass(cls, frozen=True, slots=True, init=False)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     if "__init__" not in cls.__dict__ and fields(cls):
         cls.__init__ = _setter_init(cls)
     # the docstring ``dataclass`` gives a class that has none
@@ -44,6 +51,14 @@ def node_class(cls: type) -> type:
         " -> None", ""
     )
     return cls
+
+
+def _frozen_setattr(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:

@@ -11,8 +11,8 @@ import random
 
 from scopefoil import naive
 from scopefoil.bench import ensure_deep_recursion
-from scopefoil.bridge import to_foil_pattern
-from scopefoil.names import Scope
+from scopefoil.bridge import to_foil_closed
+from scopefoil.patterns import names_of_pattern
 
 ensure_deep_recursion()
 
@@ -86,8 +86,19 @@ def gen_naive_term(
             )
 
 
+def foil_pattern(source: naive.Pattern):
+    """The scope-safe form of a surface pattern, binders allocated left to
+    right from the empty scope, and the identifier -> name environment its
+    body is resolved under.  The pattern is the binder of a closed lambda
+    over ``source``, as the conversion allocates it."""
+    lam = naive.Lam(source, naive.ScopedTerm(naive.Universe()))
+    pattern = to_foil_closed(lam).pattern
+    idents = naive.pattern_idents(source)
+    return pattern, {i.text: n for i, n in zip(idents, names_of_pattern(pattern))}
+
+
 def gen_foil_pattern(rng: random.Random, depth: int):
     """Random scope-safe pattern (fresh binders) plus its naive source."""
     source = gen_naive_pattern(rng, depth, set())
-    pattern, env, _ = to_foil_pattern(Scope(), source)
+    pattern, env = foil_pattern(source)
     return pattern, source, env

@@ -1,10 +1,11 @@
 """Conversions between raw named syntax and the scope-safe forms."""
 
+import hashlib
 import random
 
 import pytest
 
-from conftest import gen_naive_term
+from conftest import foil_pattern, gen_naive_term
 
 from scopefoil import naive
 from scopefoil.bench import gen_random
@@ -17,15 +18,14 @@ from scopefoil.bridge import (
     from_free_term,
     rename_from_env,
     to_foil_closed,
-    to_foil_pattern,
     to_foil_term,
     to_free_closed,
 )
-from scopefoil.encoding import encode_free
+from scopefoil.encoding import encode_direct, encode_free
 from scopefoil.fuel import FuelExceededError
 from scopefoil.generic import ScopedAST, check_scope, children
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
-from scopefoil.names import Name, Scope, Var
+from scopefoil.names import Name, Node, Scope, Var
 from scopefoil.oracles import alpha_eq
 from scopefoil.patterns import (
     PatternPair,
@@ -98,23 +98,22 @@ def test_duplicate_binders_in_nested_pattern_rejected():
 
 
 def test_pattern_conversion_shapes_and_env():
-    pattern, env, body_scope = to_foil_pattern(
-        Scope(), naive.PatternPair(naive.PatternVar(naive.VarIdent("a")), naive.PatternWildcard())
+    pattern, env = foil_pattern(
+        naive.PatternPair(naive.PatternVar(naive.VarIdent("a")), naive.PatternWildcard())
     )
-    assert body_scope == extend_scope_pattern(pattern, Scope())
     match pattern:
         case PatternPair(PatternVar(binder), PatternWildcard()):
             assert env == {"a": Name(binder.raw)}
+            assert extend_scope_pattern(pattern, Scope()) == Scope().add(binder.raw)
         case _:
             raise AssertionError(pattern)
 
 
 def test_from_foil_pattern_names():
-    pattern, _, _ = to_foil_pattern(
-        Scope(),
+    pattern, _ = foil_pattern(
         naive.PatternPair(
             naive.PatternVar(naive.VarIdent("a")), naive.PatternVar(naive.VarIdent("b"))
-        ),
+        )
     )
     back = from_foil_pattern(default_ident, pattern)
     match back:
@@ -152,7 +151,8 @@ def test_random_roundtrip_alpha_equal():
 
 
 # --------------------------------------------------------------------------
-# the one-walk generic conversions against the direct tree's two walks
+# the direct conversions, which go through the generic ones, pinned to the
+# raw names and masks of the direct walk they replaced, and their round trips
 # --------------------------------------------------------------------------
 
 
@@ -180,7 +180,33 @@ def _masks(ast, out: list) -> list:
     return out
 
 
+def _direct_masks(term, out: list) -> list:
+    """The recorded mask of every direct node, in walk order."""
+    if not isinstance(term, Node):  # a variable or a pattern
+        return out
+    out.append(term.fv)
+    for child in children(term):
+        _direct_masks(child, out)
+    return out
+
+
+def test_to_foil_bytes_and_masks_are_pinned(equivalence_corpus):
+    """``to_foil_closed`` keeps the raw names, shapes and masks of the
+    direct tree it built with a surface walk of its own: the digest was
+    taken from that walk, before the direct conversion became a composition
+    through the generic tree."""
+    digest = hashlib.sha256()
+    for term in equivalence_corpus:
+        direct = to_foil_closed(term)
+        digest.update(encode_direct(direct))
+        digest.update(repr(_direct_masks(direct, [])).encode())
+    assert digest.hexdigest() == (
+        "1ea1a281f86b11639dd6769383b3016d3b756cb286827ac0474e0981e4b3e926"
+    )
+
+
 def test_to_free_is_direct_to_free_of_to_foil(equivalence_corpus):
+    # a round trip since ``to_foil_term`` is ``free_to_direct`` of ``to_free_term``
     for term in equivalence_corpus:
         one = to_free_closed(term)
         two = direct_to_free(to_foil_closed(term))
@@ -190,6 +216,7 @@ def test_to_free_is_direct_to_free_of_to_foil(equivalence_corpus):
 
 
 def test_from_free_is_from_foil_of_free_to_direct(equivalence_corpus):
+    # a round trip since ``from_foil_term`` is ``from_free_term`` of ``direct_to_free``
     normalized = 0
     for term in equivalence_corpus:
         try:

@@ -32,7 +32,6 @@ from scopefoil.lambda_pi import (
     PairSig,
     UniverseSig,
     direct_to_free,
-    mk_lam,
     nf_free,
     whnf_free,
 )
@@ -230,7 +229,7 @@ def test_substitute_replaces_free_variable():
 
 def test_substitute_avoids_capture():
     """[x0 := x1] (lam x1 . x0 x1) must rename the inner binder."""
-    inner = mk_lam(NameBinder(1), AppSig(Var(Name(0)), Var(Name(1))))
+    inner = LamSig(ScopedAST(NameBinder(1), AppSig(Var(Name(0)), Var(Name(1)))))
     scope = Scope().add(0).add(1)
     subst = add_subst(identity_subst(), NameBinder(0), Var(Name(1)))
     out = substitute(scope, subst, inner)
@@ -244,7 +243,7 @@ def test_substitute_avoids_capture():
 
 def test_substitute_reuses_binder_when_safe():
     """A binder that collides with nothing live keeps its name."""
-    inner = mk_lam(NameBinder(7), AppSig(Var(Name(0)), Var(Name(7))))
+    inner = LamSig(ScopedAST(NameBinder(7), AppSig(Var(Name(0)), Var(Name(7)))))
     scope = Scope().add(0).add(1)
     subst = add_subst(identity_subst(), NameBinder(0), Var(Name(1)))
     out = substitute(scope, subst, inner)
@@ -258,7 +257,7 @@ def test_substitute_reuses_binder_when_safe():
 
 def test_substitute_shadowed_binder_blocks_substitution():
     # [x0 := U] (lam x0 . x0) leaves the bound occurrence alone
-    term = mk_lam(NameBinder(0), Var(Name(0)))
+    term = LamSig(ScopedAST(NameBinder(0), Var(Name(0))))
     scope = Scope().add(0)
     subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
     out = substitute(scope, subst, term)
@@ -280,9 +279,9 @@ def test_check_scope():
     check_scope(Var(Name(0)), Scope().add(0))
     with pytest.raises(ScopeViolationError):
         check_scope(Var(Name(0)), Scope())
-    term = mk_lam(NameBinder(0), Var(Name(0)))
+    term = LamSig(ScopedAST(NameBinder(0), Var(Name(0))))
     check_scope(term, Scope())  # closed
-    escaping = mk_lam(NameBinder(0), Var(Name(1)))
+    escaping = LamSig(ScopedAST(NameBinder(0), Var(Name(1))))
     with pytest.raises(ScopeViolationError):
         check_scope(escaping, Scope())
     # a pattern binder scopes its body; binding one raw twice is rejected,
@@ -299,7 +298,7 @@ def test_check_scope():
 def test_substitute_does_not_reach_under_shadowing_binder():
     # [#0 := U] (lam #0 . #0): the reused binder shadows the entry
     subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
-    term = mk_lam(NameBinder(0), Var(Name(0)))
+    term = LamSig(ScopedAST(NameBinder(0), Var(Name(0))))
     assert substitute(Scope(), subst, term) == term
 
 
@@ -325,7 +324,8 @@ def _random_ast(rng, depth, env):
             )
         case 1:
             raw = max(env, default=-1) + 1
-            return mk_lam(NameBinder(raw), _random_ast(rng, depth - 1, env + (raw,)))
+            body = _random_ast(rng, depth - 1, env + (raw,))
+            return LamSig(ScopedAST(NameBinder(raw), body))
         case 2:
             return PairSig(
                 _random_ast(rng, depth - 1, env), _random_ast(rng, depth - 1, env)
@@ -466,7 +466,7 @@ def test_untouched_subtrees_come_back_as_they_are():
 
 def test_masks_are_not_part_of_the_structure():
     masked = _free("lam x . x")
-    hand = mk_lam(NameBinder(2), Var(Name(2)))
+    hand = LamSig(ScopedAST(NameBinder(2), Var(Name(2))))
     assert free_mask(masked) == 0 and free_mask(masked.body) == 0
     assert free_mask(hand) == -1
     assert masked == hand and hash(masked) == hash(hand)

@@ -12,6 +12,7 @@ from conftest import ALREADY_NORMAL, gen_naive_term
 
 from scopefoil.bridge import default_ident, from_foil_term, to_foil_closed
 from scopefoil.fuel import FuelExceededError
+from scopefoil.generic import ScopedAST
 from scopefoil.lambda_pi import (
     AppSig,
     FirstSig,
@@ -26,7 +27,6 @@ from scopefoil.lambda_pi import (
     as_second,
     direct_to_free,
     free_to_direct,
-    mk_lam,
     nf_free,
     whnf_free,
 )
@@ -45,7 +45,7 @@ def test_views_invert_constructors():
     u = UniverseSig()
     x = Var(Name(0))
     assert as_app(AppSig(x, u)) == (x, u)
-    assert as_lam(mk_lam(NameBinder(0), x)) == (NameBinder(0), x)
+    assert as_lam(LamSig(ScopedAST(NameBinder(0), x))) == (NameBinder(0), x)
     assert as_pair(PairSig(x, u)) == (x, u)
     assert as_first(FirstSig(x)) == x
     assert as_second(SecondSig(x)) == x

@@ -90,9 +90,8 @@ def test_linked_environment_resolves_to_innermost_binding():
 
 def test_quote_refreshes_against_scope():
     # the binder x0 collides with the ambient name 0 and must be renamed
-    term = lambda_pi.mk_lam(
-        NameBinder(0),
-        lambda_pi.AppSig(Var(Name(0)), Var(Name(0))),
+    term = lambda_pi.LamSig(
+        generic.ScopedAST(NameBinder(0), lambda_pi.AppSig(Var(Name(0)), Var(Name(0))))
     )
     scope = Scope().add(0)
     out = nf_nbe(scope, term)

@@ -121,12 +121,16 @@ def test_positional_and_keyword_construction_agree(cls):
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_id)
 def test_every_field_is_frozen(cls):
+    """Every other name is too, slots such as ``fv`` and ``size`` included:
+    assigning or deleting it raises the frozen error, not a ``TypeError``."""
     node = cls(*_sample(cls))
-    for f in fields(cls):
+    names = [f.name for f in fields(cls)]
+    slots = {s for c in cls.__mro__ for s in c.__dict__.get("__slots__", ())}
+    for name in [*names, *sorted(slots - set(names)), "not_a_field"]:
         with pytest.raises(FrozenInstanceError):
-            setattr(node, f.name, None)
+            setattr(node, name, None)
         with pytest.raises(FrozenInstanceError):
-            delattr(node, f.name)
+            delattr(node, name)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_id)
