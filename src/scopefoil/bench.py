@@ -40,7 +40,8 @@ from .bridge import (
 )
 from .encoding import hash_debruijn
 from .fuel import FuelExceededError
-from .lambda_pi import nf_free
+from .generic import PATTERN, SCOPED, children, constructor
+from .lambda_pi import BY_NAIVE, nf_free
 from .names import Scope
 from .nbe import nf_nbe
 from .oracles import (
@@ -149,23 +150,19 @@ def church_fact(n: int) -> naive.Term:
 
 
 def internal_nodes(term: naive.Term) -> int:
-    """Number of non-variable nodes (the generator's size measure)."""
-    match term:
-        case naive.Var():
-            return 0
-        case naive.App(fun, arg):
-            return 1 + internal_nodes(fun) + internal_nodes(arg)
-        case naive.Lam(_, naive.ScopedTerm(body)):
-            return 1 + internal_nodes(body)
-        case naive.Pair(left, right):
-            return 1 + internal_nodes(left) + internal_nodes(right)
-        case naive.First(t) | naive.Second(t):
-            return 1 + internal_nodes(t)
-        case naive.Pi(_, domain, naive.ScopedTerm(codomain)):
-            return 1 + internal_nodes(domain) + internal_nodes(codomain)
-        case naive.Universe():
-            return 0
-    raise TypeError(f"not a term: {term!r}")
+    """Number of non-variable nodes (the generator's size measure): one per
+    node with fields, plus those of every field but the pattern.  A
+    variable and the universe count 0."""
+    if type(term) is naive.Var:
+        return 0
+    con = constructor(BY_NAIVE, term)
+    if not con.roles:
+        return 0
+    count = 1
+    for role, field in zip(con.roles, children(term)):
+        if role is not PATTERN:
+            count += internal_nodes(field.term if role is SCOPED else field)
+    return count
 
 
 def _gen_closed(rng: random.Random, size: int) -> naive.Term:

@@ -22,7 +22,11 @@ mapping first (see :mod:`scopefoil.bridge`).
 
 Binders in de Bruijn terms keep the *shape* of the pattern that bound them
 (wildcard / variable / pair) but not its names; a pattern's variables are
-numbered left to right with the rightmost innermost (index 0).
+numbered left to right with the rightmost innermost (index 0).  Each de
+Bruijn class keeps its surface constructor's fields in order, with a shape
+for the pattern, so :func:`to_debruijn` and :func:`from_debruijn` are walks
+over the field roles of :data:`scopefoil.lambda_pi.CONSTRUCTORS`, paired
+with the de Bruijn classes in :data:`TO_DB` and :data:`BY_DB`.
 
 Every de Bruijn node knows its ``size`` (its number of nodes, which a beta
 step charges as fuel) and ``loose`` (one more than its largest loose index,
@@ -40,6 +44,7 @@ from typing import Callable, ClassVar, Union
 
 from . import bridge, lambda_pi, naive
 from .fuel import Fuel, FuelExceededError
+from .generic import PATTERN, SCOPED, children, constructor
 from .names import Var as FoilVar
 
 
@@ -373,121 +378,108 @@ class DBUniverse:
 DBTerm = Union[BVar, FVar, DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond, DBUniverse]
 
 
+# The de Bruijn class of each surface constructor, and the constructor of
+# each de Bruijn class.  A de Bruijn class keeps the surface fields in
+# order, with a ``shape`` in place of the ``pattern``.
+_DB_CLASSES = (DBPair, DBFirst, DBSecond, DBApp, DBLam, DBPi, DBUniverse)
+BY_DB = {db: con for con, db in zip(lambda_pi.CONSTRUCTORS, _DB_CLASSES, strict=True)}
+TO_DB = {con.naive: db for db, con in BY_DB.items()}
+
+
 def _shape_of(pattern: naive.Pattern) -> tuple[Shape, list[str]]:
-    match pattern:
-        case naive.PatternWildcard():
-            return ShapeWildcard(), []
-        case naive.PatternVar(ident):
-            return ShapeVar(), [ident.text]
-        case naive.PatternPair(left, right):
-            ls, ln = _shape_of(left)
-            rs, rn = _shape_of(right)
-            return ShapePair(ls, rs), ln + rn
+    kind = type(pattern)
+    if kind is naive.PatternVar:
+        return ShapeVar(), [pattern.ident.text]
+    if kind is naive.PatternWildcard:
+        return ShapeWildcard(), []
+    if kind is naive.PatternPair:
+        ls, ln = _shape_of(pattern.left)
+        rs, rn = _shape_of(pattern.right)
+        return ShapePair(ls, rs), ln + rn
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
 def shape_arity(shape: Shape) -> int:
-    match shape:
-        case ShapeWildcard():
-            return 0
-        case ShapeVar():
-            return 1
-        case ShapePair(left, right):
-            return shape_arity(left) + shape_arity(right)
+    kind = type(shape)
+    if kind is ShapeVar:
+        return 1
+    if kind is ShapeWildcard:
+        return 0
+    if kind is ShapePair:
+        return shape_arity(shape.left) + shape_arity(shape.right)
     raise TypeError(f"not a shape: {shape!r}")
 
 
 def _shape_paths(shape: Shape) -> list[tuple[int, ...]]:
     """Projection paths to the shape's variables, left to right.  Step 0 is
     a ``first`` projection, step 1 a ``second``."""
-    match shape:
-        case ShapeWildcard():
-            return []
-        case ShapeVar():
-            return [()]
-        case ShapePair(left, right):
-            return [(0,) + p for p in _shape_paths(left)] + [
-                (1,) + p for p in _shape_paths(right)
-            ]
+    kind = type(shape)
+    if kind is ShapeVar:
+        return [()]
+    if kind is ShapeWildcard:
+        return []
+    if kind is ShapePair:
+        return [(0,) + p for p in _shape_paths(shape.left)] + [
+            (1,) + p for p in _shape_paths(shape.right)
+        ]
     raise TypeError(f"not a shape: {shape!r}")
 
 
 def to_debruijn(term: naive.Term) -> DBTerm:
     """Convert surface syntax to de Bruijn form; free variables stay named.
 
-    Bound identifiers resolve through one identifier -> level map, set on
-    the way into a binder's body and put back on the way out, so entering a
-    binder costs its pattern's size, not the depth.
+    A pattern becomes its shape.  Bound identifiers resolve through one
+    identifier -> level map, set on the way into each body under a pattern
+    and put back on the way out, so entering a binder costs its pattern's
+    size, not the depth.
     """
     levels: dict[str, int] = {}
 
-    def under(
-        pattern: naive.Pattern, body: naive.Term, depth: int
-    ) -> tuple[Shape, DBTerm]:
-        shape, names = _shape_of(pattern)
-        saved = [(name, levels.get(name)) for name in names]
-        for level, name in enumerate(names, depth):
-            levels[name] = level
-        body2 = go(body, depth + len(names))
-        for name, old in saved:
-            if old is None:
-                levels.pop(name, None)
-            else:
-                levels[name] = old
-        return shape, body2
-
     def go(t: naive.Term, depth: int) -> DBTerm:
-        match t:
-            case naive.Var(ident):
-                level = levels.get(ident.text)
-                if level is None:
-                    return FVar(naive.VarIdent(ident.text))
-                return BVar(depth - 1 - level)
-            case naive.Pair(left, right):
-                return DBPair(go(left, depth), go(right, depth))
-            case naive.First(inner):
-                return DBFirst(go(inner, depth))
-            case naive.Second(inner):
-                return DBSecond(go(inner, depth))
-            case naive.App(fun, arg):
-                return DBApp(go(fun, depth), go(arg, depth))
-            case naive.Lam(pattern, naive.ScopedTerm(body)):
-                return DBLam(*under(pattern, body, depth))
-            case naive.Pi(pattern, domain, naive.ScopedTerm(codomain)):
-                domain2 = go(domain, depth)
-                shape, codomain2 = under(pattern, codomain, depth)
-                return DBPi(shape, domain2, codomain2)
-            case naive.Universe():
-                return DBUniverse()
-        raise TypeError(f"not a term: {t!r}")
+        if type(t) is naive.Var:
+            level = levels.get(t.ident.text)
+            if level is None:
+                return FVar(naive.VarIdent(t.ident.text))
+            return BVar(depth - 1 - level)
+        con = constructor(lambda_pi.BY_NAIVE, t)
+        new = []
+        for role, field in zip(con.roles, children(t)):
+            if role is PATTERN:
+                shape, names = _shape_of(field)
+                new.append(shape)
+            elif role is SCOPED:
+                saved = [(name, levels.get(name)) for name in names]
+                for level, name in enumerate(names, depth):
+                    levels[name] = level
+                new.append(go(field.term, depth + len(names)))
+                for name, old in saved:
+                    if old is None:
+                        levels.pop(name, None)  # a pattern may bind it twice
+                    else:
+                        levels[name] = old
+            else:
+                new.append(go(field, depth))
+        return TO_DB[con.naive](*new)
 
     return go(term, 0)
 
 
 def from_debruijn(term: DBTerm) -> naive.Term:
     """Convert back to surface syntax, inventing binder names ``x0, x1, ...``
-    deterministically (skipping any identifier that occurs free)."""
+    deterministically (skipping any identifier that occurs free).  A
+    pattern is named at its first body, so a Pi's binders come after its
+    domain's."""
     taken = set()
 
     def collect_free(t: DBTerm) -> None:
-        match t:
-            case FVar(ident):
-                taken.add(ident.text)
-            case DBApp(fun, arg):
-                collect_free(fun)
-                collect_free(arg)
-            case DBLam(_, body):
-                collect_free(body)
-            case DBPi(_, domain, codomain):
-                collect_free(domain)
-                collect_free(codomain)
-            case DBPair(left, right):
-                collect_free(left)
-                collect_free(right)
-            case DBFirst(inner) | DBSecond(inner):
-                collect_free(inner)
-            case _:
-                pass
+        kind = type(t)
+        if kind is FVar:
+            taken.add(t.ident.text)
+        elif kind is not BVar:
+            con = constructor(BY_DB, t)
+            for role, field in zip(con.roles, children(t)):
+                if role is not PATTERN:
+                    collect_free(field)
 
     collect_free(term)
     counter = 0
@@ -501,52 +493,43 @@ def from_debruijn(term: DBTerm) -> naive.Term:
         return ident
 
     def pattern_of(shape: Shape) -> tuple[naive.Pattern, list[naive.VarIdent]]:
-        match shape:
-            case ShapeWildcard():
-                return naive.PatternWildcard(), []
-            case ShapeVar():
-                ident = fresh()
-                return naive.PatternVar(ident), [ident]
-            case ShapePair(left, right):
-                lp, ln = pattern_of(left)
-                rp, rn = pattern_of(right)
-                return naive.PatternPair(lp, rp), ln + rn
+        kind = type(shape)
+        if kind is ShapeVar:
+            ident = fresh()
+            return naive.PatternVar(ident), [ident]
+        if kind is ShapeWildcard:
+            return naive.PatternWildcard(), []
+        if kind is ShapePair:
+            lp, ln = pattern_of(shape.left)
+            rp, rn = pattern_of(shape.right)
+            return naive.PatternPair(lp, rp), ln + rn
         raise TypeError(f"not a shape: {shape!r}")
 
     # The identifiers of the enclosing binders, innermost last: a binder
-    # pushes its pattern's identifiers for its body and pops them after.
+    # pushes its pattern's identifiers for each body and pops them after.
     ctx: list[naive.VarIdent] = []
 
-    def under(shape: Shape, body: DBTerm) -> tuple[naive.Pattern, naive.ScopedTerm]:
-        pattern, names = pattern_of(shape)
-        ctx.extend(names)
-        body2 = go(body)
-        del ctx[len(ctx) - len(names) :]
-        return pattern, naive.ScopedTerm(body2)
-
     def go(t: DBTerm) -> naive.Term:
-        match t:
-            case BVar(index):
-                return naive.Var(ctx[-1 - index])
-            case FVar(ident):
-                return naive.Var(ident)
-            case DBApp(fun, arg):
-                return naive.App(go(fun), go(arg))
-            case DBLam(shape, body):
-                return naive.Lam(*under(shape, body))
-            case DBPi(shape, domain, codomain):
-                domain2 = go(domain)
-                pattern, codomain2 = under(shape, codomain)
-                return naive.Pi(pattern, domain2, codomain2)
-            case DBPair(left, right):
-                return naive.Pair(go(left), go(right))
-            case DBFirst(inner):
-                return naive.First(go(inner))
-            case DBSecond(inner):
-                return naive.Second(go(inner))
-            case DBUniverse():
-                return naive.Universe()
-        raise TypeError(f"not a term: {t!r}")
+        kind = type(t)
+        if kind is BVar:
+            return naive.Var(ctx[-1 - t.index])
+        if kind is FVar:
+            return naive.Var(t.ident)
+        con = constructor(BY_DB, t)
+        new = []
+        names = None
+        for role, field in zip(con.roles, children(t)):
+            if role is PATTERN:
+                new.append(field)  # the shape, named at its first body
+            elif role is SCOPED:
+                if names is None:
+                    new[con.pattern], names = pattern_of(new[con.pattern])
+                ctx.extend(names)
+                new.append(naive.ScopedTerm(go(field)))
+                del ctx[len(ctx) - len(names) :]
+            else:
+                new.append(go(field))
+        return con.naive(*new)
 
     return go(term)
 

@@ -51,6 +51,13 @@ def test_internal_nodes():
     assert internal_nodes(parse_term("lam x . x")) == 1
     assert internal_nodes(parse_term("lam x . x x")) == 2
     assert internal_nodes(parse_term("(lam x . x) (lam y . y)")) == 3
+    # every constructor but the universe counts one; variables and U count 0
+    assert internal_nodes(parse_term("U")) == 0
+    assert internal_nodes(parse_term("fun (x : U) -> x")) == 1
+    assert internal_nodes(parse_term("fun ((a, _) : U) -> lam b . b a")) == 3
+    assert internal_nodes(parse_term("(x, U)")) == 1
+    assert internal_nodes(parse_term("first (second x)")) == 2
+    assert internal_nodes(parse_term("lam (a, b) . (first (a, b), second U)")) == 5
 
 
 def test_gen_random_is_deterministic_and_sized():

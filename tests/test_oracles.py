@@ -17,7 +17,7 @@ import pytest
 from conftest import gen_naive_term
 
 import scopefoil
-from scopefoil import naive, oracles
+from scopefoil import lambda_pi, naive, oracles
 from scopefoil.bench import (
     DEFAULT_GEN_FUEL,
     church_fact,
@@ -83,6 +83,19 @@ def test_to_debruijn_exact_forms():
     assert to_debruijn(parse_term("(lam x . x, x)")) == DBPair(
         DBLam(ShapeVar(), BVar(0)), FVar(naive.VarIdent("x"))
     )
+    # a pattern binding a name twice: the rightmost occurrence is innermost
+    # and wins, and after the binder the name is free again, or back at the
+    # enclosing binder's level
+    assert to_debruijn(parse_term("lam (x, x) . x")) == DBLam(
+        ShapePair(ShapeVar(), ShapeVar()), BVar(0)
+    )
+    assert to_debruijn(parse_term("(lam (x, x) . x) x")) == DBApp(
+        DBLam(ShapePair(ShapeVar(), ShapeVar()), BVar(0)), FVar(naive.VarIdent("x"))
+    )
+    assert to_debruijn(parse_term("lam x . (lam (x, x) . x, x)")) == DBLam(
+        ShapeVar(),
+        DBPair(DBLam(ShapePair(ShapeVar(), ShapeVar()), BVar(0)), BVar(0)),
+    )
 
 
 def test_to_debruijn_is_alpha_canonical():
@@ -99,6 +112,38 @@ def test_from_debruijn_roundtrip():
         term = gen_naive_term(rng, rng.randrange(1, 6))
         db = to_debruijn(term)
         assert to_debruijn(from_debruijn(db)) == db
+
+
+def test_from_debruijn_names_binders_in_order_skipping_free_identifiers():
+    def back(src):
+        return pretty_term(from_debruijn(to_debruijn(parse_term(src))))
+
+    # x0 and x2 occur free, so the binder takes x1
+    assert back("lam y . x0 x2 y") == "lam x1 . x0 x2 x1"
+    # left to right through a pair pattern, wildcards take no name
+    assert back("lam (a, (_, b)) . b a") == "lam (x0, (_, x1)) . x1 x0"
+    # a Pi's binder is named after its domain's, before its codomain's
+    assert back("fun (x : lam y . y) -> lam z . x z") == (
+        "fun (x1 : lam x0 . x0) -> lam x2 . x1 x2"
+    )
+    assert back("lam (a, (_, b)) . fun (c : lam d . d a) -> lam e . c x1") == (
+        "lam (x0, (_, x2)) . fun (x4 : lam x3 . x3 x0) -> lam x5 . x4 x1"
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [naive.Check(_v("x"), naive.Universe()), ShapeVar()],
+    ids=["check", "shape"],
+)
+def test_conversions_refuse_a_non_term(value):
+    for convert in (to_debruijn, from_debruijn):
+        with pytest.raises(TypeError, match=r"^not a term: "):
+            convert(value)
+    # and under a binder, where the walk meets it as a field
+    nested = naive.Lam(naive.PatternWildcard(), naive.ScopedTerm(value))
+    with pytest.raises(TypeError, match=r"^not a term: "):
+        to_debruijn(nested)
 
 
 def test_shift_db():
@@ -223,6 +268,18 @@ def test_node_caches_are_not_part_of_the_structure():
     # from its parts again is equal to it
     rebuilt = to_debruijn(from_debruijn(term))
     assert rebuilt == term and hash(rebuilt) == hash(term)
+
+
+def test_each_debruijn_class_keeps_its_surface_fields():
+    # the conversions read a de Bruijn node's fields by the surface roles
+    assert set(oracles.TO_DB) == set(lambda_pi.BY_NAIVE)
+    for surface, db in oracles.TO_DB.items():
+        assert db.__name__ == "DB" + surface.__name__
+        assert db.__match_args__ == tuple(
+            "shape" if field == "pattern" else field
+            for field in surface.__match_args__
+        )
+        assert oracles.BY_DB[db] is lambda_pi.BY_NAIVE[surface]
 
 
 def test_nf_debruijn_exact_forms_under_binders():
