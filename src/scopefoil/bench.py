@@ -40,8 +40,7 @@ from .bridge import (
 )
 from .encoding import hash_debruijn
 from .fuel import FuelExceededError
-from .generic import PATTERN, SCOPED, children, constructor
-from .lambda_pi import BY_NAIVE, nf_free
+from .lambda_pi import nf_free
 from .names import Scope
 from .nbe import nf_nbe
 from .oracles import (
@@ -147,22 +146,6 @@ def church_mult(m: int, n: int) -> naive.Term:
 
 def church_fact(n: int) -> naive.Term:
     return naive.App(parse_term(_FACT), gen_church(n))
-
-
-def internal_nodes(term: naive.Term) -> int:
-    """Number of non-variable nodes (the generator's size measure): one per
-    node with fields, plus those of every field but the pattern.  A
-    variable and the universe count 0."""
-    if type(term) is naive.Var:
-        return 0
-    con = constructor(BY_NAIVE, term)
-    if not con.roles:
-        return 0
-    count = 1
-    for role, field in zip(con.roles, children(term)):
-        if role is not PATTERN:
-            count += internal_nodes(field.term if role is SCOPED else field)
-    return count
 
 
 def _gen_closed(rng: random.Random, size: int) -> naive.Term:

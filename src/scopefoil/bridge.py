@@ -144,7 +144,8 @@ def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
                 for text, _ in bound:
                     env[text] = env[text][1]
                 child = ScopedAST(binder, body)
-                fv = (1 << body.name.raw if type(body) is Var else body.fv) & ~bits
+                fv = 1 << body.name.raw if type(body) is Var else body.fv
+                fv -= fv & bits
                 set_mask(child, fv)
                 mask |= fv
                 new.append(child)

@@ -7,13 +7,22 @@ the two apart by the value it finds in the field, so a new constructor needs
 no table, method or registration.  Given that, this module supplies the
 operations every language shares — a single capture-avoiding substitution
 and a scope checker, written once, from the fields — and :func:`derive`,
-which generates node classes from a surface grammar.  Scope weakening is
+which generates node classes from a surface grammar.  The substitution's
+walk is compiled once per class, the first time the class is substituted
+into, from one source template and the class's fields
+(:func:`compile_walk`), so it reads each field by name with no loop over
+them; :mod:`scopefoil.lambda_pi` compiles the congruence step of
+normalization the same way.  Scope weakening is
 :func:`scopefoil.names.sink`, the identity on every tree.
 """
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
+from string import Template
+from textwrap import indent
+from types import CodeType
 from typing import Any, Callable, get_type_hints
 
 from . import naive
@@ -149,51 +158,168 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
 
     Variables are looked up (a name outside the domain comes back as the
     same ``Var``), and a node whose recorded free-name mask misses every
-    key of ``subst`` comes back as it is.  Otherwise each scoped child
-    enters its binder from the ambient scope with the reuse rule
+    key of ``subst`` comes back as it is.  Otherwise the walk compiled for
+    the node's class from :data:`_SUBSTITUTE` rebuilds it: each scoped
+    child enters its binder from the ambient scope with the reuse rule
     (:func:`~scopefoil.names.enter`) and threads the extended substitution
-    under it: a bare binder takes the inline path, a pattern goes through
+    under it; a bare binder takes the inline path, a pattern goes through
     :func:`with_pattern`.  Every node built here records its mask.
     """
     if type(ast) is Var:
         return subst.get(ast.name.raw, ast)
-    dom = 0
-    for raw in subst:
-        dom |= 1 << raw
+    dom = _domain(subst)
     fv = getattr(ast, "fv", -1)
     if fv >= 0 and not fv & dom:
         return ast
-    new = []
-    mask = 0
-    for child in children(ast):
-        if type(child) is ScopedAST:
-            binder = child.binder
-            if type(binder) is NameBinder:
-                binder2, scope2 = enter(scope, binder)
-                raw2 = binder2.raw
-                if binder2 is binder and raw2 not in subst:
-                    subst2 = subst  # a reused binder maps to itself
-                else:
-                    subst2 = add_subst(subst, binder, Var(Name(raw2)))
-                bound = 1 << raw2
-            else:
-                binder2, subst2, scope2 = with_pattern(scope, binder, subst)
-                bound = pattern_mask(binder2)
-            body = substitute(scope2, subst2, child.body)
-            child = ScopedAST(binder2, body)
-            fv = (1 << body.name.raw if type(body) is Var else getattr(body, "fv", -1)) & ~bound
-            set_mask(child, fv)
-        else:
-            child = substitute(scope, subst, child)
-            fv = 1 << child.name.raw if type(child) is Var else getattr(child, "fv", -1)
-        mask |= fv
-        new.append(child)
-    node = type(ast)(*new)
+    return _SUBSTITUTES[type(ast)](scope, subst, dom, ast)
+
+
+def _domain(subst: Subst) -> int:
+    dom = 0
+    for raw in subst:
+        dom |= 1 << raw
+    return dom
+
+
+class Compiled(dict):
+    """One walk per signature class, built by ``build(cls)`` the first time
+    the class is looked up; a class that ``build`` refuses is not cached."""
+
+    def __init__(self, build: Callable[[type], Callable]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, cls: type) -> Callable:
+        walk = self[cls] = self.build(cls)
+        return walk
+
+
+_WALK_CODE: dict[str, CodeType] = {}
+
+
+def compile_walk(
+    cls: type, template: str, line: int, namespace: dict, /, **closure: object
+) -> Callable:
+    """The walk ``template`` unrolled over the fields of ``cls``.
+
+    The template is a function whose body holds a block between the lines
+    ``# each field`` and ``# end``; the block is repeated once per field,
+    with ``$i`` its position and ``$field`` its name, and ``$args`` and
+    ``$fvs`` after it become ``c0, c1, ...`` and ``fv0 | fv1 | ...`` (or
+    ``0``).  The function runs in ``namespace``, a module's globals, and
+    closes over ``closure``.  The source names no class, so classes whose
+    fields share their names share one code object.  It is compiled with
+    the module's file name and with its lines numbered from ``line``, the
+    template's own, plus the count of walks compiled before it: cProfile
+    keys a function by file, first line and name, so each walk's calls and
+    time are counted in the module, under the template's name, and no two
+    walks share a key.  A value without match arguments is not a tree and
+    raises ``TypeError``.
+    """
     try:
-        set_mask(node, mask)
-    except TypeError:  # a signature class without the ``Node`` base
-        pass
+        fields = cls.__match_args__
+    except AttributeError:
+        raise TypeError(f"not a syntax tree: a {cls.__name__}") from None
+    head, rest = template.split("    # each field\n")
+    block, tail = rest.split("    # end\n")
+    source = (
+        head
+        + "".join(Template(block).substitute(i=i, field=f) for i, f in enumerate(fields))
+        + Template(tail).substitute(
+            args=", ".join(f"c{i}" for i in range(len(fields))),
+            fvs=" | ".join(f"fv{i}" for i in range(len(fields))) or "0",
+        )
+    )
+    source = f"def __create__({', '.join(closure)}):\n{indent(source, '    ')}"
+    source += f"    return {head.removeprefix('def ').split('(')[0]}\n"
+    code = _WALK_CODE.get(source)
+    if code is None:
+        file = namespace["__file__"]
+        before = sum(other.co_filename == file for other in _WALK_CODE.values())
+        padding = "\n" * (line + before - 2)
+        code = _WALK_CODE[source] = compile(padding + source, file, "exec", dont_inherit=True)
+    scratch: dict[str, Callable] = {}
+    exec(code, namespace, scratch)
+    return scratch["__create__"](**closure)
+
+
+def _ignore_mask(node: AST, mask: int) -> None:
+    """A class without the ``Node`` base has no slot for its mask."""
+
+
+# The substitution walk of one signature class: ``substitute`` after the
+# shortcut, with ``dom`` the mask of ``subst``'s keys.  Each field tells a
+# scoped child from a term by its value; a variable is looked up inline,
+# and a node goes straight to its class's walk unless its mask lets it be
+# skipped.  The block between ``# each field`` and ``# end`` is repeated
+# for each field (:func:`compile_walk`); the walk reads this module's
+# names, ``enter``, ``with_pattern`` and the rest, as its globals.
+_SUBSTITUTE_LINE = sys._getframe().f_lineno + 2
+_SUBSTITUTE = """\
+def substitute(scope, subst, dom, ast):
+    # each field
+    c$i = ast.$field
+    kind = type(c$i)
+    if kind is Var:
+        raw = c$i.name.raw
+        if raw in subst:
+            c$i = subst[raw]
+            fv$i = 1 << c$i.name.raw if type(c$i) is Var else getattr(c$i, "fv", -1)
+        else:
+            fv$i = 1 << raw
+    elif kind is ScopedAST:
+        binder = c$i.binder
+        if type(binder) is NameBinder:
+            binder2, scope2 = enter(scope, binder)
+            raw2 = binder2.raw
+            if binder2 is binder and raw2 not in subst:
+                subst2, dom2 = subst, dom  # a reused binder maps to itself
+            else:
+                subst2 = add_subst(subst, binder, Var(Name(raw2)))
+                dom2 = dom | 1 << binder.raw
+            bound = 1 << raw2
+        else:
+            binder2, subst2, scope2 = with_pattern(scope, binder, subst)
+            dom2 = _domain(subst2)
+            bound = pattern_mask(binder2)
+        body = c$i.body
+        kind = type(body)
+        if kind is Var:
+            raw = body.name.raw
+            if raw in subst2:
+                body = subst2[raw]
+                fv = 1 << body.name.raw if type(body) is Var else getattr(body, "fv", -1)
+            else:
+                fv = 1 << raw
+        else:
+            fv = getattr(body, "fv", -1)
+            if fv < 0 or fv & dom2:
+                body = _SUBSTITUTES[kind](scope2, subst2, dom2, body)
+                fv = getattr(body, "fv", -1)
+        c$i = ScopedAST(binder2, body)
+        fv$i = fv - (fv & bound)
+        set_mask(c$i, fv$i)
+    else:
+        fv$i = getattr(c$i, "fv", -1)
+        if fv$i < 0 or fv$i & dom:
+            c$i = _SUBSTITUTES[kind](scope, subst, dom, c$i)
+            fv$i = getattr(c$i, "fv", -1)
+    # end
+    node = cls($args)
+    record(node, $fvs)
     return node
+"""
+
+_SUBSTITUTES = Compiled(
+    lambda cls: compile_walk(
+        cls,
+        _SUBSTITUTE,
+        _SUBSTITUTE_LINE,
+        globals(),
+        cls=cls,
+        record=set_mask if issubclass(cls, Node) else _ignore_mask,
+    )
+)
 
 
 def check_scope(ast: AST, scope: Scope) -> int:
@@ -208,7 +334,7 @@ def check_scope(ast: AST, scope: Scope) -> int:
     for child in children(ast):
         if type(child) is ScopedAST:
             body = check_scope(child.body, check_pattern_scope(child.binder, scope))
-            fv = body & ~pattern_mask(child.binder)
+            fv = body - (body & pattern_mask(child.binder))
             check_mask(child, fv)
         else:
             fv = check_scope(child, scope)

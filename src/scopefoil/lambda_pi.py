@@ -8,18 +8,30 @@ the pattern, so every field is a term or a
 :class:`~scopefoil.generic.ScopedAST`, whose binder is a bare variable or a
 wildcard/pair pattern, and substitution, scope checking, the congruence part
 of normalization, the canonical encoding and the conversions are derived
-from the fields, with no code per constructor.  The congruence part of
-normalization returns a node whose children all come back as the same
-objects as it is.
+from the fields, with no code written per constructor: the congruence part
+is compiled once per class from one template, as the substitution is.  It
+returns a node whose children all come back as the same objects as it is.
 
 The ``as_*`` views return a node's fields, or ``None`` on mismatch.
 """
 
 from __future__ import annotations
 
+import sys
+
 from . import terms
 from .fuel import Fuel
-from .generic import AST, PATTERN, SCOPED, ScopedAST, children, constructor, substitute
+from .generic import (
+    AST,
+    PATTERN,
+    SCOPED,
+    Compiled,
+    ScopedAST,
+    children,
+    compile_walk,
+    constructor,
+    substitute,
+)
 from .names import (
     Name,
     NameBinder,
@@ -106,36 +118,58 @@ def whnf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 
 
 def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
-    """After whnf, normalize every child; a scoped child's binder is entered
-    from ``scope`` and its body renamed only on a collision.  A node whose
-    children all come back as the same objects is returned as it is."""
+    """After whnf, normalize every child in the congruence walk of the
+    node's class (:data:`_CONGRUENCE`)."""
     term = _whnf(scope, term, fuel)
-    if type(term) is Var:
-        return term
-    new = []
+    return term if type(term) is Var else _NFS[type(term)](scope, term, fuel)
+
+
+# The congruence walk of one signature class, after whnf: each child is
+# normalized in field order, a scoped child's binder entered from ``scope``
+# and its body renamed only on a collision; a variable is left as it is,
+# and a node is put in whnf and sent straight to its class's walk.  A node
+# whose children all come back as the same objects is returned as it is.
+# The block between ``# each field`` and ``# end`` is repeated for each
+# field (:func:`~scopefoil.generic.compile_walk`); the walk reads this
+# module's names, ``_whnf``, ``substitute`` and the rest, as its globals.
+_CONGRUENCE_LINE = sys._getframe().f_lineno + 2
+_CONGRUENCE = """\
+def _nf(scope, term, fuel):
     changed = False
-    for child in children(term):
-        if type(child) is ScopedAST:
-            binder, body = child.binder, child.body
-            if type(binder) is NameBinder:
-                binder2, scope2 = enter(scope, binder)
-                if binder2 is not binder:
-                    body = substitute(scope2, {binder.raw: Var(Name(binder2.raw))}, body)
-            else:
-                binder2, rename, scope2 = with_pattern(scope, binder, identity_subst())
-                if rename:  # some binder was renamed
-                    body = substitute(scope2, rename, body)
-            body = _nf(scope2, body, fuel)
-            if binder2 is not binder or body is not child.body:
-                child = ScopedAST(binder2, body)
-                changed = True
+    # each field
+    c$i = term.$field
+    kind = type(c$i)
+    if kind is ScopedAST:
+        binder, body = c$i.binder, c$i.body
+        if type(binder) is NameBinder:
+            binder2, scope2 = enter(scope, binder)
+            if binder2 is not binder:
+                body = substitute(scope2, {binder.raw: Var(Name(binder2.raw))}, body)
         else:
-            child2 = _nf(scope, child, fuel)
-            if child2 is not child:
-                child = child2
-                changed = True
-        new.append(child)
-    return type(term)(*new) if changed else term
+            binder2, rename, scope2 = with_pattern(scope, binder, identity_subst())
+            if rename:  # some binder was renamed
+                body = substitute(scope2, rename, body)
+        if type(body) is not Var:
+            body = _whnf(scope2, body, fuel)
+            if type(body) is not Var:
+                body = _NFS[type(body)](scope2, body, fuel)
+        if binder2 is not binder or body is not c$i.body:
+            c$i = ScopedAST(binder2, body)
+            changed = True
+    elif kind is not Var:
+        child = _whnf(scope, c$i, fuel)
+        if type(child) is not Var:
+            child = _NFS[type(child)](scope, child, fuel)
+        if child is not c$i:
+            c$i = child
+            changed = True
+    # end
+    return cls($args) if changed else term
+"""
+
+_NFS = Compiled(
+    lambda cls: compile_walk(cls, _CONGRUENCE, _CONGRUENCE_LINE, globals(), cls=cls)
+)
 
 
 def nf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
@@ -166,7 +200,8 @@ def direct_to_free(term: terms.Term) -> Term:
         elif role is SCOPED:
             body = direct_to_free(field)
             child = ScopedAST(binder, body)
-            fv = (1 << body.name.raw if type(body) is Var else body.fv) & ~bound
+            fv = 1 << body.name.raw if type(body) is Var else body.fv
+            fv -= fv & bound
             set_mask(child, fv)
             mask |= fv
             new.append(child)
@@ -192,7 +227,7 @@ def free_to_direct(term: Term) -> terms.Term:
             binder = field.binder
             body = free_to_direct(field.body)
             fv = 1 << body.name.raw if type(body) is Var else body.fv
-            mask |= fv & ~pattern_mask(binder)
+            mask |= fv - (fv & pattern_mask(binder))
             new.append(body)
         else:
             child = free_to_direct(field)

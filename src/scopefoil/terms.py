@@ -96,12 +96,14 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
             bound = pattern_mask(pattern)
         if kind is Lam:
             body = subst_direct(scope2, subst2, term.body)
-            node, fv = Lam(pattern, body), free_mask(body) & ~bound
+            fv = free_mask(body)
+            node, fv = Lam(pattern, body), fv - (fv & bound)
         else:
             domain = subst_direct(scope, subst, term.domain)
             codomain = subst_direct(scope2, subst2, term.codomain)
             node = Pi(pattern, domain, codomain)
-            fv = free_mask(domain) | free_mask(codomain) & ~bound
+            fv = free_mask(codomain)
+            fv = free_mask(domain) | fv - (fv & bound)
     elif kind is First or kind is Second:
         t = subst_direct(scope, subst, term.term)
         node, fv = kind(t), free_mask(t)
@@ -223,7 +225,8 @@ def check_scope_direct(term: Term, scope: Scope) -> int:
         if role is PATTERN:
             inner, bound = check_pattern_scope(field, scope), pattern_mask(field)
         elif role is SCOPED:
-            free |= check_scope_direct(field, inner) & ~bound
+            fv = check_scope_direct(field, inner)
+            free |= fv - (fv & bound)
         else:
             free |= check_scope_direct(field, scope)
     check_mask(term, free)

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from scopefoil import bench, oracles
+from scopefoil import bench, naive, oracles
 from scopefoil.bench import (
     CSV_HEADER,
     GROUPS,
@@ -17,12 +17,13 @@ from scopefoil.bench import (
     church_plus,
     gen_church,
     gen_random,
-    internal_nodes,
     run_benchmarks,
     summarize,
     write_csv,
 )
 from scopefoil.bridge import to_foil_closed
+from scopefoil.generic import PATTERN, SCOPED, children, constructor
+from scopefoil.lambda_pi import BY_NAIVE
 from scopefoil.fuel import FuelExceededError
 from scopefoil.oracles import alpha_eq, nf_named, to_debruijn, nf_debruijn
 from scopefoil.syntax import parse_term, pretty_term
@@ -44,6 +45,22 @@ def test_church_arithmetic_against_oracle():
     assert alpha_eq(nf_named(church_fact(1)), gen_church(1))
     assert alpha_eq(nf_named(church_fact(3)), gen_church(6))
     assert alpha_eq(nf_named(church_fact(4)), gen_church(24))
+
+
+def internal_nodes(term: naive.Term) -> int:
+    """Number of non-variable nodes, the size ``gen_random`` builds to: one
+    per node with fields, plus those of every field but the pattern.  A
+    variable and the universe count 0."""
+    if type(term) is naive.Var:
+        return 0
+    con = constructor(BY_NAIVE, term)
+    if not con.roles:
+        return 0
+    count = 1
+    for role, field in zip(con.roles, children(term)):
+        if role is not PATTERN:
+            count += internal_nodes(field.term if role is SCOPED else field)
+    return count
 
 
 def test_internal_nodes():

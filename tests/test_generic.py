@@ -38,6 +38,7 @@ from scopefoil.lambda_pi import (
 from scopefoil.names import (
     Name,
     NameBinder,
+    Node,
     Scope,
     ScopeViolationError,
     Var,
@@ -209,12 +210,19 @@ def test_non_trees_are_type_errors(not_a_tree):
             children(not_a_tree)
     assert type(not_a_tree) not in generic._FIELD_GETTERS
     subst = add_subst(identity_subst(), NameBinder(0), UniverseSig())
-    with pytest.raises(TypeError):
-        substitute(Scope(), subst, not_a_tree)
+    for _ in range(2):  # neither compiled walk caches a failed class
+        with pytest.raises(TypeError, match="not a syntax tree"):
+            substitute(Scope(), subst, not_a_tree)
+        with pytest.raises(TypeError, match="not a syntax tree"):
+            substitute(Scope(), subst, AppSig(Var(Name(0)), not_a_tree))
+        with pytest.raises(TypeError, match="not a syntax tree"):
+            nf_free(Scope(), not_a_tree)
+        with pytest.raises(TypeError, match="not a syntax tree"):
+            nf_free(Scope([0]), AppSig(Var(Name(0)), not_a_tree))
+    assert type(not_a_tree) not in generic._SUBSTITUTES
+    assert type(not_a_tree) not in lambda_pi._NFS
     with pytest.raises(TypeError):
         check_scope(not_a_tree, Scope())
-    with pytest.raises(TypeError):
-        substitute(Scope(), subst, AppSig(Var(Name(0)), not_a_tree))
     with pytest.raises(TypeError):
         check_scope(AppSig(Var(Name(0)), not_a_tree), Scope([0]))
 
@@ -531,18 +539,42 @@ def test_a_pair_pattern_beta_records_masks():
     assert alpha_eq(out, parse_term(f"lam z . (second {pair}, first {pair})"))
 
 
+def _unmasked(ast: AST) -> AST:
+    if type(ast) is Var:
+        return ast
+    if type(ast) is ScopedAST:
+        return ScopedAST(ast.binder, _unmasked(ast.body))
+    return type(ast)(*map(_unmasked, children(ast)))
+
+
 def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
-    """351,807 ``substitute`` calls without the shortcut."""
-    calls = 0
-    walk = generic.substitute
+    """Substitution's node visits with the recorded masks, against the same
+    reduction where every mask reads -1: the input's are reset on a copy,
+    and those the walks record are deleted as each node is built.  Visits
+    are counted at the compiled walks, which recurse into each other
+    without passing ``substitute``."""
+    visits = 0
+    unmask = False
+    walks = generic._SUBSTITUTES
 
-    def counted(scope, subst, ast):
-        nonlocal calls
-        calls += 1
-        return walk(scope, subst, ast)
+    def build(cls):
+        walk = walks[cls]
 
-    monkeypatch.setattr(generic, "substitute", counted)
-    monkeypatch.setattr(lambda_pi, "substitute", counted)
+        def counted(*args):
+            nonlocal visits
+            visits += 1
+            node = walk(*args)
+            if unmask:
+                Node.fv.__delete__(node)
+            return node
+
+        return counted
+
+    monkeypatch.setattr(generic, "_SUBSTITUTES", generic.Compiled(build))
     term = direct_to_free(to_foil_closed(church_fact(6)))
-    nf_free(Scope(), term)
-    assert 0 < calls <= 351_807 // 4
+    normal = nf_free(Scope(), term)
+    masked, visits, unmask = visits, 0, True
+    copy = _unmasked(term)
+    assert free_mask(copy) == -1
+    assert nf_free(Scope(), copy) == normal
+    assert 0 < masked <= visits // 4
