@@ -8,11 +8,10 @@ no table, method or registration.  Given that, this module supplies the
 operations every language shares — a single capture-avoiding substitution
 and a scope checker, written once, from the fields — and :func:`derive`,
 which generates node classes from a surface grammar.  The substitution's
-walk is compiled once per class, the first time the class is substituted
-into, from one source template and the class's fields
-(:func:`compile_walk`), so it reads each field by name with no loop over
-them; :mod:`scopefoil.lambda_pi` compiles the congruence step of
-normalization the same way.  Scope weakening is
+walk is compiled once per class, when the class is first substituted into,
+from one source template and the class's fields (:func:`compile_walk`), so
+it reads each field by name with no loop over them; :mod:`scopefoil.lambda_pi`
+compiles its congruence step the same way.  Scope weakening is
 :func:`scopefoil.names.sink`, the identity on every tree.
 """
 
@@ -198,40 +197,41 @@ _WALK_CODE: dict[str, CodeType] = {}
 
 
 def compile_walk(
-    cls: type, template: str, line: int, namespace: dict, /, **closure: object
+    cls: type, template: str, line: int, namespace: dict, /, head: str = "", **closure: object
 ) -> Callable:
     """The walk ``template`` unrolled over the fields of ``cls``.
 
     The template is a function whose body holds a block between the lines
     ``# each field`` and ``# end``; the block is repeated once per field,
-    with ``$i`` its position and ``$field`` its name, and ``$args`` and
-    ``$fvs`` after it become ``c0, c1, ...`` and ``fv0 | fv1 | ...`` (or
-    ``0``).  The function runs in ``namespace``, a module's globals, and
-    closes over ``closure``.  The source names no class, so classes whose
-    fields share their names share one code object.  It is compiled with
-    the module's file name and with its lines numbered from ``line``, the
-    template's own, plus the count of walks compiled before it: cProfile
-    keys a function by file, first line and name, so each walk's calls and
-    time are counted in the module, under the template's name, and no two
-    walks share a key.  A value without match arguments is not a tree and
-    raises ``TypeError``.
+    with ``$i`` its position, ``$field`` its name and ``$head`` whether that
+    name is ``head``, and ``$args`` and ``$fvs`` after it become
+    ``c0, c1, ...`` and ``fv0 | fv1 | ...`` (or ``0``).  The function runs in
+    ``namespace``, a module's globals, and closes over ``closure``.  The
+    source names no class, so classes whose fields share their names share
+    one code object.  It is compiled with the module's file name and with
+    its lines numbered from ``line``, the template's own, plus the count of
+    walks compiled before it: cProfile keys a function by file, first line
+    and name, so each walk's calls and time are counted in the module, under
+    the template's name, and no two walks share a key.  A value without
+    match arguments is not a tree and raises ``TypeError``.
     """
     try:
         fields = cls.__match_args__
     except AttributeError:
         raise TypeError(f"not a syntax tree: a {cls.__name__}") from None
-    head, rest = template.split("    # each field\n")
+    prologue, rest = template.split("    # each field\n")
     block, tail = rest.split("    # end\n")
+    each = Template(block).substitute
     source = (
-        head
-        + "".join(Template(block).substitute(i=i, field=f) for i, f in enumerate(fields))
+        prologue
+        + "".join(each(i=i, field=f, head=f == head) for i, f in enumerate(fields))
         + Template(tail).substitute(
             args=", ".join(f"c{i}" for i in range(len(fields))),
             fvs=" | ".join(f"fv{i}" for i in range(len(fields))) or "0",
         )
     )
     source = f"def __create__({', '.join(closure)}):\n{indent(source, '    ')}"
-    source += f"    return {head.removeprefix('def ').split('(')[0]}\n"
+    source += f"    return {prologue.removeprefix('def ').split('(')[0]}\n"
     code = _WALK_CODE.get(source)
     if code is None:
         file = namespace["__file__"]

@@ -6,11 +6,12 @@ the direct classes from the :mod:`scopefoil.naive` ones (:data:`CONSTRUCTORS`
 records all three and each field's role).  They keep the surface fields but
 the pattern, so every field is a term or a
 :class:`~scopefoil.generic.ScopedAST`, whose binder is a bare variable or a
-wildcard/pair pattern, and substitution, scope checking, the congruence part
-of normalization, the canonical encoding and the conversions are derived
-from the fields, with no code written per constructor: the congruence part
-is compiled once per class from one template, as the substitution is.  It
-returns a node whose children all come back as the same objects as it is.
+wildcard/pair pattern.  Substitution, scope checking, the canonical encoding,
+the conversions and the congruence part of normalization are derived from
+the fields, with no code written per constructor; the congruence part is
+compiled once per class from one template and returns a node whose children
+all come back as the same objects as it is.  Weak-head reduction is the one
+:func:`scopefoil.terms.weak_head` writes for both scope-safe trees.
 
 The ``as_*`` views return a node's fields, or ``None`` on mismatch.
 """
@@ -32,18 +33,9 @@ from .generic import (
     constructor,
     substitute,
 )
-from .names import (
-    Name,
-    NameBinder,
-    Scope,
-    Var,
-    enter,
-    identity_subst,
-    masked,
-    set_mask,
-)
-from .patterns import PatternVar, beta_bindings, pattern_mask, with_pattern
-from .terms import BY_DIRECT, CONSTRUCTORS
+from .names import Name, NameBinder, Scope, Var, enter, identity_subst, set_mask
+from .patterns import PatternVar, pattern_mask, with_pattern
+from .terms import BY_DIRECT, CONSTRUCTORS, HEADS
 
 
 # The signature classes, generated in :mod:`scopefoil.terms` with the direct ones.
@@ -85,31 +77,7 @@ def as_second(term: Term) -> Term | None:
 # --------------------------------------------------------------------------
 
 
-_FIRST, _SECOND = masked(FirstSig), masked(SecondSig)
-
-
-def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
-    kind = type(term)
-    if kind is AppSig:
-        fun = term.fun
-        fun2 = _whnf(scope, fun, fuel)
-        if type(fun2) is LamSig:
-            fuel.spend()
-            binder, body = fun2.body.binder, fun2.body.body
-            if type(binder) is NameBinder:
-                subst = {binder.raw: term.arg}
-            else:
-                subst = beta_bindings(identity_subst(), binder, term.arg, _FIRST, _SECOND)
-            return _whnf(scope, substitute(scope, subst, body), fuel)
-        return term if fun2 is fun else AppSig(fun2, term.arg)
-    if kind is FirstSig or kind is SecondSig:
-        t = term.term
-        t2 = _whnf(scope, t, fuel)
-        if type(t2) is not PairSig:
-            return term if t2 is t else kind(t2)
-        fuel.spend()
-        return _whnf(scope, t2.left if kind is FirstSig else t2.right, fuel)
-    return term
+_whnf = terms.weak_head(AppSig, LamSig, PairSig, FirstSig, SecondSig, globals(), "substitute")
 
 
 def whnf_free(scope: Scope, term: Term, fuel: int | None = None) -> Term:
@@ -126,12 +94,13 @@ def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
 
 # The congruence walk of one signature class, after whnf: each child is
 # normalized in field order, a scoped child's binder entered from ``scope``
-# and its body renamed only on a collision; a variable is left as it is,
-# and a node is put in whnf and sent straight to its class's walk.  A node
-# whose children all come back as the same objects is returned as it is.
-# The block between ``# each field`` and ``# end`` is repeated for each
-# field (:func:`~scopefoil.generic.compile_walk`); the walk reads this
-# module's names, ``_whnf``, ``substitute`` and the rest, as its globals.
+# and its body renamed only on a collision; a variable is left as it is, and
+# a node is put in whnf, unless it is a head (:data:`~scopefoil.terms.HEADS`),
+# and sent straight to its class's walk.  A node whose children all come
+# back as the same objects is returned as it is.  The block between
+# ``# each field`` and ``# end`` is repeated for each field
+# (:func:`~scopefoil.generic.compile_walk`); the walk reads this module's
+# names, ``_whnf``, ``substitute`` and the rest, as its globals.
 _CONGRUENCE_LINE = sys._getframe().f_lineno + 2
 _CONGRUENCE = """\
 def _nf(scope, term, fuel):
@@ -157,7 +126,7 @@ def _nf(scope, term, fuel):
             c$i = ScopedAST(binder2, body)
             changed = True
     elif kind is not Var:
-        child = _whnf(scope, c$i, fuel)
+        child = c$i if $head else _whnf(scope, c$i, fuel)
         if type(child) is not Var:
             child = _NFS[type(child)](scope, child, fuel)
         if child is not c$i:
@@ -167,8 +136,11 @@ def _nf(scope, term, fuel):
     return cls($args) if changed else term
 """
 
+_HEADS = {con.free: HEADS[con.naive] for con in CONSTRUCTORS if con.naive in HEADS}
 _NFS = Compiled(
-    lambda cls: compile_walk(cls, _CONGRUENCE, _CONGRUENCE_LINE, globals(), cls=cls)
+    lambda cls: compile_walk(
+        cls, _CONGRUENCE, _CONGRUENCE_LINE, globals(), head=_HEADS.get(cls, ""), cls=cls
+    )
 )
 
 

@@ -28,9 +28,11 @@ words: ``check compute lam fun first second U``.
 from __future__ import annotations
 
 import re
-from typing import NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 from . import naive
+
+_T = TypeVar("_T")
 
 
 class ParseError(Exception):
@@ -207,16 +209,30 @@ class _Parser:
         return commands
 
 
+def _parse(src: str, rule: Callable[[_Parser], _T]) -> _T:
+    """Run ``rule`` on the tokens of ``src``.  Input nested deeper than the
+    interpreter's recursion limit is a parse error at the token reached."""
+    p = _Parser(src)
+    try:
+        return rule(p)
+    except RecursionError:
+        message = "input nested too deeply to parse"
+        raise ParseError(message, p.lines[p.i], p.cols[p.i]) from None
+
+
 def parse_program(src: str) -> list[naive.Command]:
-    return _Parser(src).program()
+    return _parse(src, _Parser.program)
+
+
+def _whole_term(p: _Parser) -> naive.Term:
+    term = p.term()
+    p.expect("eof")
+    return term
 
 
 def parse_term(src: str) -> naive.Term:
     """Parse a standalone term (the whole input must be one term)."""
-    p = _Parser(src)
-    term = p.term()
-    p.expect("eof")
-    return term
+    return _parse(src, _whole_term)
 
 
 # --------------------------------------------------------------------------

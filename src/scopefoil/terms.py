@@ -13,17 +13,22 @@ as it is.  Substitution and normalization enter a single-variable pattern
 inline with :func:`scopefoil.names.enter` and dispatch with ``type`` tests,
 most frequent case first; normalization returns a node whose subterms all
 come back as the same objects as it is, so a normal term is not copied.
+Weak-head reduction is written once, by :func:`weak_head`, for this tree and
+the generic one of :mod:`scopefoil.lambda_pi`; neither normalizer reduces the
+head of a stuck spine twice, so the spine costs time linear in its length.
 """
 
 from __future__ import annotations
 
-from typing import Union, get_args
+from types import FunctionType
+from typing import Callable, Union, get_args
 
 from . import naive
 from .fuel import Fuel
-from .generic import PATTERN, SCOPED, children, constructor, derive
+from .generic import PATTERN, SCOPED, ScopedAST, children, constructor, derive
 from .names import (
     Name,
+    NameBinder,
     Scope,
     ScopeViolationError,
     Subst,
@@ -37,11 +42,7 @@ from .names import (
     set_mask,
 )
 from .patterns import (
-    PatternVar,
-    beta_bindings,
-    check_pattern_scope,
-    pattern_mask,
-    with_pattern,
+    PatternVar, beta_bindings, check_pattern_scope, pattern_mask, with_pattern
 )
 
 
@@ -119,22 +120,47 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
     return node
 
 
-_FIRST, _SECOND = masked(First), masked(Second)
+# The eliminators and their heads, the fields they take apart.  A head of a
+# whnf is one too, so it is normalized with no reduction: a stuck spine costs
+# time linear in its length.
+HEADS = {naive.App: "fun", naive.First: "term", naive.Second: "term"}
 
 
-def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
+def weak_head(App, Lam, Pair, First, Second, namespace: dict, substitution: str) -> Callable:
+    """The normal-order weak-head reduction of the tree with these classes:
+    :func:`_reduce`, its names bound to them in its globals (which are read as
+    fast as a module's), and its substitution ``namespace[substitution]``,
+    read at each beta as a global of that module would be."""
+    tree = dict(globals(), App=App, Lam=Lam, Pair=Pair, First=First, Second=Second)
+    tree.update(namespace=namespace, substitution=substitution)
+    tree["project"] = masked(First), masked(Second)
+    whnf = tree["_whnf"] = FunctionType(_reduce.__code__, tree)
+    return whnf
+
+
+def _reduce(scope: Scope, term, fuel: Fuel):
+    # Run only as the copies ``weak_head`` makes.  A generic lambda's body is
+    # a ``ScopedAST``; a direct one's binder is its pattern.  A pair pattern
+    # binds its parts to masked projections of the argument.  A beta, or the
+    # projection of a pair, spends one unit of fuel; a whnf comes back as is.
     kind = type(term)
     if kind is App:
         fun = term.fun
         fun2 = _whnf(scope, fun, fuel)
         if type(fun2) is Lam:
             fuel.spend()
-            pattern = fun2.pattern
-            if type(pattern) is PatternVar:
-                bindings = {pattern.binder.raw: term.arg}
+            body = fun2.body
+            if type(body) is ScopedAST:
+                binder, body = body.binder, body.body
             else:
-                bindings = beta_bindings(identity_subst(), pattern, term.arg, _FIRST, _SECOND)
-            return _whnf(scope, subst_direct(scope, bindings, fun2.body), fuel)
+                binder = fun2.pattern
+                if type(binder) is PatternVar:
+                    binder = binder.binder
+            if type(binder) is NameBinder:
+                bindings = {binder.raw: term.arg}
+            else:
+                bindings = beta_bindings(identity_subst(), binder, term.arg, *project)
+            return _whnf(scope, namespace[substitution](scope, bindings, body), fuel)
         return term if fun2 is fun else App(fun2, term.arg)
     if kind is First or kind is Second:
         t = term.term
@@ -146,19 +172,23 @@ def _whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     return term
 
 
+_whnf = weak_head(App, Lam, Pair, First, Second, globals(), "subst_direct")
+
+
 def whnf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
     """Weak head normal form: the head is never a beta or projection redex."""
     return _whnf(scope, term, Fuel(fuel))
 
 
-def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
-    """After whnf, normalize the subterms; a node whose subterms all come
-    back as the same objects is returned as it is."""
-    term = _whnf(scope, term, fuel)
+def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
+    """Normalize ``term``, a whnf, putting each child but a head (:data:`HEADS`)
+    in whnf first.  A node whose subterms all come back as the same objects
+    is returned as it is."""
     kind = type(term)
     if kind is App:
         fun, arg = term.fun, term.arg
-        fun2, arg2 = _nf(scope, fun, fuel), _nf(scope, arg, fuel)
+        fun2 = _nf_whnf(scope, fun, fuel)
+        arg2 = _nf_whnf(scope, _whnf(scope, arg, fuel), fuel)
         return term if fun2 is fun and arg2 is arg else App(fun2, arg2)
     if kind is Lam or kind is Pi:
         pattern = term.pattern
@@ -172,38 +202,35 @@ def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
                 rename = {binder.raw: Var(Name(binder2.raw))}
         else:
             pattern, rename, scope2 = with_pattern(scope, pattern, identity_subst())
-        if kind is Lam:
-            body = term.body
-            if rename:  # some binder was renamed
-                body = subst_direct(scope2, rename, body)
-            body = _nf(scope2, body, fuel)
-            if pattern is term.pattern and body is term.body:
-                return term
-            return Lam(pattern, body)
-        domain = _nf(scope, term.domain, fuel)
-        codomain = term.codomain
+        if kind is Pi:
+            domain = _nf_whnf(scope, _whnf(scope, term.domain, fuel), fuel)
+        body = before = term.body if kind is Lam else term.codomain
         if rename:  # some binder was renamed
-            codomain = subst_direct(scope2, rename, codomain)
-        codomain = _nf(scope2, codomain, fuel)
-        if pattern is term.pattern and domain is term.domain and codomain is term.codomain:
+            body = subst_direct(scope2, rename, body)
+        body = _nf_whnf(scope2, _whnf(scope2, body, fuel), fuel)
+        if kind is Lam:
+            return term if pattern is term.pattern and body is before else Lam(pattern, body)
+        if pattern is term.pattern and domain is term.domain and body is before:
             return term
-        return Pi(pattern, domain, codomain)
+        return Pi(pattern, domain, body)
     if kind is Var or kind is Universe:
         return term
     if kind is First or kind is Second:
         t = term.term
-        t2 = _nf(scope, t, fuel)
+        t2 = _nf_whnf(scope, t, fuel)
         return term if t2 is t else kind(t2)
     if kind is Pair:
         left, right = term.left, term.right
-        left2, right2 = _nf(scope, left, fuel), _nf(scope, right, fuel)
+        left2 = _nf_whnf(scope, _whnf(scope, left, fuel), fuel)
+        right2 = _nf_whnf(scope, _whnf(scope, right, fuel), fuel)
         return term if left2 is left and right2 is right else Pair(left2, right2)
     raise TypeError(f"not a term: {term!r}")
 
 
 def nf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
     """Full normal-order normalization (reduce the head, then the subterms)."""
-    return _nf(scope, term, Fuel(fuel))
+    fuel = Fuel(fuel)
+    return _nf_whnf(scope, _whnf(scope, term, fuel), fuel)
 
 
 def check_scope_direct(term: Term, scope: Scope) -> int:

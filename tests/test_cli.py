@@ -128,6 +128,20 @@ def test_parse_error_location_and_exit_code(tmp_path, capsys):
     assert err.startswith(f"error: {path}:1:20:")
 
 
+def test_input_too_deep_to_parse_is_a_located_parse_error(tmp_path, capsys):
+    """``U`` in 50,000 parentheses runs the parser out of stack before
+    anything is normalized (``echo`` normalizes nothing)."""
+    nested = "(" * 50_000 + "U" + ")" * 50_000
+    program = _write(tmp_path, "deep.lp", f"check {nested} : U ;\n")
+    term = _write(tmp_path, "deep.term", nested)
+    for argv in (["echo", program], ["run", program], ["normalize", term]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[1]}:1:")
+        assert err.endswith(": input nested too deeply to parse\n")
+        assert "normalize" not in err.removeprefix(f"error: {argv[1]}")
+
+
 def test_unbound_variable_location(tmp_path, capsys):
     path = _write(tmp_path, "bad.lp", "compute lam x . yy : U ;\n")
     assert main(["run", path]) == 1

@@ -6,14 +6,16 @@ one.  Entering a binder costs O(1) in every engine, which keeps a
 2000-binder nest cheap, and all five engines agree on them.
 
 The two spine shapes, a long application and a long projection chain over
-a variable, are already normal.  The named and de Bruijn normalizers reduce
-such a spine's head once and then normalize only its arguments, so they are
-linear in the spine's length; ``nbe`` works in head-plus-spine form
-throughout.
+a variable, are already normal.  The four tree normalizers reduce such a
+spine's head once and then normalize only its arguments, so they are linear
+in the spine's length; ``nbe`` works in head-plus-spine form throughout.
 """
+
+import sys
 
 import pytest
 
+from scopefoil import lambda_pi, terms
 from scopefoil.bench import DEFAULT_FUEL
 from scopefoil.bridge import to_foil_closed
 from scopefoil.lambda_pi import direct_to_free, nf_free
@@ -61,16 +63,45 @@ def test_all_five_engines_agree_on_a_deep_nest(shape):
 
 
 STUCK = {
-    "application": f"lam f . lam a . f{' a' * DEPTH}",
-    "projection": f"lam p . {'first (' * DEPTH}p{')' * DEPTH}",
+    "application": lambda n: f"lam f . lam a . f{' a' * n}",
+    "projection": lambda n: f"lam p . {'first (' * n}p{')' * n}",
 }
 
 
 @pytest.mark.parametrize("shape", sorted(STUCK))
 def test_a_long_stuck_spine_is_its_own_normal_form(shape):
-    surface = parse_term(STUCK[shape])
+    surface = parse_term(STUCK[shape](DEPTH))
     assert nf_named(surface, DEFAULT_FUEL) == surface
     db = to_debruijn(surface)
     assert nf_debruijn(db, DEFAULT_FUEL) == db
-    free = direct_to_free(to_foil_closed(surface))
+    direct = to_foil_closed(surface)
+    assert nf_direct(Scope(), direct, DEFAULT_FUEL) is direct
+    free = direct_to_free(direct)
+    assert nf_free(Scope(), free, DEFAULT_FUEL) is free
     assert alpha_eq(nf_nbe(Scope(), free), surface)
+
+
+@pytest.mark.parametrize("shape", sorted(STUCK))
+def test_a_stuck_spine_is_reduced_once(shape):
+    """Normalizing a stuck spine of n eliminators calls the weak-head
+    reducer of the scope-safe trees O(n) times, not once per prefix."""
+    n = 500
+    direct = to_foil_closed(parse_term(STUCK[shape](n)))
+    free = direct_to_free(direct)
+    reducer = terms._whnf.__code__
+    assert lambda_pi._whnf.__code__ is reducer  # one reduction for both trees
+    for normalize, term in ((nf_direct, direct), (nf_free, free)):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is reducer:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            out = normalize(Scope(), term, DEFAULT_FUEL)
+        finally:
+            sys.setprofile(None)
+        assert out is term
+        assert calls <= 4 * n, (normalize.__name__, calls)

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -219,6 +220,19 @@ def test_program_error_after_a_multiline_comment():
         parse_program("compute U : U ;\n\n  U")
     assert (err.value.line, err.value.col) == (3, 3)
     assert err.value.message == "expected 'check' or 'compute', found 'U'"
+
+
+def test_input_nested_past_the_recursion_limit_is_a_parse_error():
+    """Each parenthesis takes more than one parser frame, so as many of
+    them as the recursion limit run out of stack: a parse error at the
+    token reached, not a ``RecursionError``."""
+    n = sys.getrecursionlimit()
+    nested = "(" * n + "U" + ")" * n
+    for parse, src in ((parse_term, nested), (parse_program, f"check {nested} : U ;")):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert err.value.message == "input nested too deeply to parse"
+        assert err.value.line == 1 and 1 < err.value.col <= n
 
 
 _PRINTED_TOKEN = re.compile(r"->|[A-Za-z][A-Za-z0-9_']*|[(),:;._]")
