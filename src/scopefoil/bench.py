@@ -31,13 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import naive
-from .bridge import (
-    default_ident,
-    from_foil_term,
-    from_free_term,
-    to_foil_closed,
-    to_free_closed,
-)
+from .bridge import default_ident, from_foil_term, to_foil_closed, to_free_closed
 from .encoding import hash_debruijn
 from .fuel import FuelExceededError
 from .lambda_pi import nf_free
@@ -277,14 +271,11 @@ def _prepare(
         return (lambda: nf_debruijn(db, fuel)), (lambda r: r)
 
     empty = Scope()
+    back = lambda r: to_debruijn(from_foil_term(default_ident, r))  # noqa: E731
     if impl == "foil_direct":
         direct = to_foil_closed(term)
-        return (
-            lambda: nf_direct(empty, direct, fuel),
-            lambda r: to_debruijn(from_foil_term(default_ident, r)),
-        )
+        return (lambda: nf_direct(empty, direct, fuel)), back
     free = to_free_closed(term)
-    back = lambda r: to_debruijn(from_free_term(default_ident, r))  # noqa: E731
     if impl == "free_foil":
         return (lambda: nf_free(empty, free, fuel)), back
     if impl == "nbe":

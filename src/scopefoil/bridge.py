@@ -10,17 +10,18 @@ identifiers innermost-first (shadowing works the way you expect), allocates
 every binder fresh against the accumulated scope — so its output is
 globally distinct and passes the scope checkers — and calls the supplied
 ``rename`` function for identifiers bound by neither a binder nor the
-environment.  ``from_free_term`` is the one walk back, forgetting scope
-indices.  The direct tree's conversions are compositions through the
-generic tree: ``to_foil_term`` is ``free_to_direct`` of ``to_free_term``,
-and ``from_foil_term`` is ``from_free_term`` of ``direct_to_free``.  The
-direct engine takes the ``foil`` conversions, the generic and NbE engines
-the ``free`` ones.  The default identifier scheme maps raw name ``n`` to
-``x{n}``.  BEWARE: this scheme knows nothing about
-the identifiers the term had before ``to_foil_term``; if a term has free
-names, printing it with the default scheme will rename them (e.g. a free
-``y`` that entered as raw ``#0`` comes back as ``x0``).  Callers that care
-must pass the inverse of the renaming they fed ``to_foil_term``.
+environment.  ``to_foil_term`` is ``free_to_direct`` of it.
+``from_foil_term`` is the one walk back, forgetting scope indices.  It reads
+either tree, telling a field apart by its value: a generic node's
+``ScopedAST`` holds its binder, a direct node's pattern is a field of its own.
+Neither tree is converted to the other on the way out.
+
+The default identifier scheme maps raw name ``n`` to ``x{n}``.  BEWARE: this
+scheme knows nothing about the identifiers the term had before
+``to_foil_term``; if a term has free names, printing it with the default
+scheme will rename them (e.g. a free ``y`` that entered as raw ``#0`` comes
+back as ``x0``).  Callers that care must pass the inverse of the renaming
+they fed ``to_foil_term``.
 """
 
 from __future__ import annotations
@@ -29,16 +30,10 @@ from typing import Callable
 
 from . import naive, terms
 from .generic import PATTERN, SCOPED, ScopedAST, children
-from .lambda_pi import (
-    BY_FREE,
-    BY_NAIVE,
-    Term,
-    constructor,
-    direct_to_free,
-    free_to_direct,
-)
+from .lambda_pi import BY_FREE, BY_NAIVE, Term, constructor, free_to_direct
 from .names import Name, NameBinder, RawName, Scope, Var, fresh_raw_name, set_mask
 from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard, pattern_mask
+from .terms import BY_DIRECT, CONSTRUCTORS
 
 
 class UnboundVariableError(Exception):
@@ -197,8 +192,11 @@ def default_ident(raw: RawName) -> naive.VarIdent:
     return ident
 
 
-def from_foil_pattern(raw_to_ident: IdentFn, pattern: Pattern) -> naive.Pattern:
+def from_foil_pattern(raw_to_ident: IdentFn, pattern: Pattern | NameBinder) -> naive.Pattern:
+    """A pattern, or a generic tree's bare binder, as a surface pattern."""
     kind = type(pattern)
+    if kind is NameBinder:
+        return naive.PatternVar(raw_to_ident(pattern.raw))
     if kind is PatternVar:
         return naive.PatternVar(raw_to_ident(pattern.binder.raw))
     if kind is PatternPair:
@@ -211,28 +209,40 @@ def from_foil_pattern(raw_to_ident: IdentFn, pattern: Pattern) -> naive.Pattern:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-def from_foil_term(raw_to_ident: IdentFn, term: terms.Term) -> naive.Term:
-    """Convert back to surface syntax by forgetting scope indices."""
-    return from_free_term(raw_to_ident, direct_to_free(term))
+# The constructor record of each class of either scope-safe tree, and the
+# positions of each direct class's bodies, which its fields hold unwrapped.
+BY_TREE = BY_DIRECT | BY_FREE
+_BODIES = {
+    con.direct: tuple(i for i, role in enumerate(con.roles) if role is SCOPED)
+    for con in CONSTRUCTORS
+}
 
 
-def from_free_term(raw_to_ident: IdentFn, term: Term) -> naive.Term:
-    """Convert a generic AST back to surface syntax by forgetting scope
-    indices."""
-    if type(term) is Var:
+def from_foil_term(raw_to_ident: IdentFn, term: terms.Term | Term) -> naive.Term:
+    """Either scope-safe tree back in surface syntax, scope indices forgotten;
+    each field is read by value (see the module docstring)."""
+    kind = type(term)
+    if kind is Var:
         return naive.Var(raw_to_ident(term.name.raw))
-    con = constructor(BY_FREE, term)
+    con = BY_TREE.get(kind)
+    if con is None:
+        raise TypeError(f"not a term: {term!r}")
     new = []
     for field in children(term):
-        if type(field) is ScopedAST:
+        kind = type(field)
+        if kind is Var:
+            new.append(naive.Var(raw_to_ident(field.name.raw)))
+        elif kind is ScopedAST:
             binder = field.binder
-            new.append(naive.ScopedTerm(from_free_term(raw_to_ident, field.body)))
-        else:
-            new.append(from_free_term(raw_to_ident, field))
+            new.append(naive.ScopedTerm(from_foil_term(raw_to_ident, field.body)))
+        elif kind in BY_TREE:
+            new.append(from_foil_term(raw_to_ident, field))
+        else:  # a direct node's pattern
+            new.append(from_foil_pattern(raw_to_ident, field))
     if con.pattern is not None:
-        if type(binder) is NameBinder:
-            pattern = naive.PatternVar(raw_to_ident(binder.raw))
+        if type(term) is con.free:
+            new.insert(con.pattern, from_foil_pattern(raw_to_ident, binder))
         else:
-            pattern = from_foil_pattern(raw_to_ident, binder)
-        new.insert(con.pattern, pattern)
+            for i in _BODIES[type(term)]:
+                new[i] = naive.ScopedTerm(new[i])
     return con.naive(*new)

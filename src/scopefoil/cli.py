@@ -33,7 +33,6 @@ from .bridge import (
     UnboundVariableError,
     default_ident,
     from_foil_term,
-    from_free_term,
     to_foil_closed,
     to_free_closed,
 )
@@ -52,13 +51,15 @@ class CliError(Exception):
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _located(path: str, exc: Exception) -> CliError:
@@ -75,19 +76,18 @@ def _located(path: str, exc: Exception) -> CliError:
 def _normalize_surface(term: naive.Term, engine: str, whnf: bool) -> naive.Term:
     """Convert, normalize with the chosen engine, and convert back.
 
-    The direct engine works on the direct tree; the others on the generic
-    AST, converted to and from the surface term in one walk each way."""
+    The direct engine works on the direct tree, the others on the generic
+    AST; one walk reads either back."""
     scope = Scope()
     if engine == "direct":
         direct = to_foil_closed(term)
-        out = whnf_direct(scope, direct) if whnf else nf_direct(scope, direct)
-        return from_foil_term(default_ident, out)
-    free = to_free_closed(term)
-    if engine == "free":
+        result = whnf_direct(scope, direct) if whnf else nf_direct(scope, direct)
+    elif engine == "free":
+        free = to_free_closed(term)
         result = whnf_free(scope, free) if whnf else nf_free(scope, free)
     else:
-        result = nf_nbe(scope, free)
-    return from_free_term(default_ident, result)
+        result = nf_nbe(scope, to_free_closed(term))
+    return from_foil_term(default_ident, result)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -145,6 +145,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         measured_runs=args.runs,
         fuel=args.fuel,
     )
+    try:  # a path that cannot be written fails before any run, not after
+        open(args.csv, "a").close()
+    except OSError as exc:
+        raise CliError(f"{args.csv}: {exc.strerror or exc}") from exc
     rows = run_benchmarks(config)
     write_csv(rows, args.csv)
     print(summarize(rows))
@@ -212,10 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     ensure_deep_recursion()
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
+        CliError,
         ParseError,
         UnboundVariableError,
         DuplicateBinderError,

@@ -795,9 +795,7 @@ def as_debruijn(term: object) -> DBTerm:
     """
     if isinstance(term, DBTerm):
         return term
-    if type(term) in lambda_pi.BY_FREE:
-        term = bridge.from_free_term(bridge.default_ident, term)
-    if type(term) is FoilVar or type(term) in lambda_pi.BY_DIRECT:
+    if type(term) is FoilVar or type(term) in bridge.BY_TREE:
         term = bridge.from_foil_term(bridge.default_ident, term)
     if type(term) is naive.Var or type(term) in lambda_pi.BY_NAIVE:
         return to_debruijn(term)

@@ -2,12 +2,13 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
 from conftest import foil_pattern, gen_naive_term
 
-from scopefoil import naive
+from scopefoil import lambda_pi, naive
 from scopefoil.bench import gen_random
 from scopefoil.bridge import (
     DuplicateBinderError,
@@ -15,7 +16,6 @@ from scopefoil.bridge import (
     default_ident,
     from_foil_pattern,
     from_foil_term,
-    from_free_term,
     rename_from_env,
     to_foil_closed,
     to_foil_term,
@@ -24,6 +24,7 @@ from scopefoil.bridge import (
 from scopefoil.encoding import encode_direct, encode_free
 from scopefoil.fuel import FuelExceededError
 from scopefoil.generic import ScopedAST, check_scope, children
+from scopefoil.cli import main
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
 from scopefoil.names import Name, Node, Scope, Var
 from scopefoil.oracles import alpha_eq
@@ -34,7 +35,7 @@ from scopefoil.patterns import (
     extend_scope_pattern,
 )
 from scopefoil.syntax import parse_term, pretty_term
-from scopefoil.terms import check_scope_direct
+from scopefoil.terms import check_scope_direct, nf_direct
 
 
 def test_closed_term_roundtrip_is_alpha_equal():
@@ -216,18 +217,58 @@ def test_to_free_is_direct_to_free_of_to_foil(equivalence_corpus):
 
 
 def test_from_free_is_from_foil_of_free_to_direct(equivalence_corpus):
-    # a round trip since ``from_foil_term`` is ``from_free_term`` of ``direct_to_free``
+    # the one read-back walk gives the same surface term on both trees: on
+    # each engine's normal form, and on that form converted to the other tree
+    # (the direct engine's keep its shadowing and refreshed binders)
     normalized = 0
     for term in equivalence_corpus:
-        try:
-            normal = nf_free(Scope(), to_free_closed(term), fuel=50_000)
-        except FuelExceededError:
-            continue
-        normalized += 1
-        assert from_free_term(default_ident, normal) == from_foil_term(
-            default_ident, free_to_direct(normal)
-        ), pretty_term(term)
-    assert normalized >= 400
+        for normalize, convert, tree in (
+            (nf_free, free_to_direct, to_free_closed),
+            (nf_direct, direct_to_free, to_foil_closed),
+        ):
+            try:
+                normal = normalize(Scope(), tree(term), fuel=50_000)
+            except FuelExceededError:
+                continue
+            normalized += 1
+            assert from_foil_term(default_ident, normal) == from_foil_term(
+                default_ident, convert(normal)
+            ), pretty_term(term)
+    assert normalized >= 800
+
+
+# sha256 of the printed read-back of every ``equivalence_corpus`` term's
+# direct tree, one line each
+CORPUS_READ_BACK_SHA256 = "b08bfbe68033381acb5b71429fb102dd88b8b8ee5134d1a73d155fa9bed7e7c6"
+
+
+def test_read_back_builds_no_generic_tree(monkeypatch, equivalence_corpus, tmp_path, capsys):
+    """A direct tree is read back with no generic tree built on the way: with
+    ``direct_to_free`` refused in every module of the package that binds it,
+    the read-back, ``alpha_eq`` and the direct engine's ``normalize`` give
+    their pinned outputs."""
+    real = lambda_pi.direct_to_free
+
+    def refuse(term):
+        raise AssertionError("direct_to_free called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scopefoil") and getattr(module, "direct_to_free", None) is real:
+            monkeypatch.setattr(module, "direct_to_free", refuse)
+    digest = hashlib.sha256()
+    for term in equivalence_corpus:
+        back = from_foil_term(default_ident, to_foil_closed(term))
+        digest.update(pretty_term(back).encode() + b"\n")
+    assert digest.hexdigest() == CORPUS_READ_BACK_SHA256
+    direct = to_foil_closed(parse_term("lam (a, b) . b a"))
+    assert alpha_eq(direct, parse_term("lam (x, y) . y x"))
+    assert not alpha_eq(direct, parse_term("lam (x, y) . x y"))
+    path = tmp_path / "redex.lp"
+    path.write_text("(lam (f, _) . lam (a, b) . f (b, a)) (lam p . first p, U)\n")
+    assert main(["normalize", "--engine", "direct", str(path)]) == 0
+    assert capsys.readouterr().out == "lam (x1, x2) . x2\n"
+    assert main(["normalize", "--whnf", "--engine", "direct", str(path)]) == 0
+    assert capsys.readouterr().out == "lam (x1, x2) . first (lam x0 . first x0, U) (x2, x1)\n"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
 """The command-line interface: subcommands, exit codes, error formatting."""
 
 import csv
+import errno
 import hashlib
+import io
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
+from scopefoil import cli
 from scopefoil.cli import main
 
 
@@ -160,6 +165,31 @@ def test_duplicate_binder_rejected(tmp_path, capsys):
 def test_missing_file_is_user_error(capsys):
     assert main(["run", "/nonexistent/nowhere.lp"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_undecodable_input_is_a_user_error_naming_its_path(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.lp"
+    path.write_bytes(b"\xffcheck U : U ;\n")
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    for command in ("normalize", "run", "echo"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xffU"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["normalize", "-"]) == 1
+    assert capsys.readouterr().err == f"error: -: {reason}\n"
+
+
+def test_bench_rejects_an_unwritable_csv_path_before_running(tmp_path, capsys, monkeypatch):
+    def run_benchmarks(config):
+        raise AssertionError("the benchmark ran before the CSV path was checked")
+
+    monkeypatch.setattr(cli, "run_benchmarks", run_benchmarks)
+    missing = tmp_path / "missing" / "x.csv"
+    for path, code in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
+        assert main(["bench", "--group", "random15", "--csv", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {os.strerror(code)}\n"
+    assert not missing.parent.exists()
 
 
 def test_bench_subcommand_writes_csv(tmp_path, capsys):
