@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 user error (syntax, unbound variable, ...),
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from . import naive
@@ -53,7 +54,10 @@ class CliError(Exception):
 def _read_source(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # The bytes, decoded strictly and with newlines translated as a
+            # file's are, whatever error handler the locale gave ``sys.stdin``.
+            text = sys.stdin.buffer.read().decode("utf-8")
+            return io.StringIO(text, newline=None).read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:

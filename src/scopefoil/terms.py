@@ -9,9 +9,13 @@ directly in the node (``Lam``/``Pi``), and variables are the shared
 Substitution is the rapier-style single pass: binders are reused unless they
 collide with the ambient scope, and a subtree whose recorded free-name mask
 (:class:`scopefoil.names.Node`) misses the substitution's domain is returned
-as it is.  Substitution and normalization enter a single-variable pattern
-inline with :func:`scopefoil.names.enter` and dispatch with ``type`` tests,
-most frequent case first; normalization returns a node whose subterms all
+as it is.  The domain's mask is built once per call of :func:`subst_direct`
+and carried down the walk, with the bit of each renamed binder added; each
+child is handled at its parent, so a variable is looked up and a subtree
+the mask lets pass is kept without a call.  Substitution and normalization
+enter a single-variable pattern inline with :func:`scopefoil.names.enter`
+and dispatch with ``type`` tests, most frequent case first; normalization
+leaves a variable child where it is, and returns a node whose subterms all
 come back as the same objects as it is, so a normal term is not copied.
 Weak-head reduction is written once, by :func:`weak_head`, for this tree and
 the generic one of :mod:`scopefoil.lambda_pi`; neither normalizer reduces the
@@ -25,7 +29,7 @@ from typing import Callable, Union, get_args
 
 from . import naive
 from .fuel import Fuel
-from .generic import PATTERN, SCOPED, ScopedAST, children, constructor, derive
+from .generic import PATTERN, SCOPED, ScopedAST, _domain, children, constructor, derive
 from .names import (
     Name,
     NameBinder,
@@ -36,7 +40,6 @@ from .names import (
     add_subst,
     check_mask,
     enter,
-    free_mask,
     identity_subst,
     masked,
     set_mask,
@@ -63,22 +66,48 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
 
     A variable outside the domain, and a node whose recorded free-name mask
     misses every key of ``subst``, come back as they are; every node built
-    here records its mask.  A single-variable pattern is entered inline, any
-    other goes through :func:`with_pattern`.
+    here records its mask.  The mask of the domain is built once, here, and
+    carried down the walk, :func:`_subst_direct`, which handles each child
+    at its parent: a variable is looked up in place, a node whose mask
+    misses the domain is kept, and only a node to rebuild is walked into.
+    A single-variable pattern is entered inline, and a renamed binder adds
+    its bit to the mask; any other pattern goes through
+    :func:`with_pattern`, and the mask is built again from its substitution.
     """
     if type(term) is Var:
         return subst.get(term.name.raw, term)
-    dom = 0
-    for raw in subst:
-        dom |= 1 << raw
+    dom = _domain(subst)
     fv = getattr(term, "fv", -1)
     if fv >= 0 and not fv & dom:
         return term
+    return _subst_direct(scope, subst, dom, term)
+
+
+def _subst_direct(scope: Scope, subst: Subst, dom: int, term: Term) -> Term:
+    # ``subst_direct`` after its shortcut, with ``dom`` the mask of
+    # ``subst``'s keys.  Every child is handled by the same block, written
+    # out once per field: look a variable up, keep a node whose mask misses
+    # ``dom``, walk into any other, and read the child's mask.
     kind = type(term)
     if kind is App:
-        fun = subst_direct(scope, subst, term.fun)
-        arg = subst_direct(scope, subst, term.arg)
-        node, fv = App(fun, arg), free_mask(fun) | free_mask(arg)
+        fun, arg = term.fun, term.arg
+        if type(fun) is Var:
+            fun = subst.get(fun.name.raw, fun)
+            fv = 1 << fun.name.raw if type(fun) is Var else getattr(fun, "fv", -1)
+        else:
+            fv = getattr(fun, "fv", -1)
+            if fv < 0 or fv & dom:
+                fun = _subst_direct(scope, subst, dom, fun)
+                fv = getattr(fun, "fv", -1)
+        if type(arg) is Var:
+            arg = subst.get(arg.name.raw, arg)
+            av = 1 << arg.name.raw if type(arg) is Var else getattr(arg, "fv", -1)
+        else:
+            av = getattr(arg, "fv", -1)
+            if av < 0 or av & dom:
+                arg = _subst_direct(scope, subst, dom, arg)
+                av = getattr(arg, "fv", -1)
+        node, fv = App(fun, arg), fv | av
     elif kind is Lam or kind is Pi:
         pattern = term.pattern
         if type(pattern) is PatternVar:
@@ -86,32 +115,70 @@ def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:
             binder2, scope2 = enter(scope, binder)
             raw2 = binder2.raw
             if binder2 is binder and raw2 not in subst:
-                subst2 = subst  # a reused binder maps to itself
+                subst2, dom2 = subst, dom  # a reused binder maps to itself
             else:
                 subst2 = add_subst(subst, binder, Var(Name(raw2)))
+                dom2 = dom | 1 << binder.raw
                 if binder2 is not binder:
                     pattern = PatternVar(binder2)
             bound = 1 << raw2
         else:
             pattern, subst2, scope2 = with_pattern(scope, pattern, subst)
+            dom2 = _domain(subst2)
             bound = pattern_mask(pattern)
-        if kind is Lam:
-            body = subst_direct(scope2, subst2, term.body)
-            fv = free_mask(body)
-            node, fv = Lam(pattern, body), fv - (fv & bound)
+        body = term.body if kind is Lam else term.codomain
+        if type(body) is Var:
+            body = subst2.get(body.name.raw, body)
+            fv = 1 << body.name.raw if type(body) is Var else getattr(body, "fv", -1)
         else:
-            domain = subst_direct(scope, subst, term.domain)
-            codomain = subst_direct(scope2, subst2, term.codomain)
-            node = Pi(pattern, domain, codomain)
-            fv = free_mask(codomain)
-            fv = free_mask(domain) | fv - (fv & bound)
+            fv = getattr(body, "fv", -1)
+            if fv < 0 or fv & dom2:
+                body = _subst_direct(scope2, subst2, dom2, body)
+                fv = getattr(body, "fv", -1)
+        fv -= fv & bound
+        if kind is Lam:
+            node = Lam(pattern, body)
+        else:
+            ty = term.domain
+            if type(ty) is Var:
+                ty = subst.get(ty.name.raw, ty)
+                dv = 1 << ty.name.raw if type(ty) is Var else getattr(ty, "fv", -1)
+            else:
+                dv = getattr(ty, "fv", -1)
+                if dv < 0 or dv & dom:
+                    ty = _subst_direct(scope, subst, dom, ty)
+                    dv = getattr(ty, "fv", -1)
+            node, fv = Pi(pattern, ty, body), dv | fv
     elif kind is First or kind is Second:
-        t = subst_direct(scope, subst, term.term)
-        node, fv = kind(t), free_mask(t)
+        t = term.term
+        if type(t) is Var:
+            t = subst.get(t.name.raw, t)
+            fv = 1 << t.name.raw if type(t) is Var else getattr(t, "fv", -1)
+        else:
+            fv = getattr(t, "fv", -1)
+            if fv < 0 or fv & dom:
+                t = _subst_direct(scope, subst, dom, t)
+                fv = getattr(t, "fv", -1)
+        node = kind(t)
     elif kind is Pair:
-        left = subst_direct(scope, subst, term.left)
-        right = subst_direct(scope, subst, term.right)
-        node, fv = Pair(left, right), free_mask(left) | free_mask(right)
+        left, right = term.left, term.right
+        if type(left) is Var:
+            left = subst.get(left.name.raw, left)
+            fv = 1 << left.name.raw if type(left) is Var else getattr(left, "fv", -1)
+        else:
+            fv = getattr(left, "fv", -1)
+            if fv < 0 or fv & dom:
+                left = _subst_direct(scope, subst, dom, left)
+                fv = getattr(left, "fv", -1)
+        if type(right) is Var:
+            right = subst.get(right.name.raw, right)
+            rv = 1 << right.name.raw if type(right) is Var else getattr(right, "fv", -1)
+        else:
+            rv = getattr(right, "fv", -1)
+            if rv < 0 or rv & dom:
+                right = _subst_direct(scope, subst, dom, right)
+                rv = getattr(right, "fv", -1)
+        node, fv = Pair(left, right), fv | rv
     elif kind is Universe:
         return term
     else:
@@ -182,13 +249,14 @@ def whnf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 
 def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     """Normalize ``term``, a whnf, putting each child but a head (:data:`HEADS`)
-    in whnf first.  A node whose subterms all come back as the same objects
-    is returned as it is."""
+    in whnf first; a variable child of an application or under a binder is
+    left where it is, with no call.  A node whose subterms all come back as
+    the same objects is returned as it is."""
     kind = type(term)
     if kind is App:
         fun, arg = term.fun, term.arg
-        fun2 = _nf_whnf(scope, fun, fuel)
-        arg2 = _nf_whnf(scope, _whnf(scope, arg, fuel), fuel)
+        fun2 = fun if type(fun) is Var else _nf_whnf(scope, fun, fuel)
+        arg2 = arg if type(arg) is Var else _nf_whnf(scope, _whnf(scope, arg, fuel), fuel)
         return term if fun2 is fun and arg2 is arg else App(fun2, arg2)
     if kind is Lam or kind is Pi:
         pattern = term.pattern
@@ -207,7 +275,8 @@ def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
         body = before = term.body if kind is Lam else term.codomain
         if rename:  # some binder was renamed
             body = subst_direct(scope2, rename, body)
-        body = _nf_whnf(scope2, _whnf(scope2, body, fuel), fuel)
+        if type(body) is not Var:
+            body = _nf_whnf(scope2, _whnf(scope2, body, fuel), fuel)
         if kind is Lam:
             return term if pattern is term.pattern and body is before else Lam(pattern, body)
         if pattern is term.pattern and domain is term.domain and body is before:

@@ -42,9 +42,10 @@ def gen_naive_pattern(rng: random.Random, depth: int, used: set[str]) -> naive.P
 
 
 def gen_naive_term(
-    rng: random.Random, depth: int, env: tuple[str, ...] = ()
+    rng: random.Random, depth: int, env: tuple[str, ...] = (), pattern_depth: int = 2
 ) -> naive.Term:
-    """Random closed term exercising the whole grammar (patterns included)."""
+    """Random closed term exercising the whole grammar (patterns included,
+    nested at most ``pattern_depth`` pairs deep)."""
     if depth <= 0:
         if env and rng.random() < 0.75:
             return naive.Var(naive.VarIdent(rng.choice(env)))
@@ -56,33 +57,33 @@ def gen_naive_term(
             return naive.Universe()
         case 2:
             return naive.Pair(
-                gen_naive_term(rng, depth - 1, env),
-                gen_naive_term(rng, depth - 1, env),
+                gen_naive_term(rng, depth - 1, env, pattern_depth),
+                gen_naive_term(rng, depth - 1, env, pattern_depth),
             )
         case 3:
-            return naive.First(gen_naive_term(rng, depth - 1, env))
+            return naive.First(gen_naive_term(rng, depth - 1, env, pattern_depth))
         case 4:
-            return naive.Second(gen_naive_term(rng, depth - 1, env))
+            return naive.Second(gen_naive_term(rng, depth - 1, env, pattern_depth))
         case 5:
             return naive.App(
-                gen_naive_term(rng, depth - 1, env),
-                gen_naive_term(rng, depth - 1, env),
+                gen_naive_term(rng, depth - 1, env, pattern_depth),
+                gen_naive_term(rng, depth - 1, env, pattern_depth),
             )
         case 6:
             used = set(env)
-            pattern = gen_naive_pattern(rng, min(depth - 1, 2), used)
+            pattern = gen_naive_pattern(rng, min(depth - 1, pattern_depth), used)
             inner = env + tuple(sorted(used - set(env)))
             return naive.Lam(
-                pattern, naive.ScopedTerm(gen_naive_term(rng, depth - 1, inner))
+                pattern, naive.ScopedTerm(gen_naive_term(rng, depth - 1, inner, pattern_depth))
             )
         case _:
             used = set(env)
-            pattern = gen_naive_pattern(rng, min(depth - 1, 2), used)
+            pattern = gen_naive_pattern(rng, min(depth - 1, pattern_depth), used)
             inner = env + tuple(sorted(used - set(env)))
             return naive.Pi(
                 pattern,
-                gen_naive_term(rng, depth - 1, env),
-                naive.ScopedTerm(gen_naive_term(rng, depth - 1, inner)),
+                gen_naive_term(rng, depth - 1, env, pattern_depth),
+                naive.ScopedTerm(gen_naive_term(rng, depth - 1, inner, pattern_depth)),
             )
 
 

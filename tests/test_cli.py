@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,9 +86,8 @@ def test_normalize_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert main(["normalize", path]) == 0
     assert capsys.readouterr().out == "lam x0 . x0\n"
 
-    import io, sys
-
-    monkeypatch.setattr(sys, "stdin", io.StringIO("second (U, lam q . q)"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"second (U, lam q . q)"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     assert main(["normalize", "-"]) == 0
     assert capsys.readouterr().out == "lam x0 . x0\n"
 
@@ -178,6 +178,28 @@ def test_undecodable_input_is_a_user_error_naming_its_path(tmp_path, capsys, mon
     monkeypatch.setattr(sys, "stdin", stdin)
     assert main(["normalize", "-"]) == 1
     assert capsys.readouterr().err == f"error: -: {reason}\n"
+
+
+def test_undecodable_stdin_fails_like_a_file_under_the_c_locale():
+    """Under the C locale the interpreter decodes ``sys.stdin`` with
+    ``surrogateescape``; the CLI reads the bytes and decodes them strictly,
+    so a bad byte is a decode error, not a parse error on a character the
+    input never held."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env.update(LC_ALL="C", PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    for data, code, out, err in (
+        (b"\xffU", 1, "", f"error: -: {reason}\n"),
+        ("(lam x . x) (λ, U)".encode(), 1, "", "error: -:1:14: unexpected character 'λ'\n"),
+        (b"(lam x . x)\r\n  U\r\n", 0, "U\n", ""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "scopefoil.cli", "normalize", "-"],
+            input=data, capture_output=True, env=env, timeout=60,
+        )
+        result = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+        assert result == (code, out, err)
 
 
 def test_bench_rejects_an_unwritable_csv_path_before_running(tmp_path, capsys, monkeypatch):

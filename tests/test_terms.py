@@ -240,13 +240,15 @@ def _masked_nodes(term) -> int:
 def test_recorded_masks_equal_a_plain_free_name_walk(monkeypatch):
     """Every node ``to_foil_term`` builds records its mask, and so does
     every node ``subst_direct`` builds, during normalization and when it
-    copies a normal form (which ``_nf`` rebuilt without masks)."""
+    copies a normal form (which ``_nf`` rebuilt without masks).  Each call
+    of the walk, ``_subst_direct``, rebuilds one node; the subtree it
+    returns is checked."""
     built = 0
-    walk = terms.subst_direct
+    walk = terms._subst_direct
 
-    def checked(scope, subst, term):
+    def checked(scope, subst, dom, term):
         nonlocal built
-        out = walk(scope, subst, term)
+        out = walk(scope, subst, dom, term)
         built += _masked_nodes(out)
         return out
 
@@ -257,7 +259,7 @@ def test_recorded_masks_equal_a_plain_free_name_walk(monkeypatch):
         direct = to_foil_closed(term)
         subtrees = sum(1 for sub in _subtrees(direct) if type(sub) is not Var)
         assert _masked_nodes(direct) == subtrees
-        monkeypatch.setattr(terms, "subst_direct", checked)
+        monkeypatch.setattr(terms, "_subst_direct", checked)
         try:
             normal = nf_direct(Scope(), direct, fuel=20_000)
         except FuelExceededError:
@@ -339,16 +341,19 @@ def test_a_pair_pattern_beta_records_masks():
 
 
 def test_factorial_6_substitutes_a_quarter_of_the_nodes(monkeypatch):
-    """351,807 ``subst_direct`` calls without the shortcut."""
+    """The walk, ``_subst_direct``, visits a node only to rebuild it: a
+    variable is looked up and a node the shortcut keeps is kept at its
+    parent.  A walk with no shortcut, calling itself on every child,
+    variables included, makes 351,807 calls."""
     calls = 0
-    walk = terms.subst_direct
+    walk = terms._subst_direct
 
-    def counted(scope, subst, term):
+    def counted(scope, subst, dom, term):
         nonlocal calls
         calls += 1
-        return walk(scope, subst, term)
+        return walk(scope, subst, dom, term)
 
-    monkeypatch.setattr(terms, "subst_direct", counted)
+    monkeypatch.setattr(terms, "_subst_direct", counted)
     nf_direct(Scope(), to_foil_closed(church_fact(6)))
     assert 0 < calls <= 351_807 // 4
 
