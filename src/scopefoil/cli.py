@@ -7,14 +7,16 @@ Subcommands::
     echo <file>                                 parse and pretty-print back
     bench --group G [...] --csv PATH            run the benchmark harness
 
-Exit codes: 0 success, 1 user error (syntax, unbound variable, ...),
-2 internal invariant failure (scope violation, implementation mismatch).
+Exit codes: 0 success, 1 user error (syntax, unbound variable, ...) or an
+output pipe closed by its reader, 2 internal invariant failure (scope
+violation, implementation mismatch).
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 
 from . import naive
@@ -40,7 +42,7 @@ from .bridge import (
 from .fuel import FuelExceededError
 from .lambda_pi import nf_free, whnf_free
 from .names import Scope, ScopeViolationError
-from .nbe import EvalError, nf_nbe
+from .nbe import nf_nbe
 from .syntax import ParseError, parse_program, parse_term, pretty_program, pretty_term
 from .terms import nf_direct, whnf_direct
 
@@ -219,14 +221,20 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     ensure_deep_recursion()
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader has stopped reading: end quietly, with stdout on
+        # os.devnull so that the flush at exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         CliError,
         ParseError,
         UnboundVariableError,
         DuplicateBinderError,
         FuelExceededError,
-        EvalError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,9 @@ RESERVED_WORDS = frozenset({"check", "compute", "lam", "fun", "first", "second",
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
 
 
-def node_class(cls: type) -> type:
+def node_class(
+    cls: type, compute: tuple[str, ...] = (), namespace: dict | None = None
+) -> type:
     """``cls`` as a frozen, slotted dataclass built the cheap way.
 
     Every frozen, slotted class of the package is made with this decorator
@@ -33,10 +35,17 @@ def node_class(cls: type) -> type:
     ``__delattr__``: the ones ``dataclass(slots=True)`` writes close over
     the class before its slotted copy, so for a name that is not a field
     they fail with a ``TypeError`` from ``super()`` instead.  A class with
-    no fields keeps ``object.__init__``, and one that writes its own
-    ``__init__`` keeps it (it can store its fields with
-    :func:`slot_setters`).
+    no fields keeps ``object.__init__``; one that writes its own
+    ``__init__`` is refused.
+
+    A field declared with ``init=False`` is computed, not passed: its value
+    comes from ``compute``, statements that run at the end of the
+    ``__init__`` with the parameters in hand and store each such field
+    ``f`` with ``_set_f(self, value)``.  The other names they read are
+    ``namespace``'s.
     """
+    if "__init__" in cls.__dict__:
+        raise TypeError(f"{cls.__name__}: node_class writes the __init__")
     doc = cls.__doc__
     # a placeholder keeps ``dataclass`` from writing a docstring from the
     # signature before the class has its ``__init__``
@@ -44,8 +53,8 @@ def node_class(cls: type) -> type:
     cls = dataclass(cls, frozen=True, slots=True, init=False)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
-    if "__init__" not in cls.__dict__ and fields(cls):
-        cls.__init__ = _setter_init(cls)
+    if fields(cls):
+        cls.__init__ = _setter_init(cls, compute, namespace)
     # the docstring ``dataclass`` gives a class that has none
     cls.__doc__ = doc or cls.__name__ + str(inspect.signature(cls)).replace(
         " -> None", ""
@@ -61,52 +70,62 @@ def _frozen_delattr(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
-    """The slot descriptors' own setters of ``cls``'s fields, in field order."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
 _INIT_CODE: dict[str, CodeType] = {}
 
 
-def _setter_init(cls: type) -> Callable[..., None]:
+def _setter_init(
+    cls: type, compute: tuple[str, ...], namespace: dict | None
+) -> Callable[..., None]:
     # An ``__init__`` with what ``dataclass`` would give it: the same
-    # parameters, annotations and defaults.
+    # parameters, annotations and defaults.  It reads the slot setters from
+    # its closure, or, in a class that computes fields, from its globals:
+    # each closure variable is copied into the frame on every call, which
+    # cost a ``debruijn`` pass of normbench's ``deep`` nests 5-8% on CPython
+    # 3.11 (``BENCH_26.json``).
     closure: dict[str, object] = {}
+    globals_ = {"__name__": cls.__module__, **(namespace or {})}
+    setters = globals_ if compute else closure
     params, body = [], []
-    for f, setter in zip(fields(cls), slot_setters(cls)):
-        if f.kw_only or f.default_factory is not MISSING or not f.init:
+    for f in fields(cls):
+        if f.kw_only or f.default_factory is not MISSING or not (f.init or compute):
             raise TypeError(
                 f"{cls.__name__}.{f.name}: node_class stores only plain fields"
             )
+        setters[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if not f.init:
+            continue
         closure[f"_type_{f.name}"] = f.type
-        closure[f"_set_{f.name}"] = setter
         param = f"{f.name}: _type_{f.name}"
         if f.default is not MISSING:
             closure[f"_default_{f.name}"] = f.default
             param += f" = _default_{f.name}"
         params.append(param)
         body.append(f"        _set_{f.name}(self, {f.name})")
+    body.extend(f"        {line}" for line in compute)
     if hasattr(cls, "__post_init__"):
         body.append("        self.__post_init__()")
     source = (
         f"def __create__({', '.join(closure)}):\n"
-        f"    def __init__(self, {', '.join(params)}) -> None:\n"
+        f"    def __init__({', '.join(['self', *params])}) -> None:\n"
         + "\n".join(body)
         + "\n    return __init__\n"
     )
     # The source names no class, so classes whose fields share their names
     # share one compiled code object (Pair, PatternPair, PairSig, VPair, ...),
     # and importing the package compiles fewer initializers than ``dataclass``
-    # would.  ``dont_inherit``: this module's ``from __future__ import
-    # annotations`` would otherwise turn the annotations into strings.
+    # would.  A class that computes fields has globals of its own, so it gets
+    # a code object of its own too: the reads a code object specializes are
+    # kept for one globals dict.  ``dont_inherit``: this module's ``from
+    # __future__ import annotations`` would otherwise turn the annotations
+    # into strings.
     code = _INIT_CODE.get(source)
     if code is None:
         code = compile(source, "<node_class>", "exec", dont_inherit=True)
-        _INIT_CODE[source] = code
-    namespace: dict[str, Callable] = {}
-    exec(code, {"__name__": cls.__module__}, namespace)
-    init = namespace["__create__"](**closure)
+        if not compute:
+            _INIT_CODE[source] = code
+    defined: dict[str, Callable] = {}
+    exec(code, globals_, defined)
+    init = defined["__create__"](**closure)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
 

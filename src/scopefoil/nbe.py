@@ -16,9 +16,10 @@ fail to normalize (but are discarded) still converge, and results always
 agree with the tree-substitution normalizers up to alpha.
 
 Looking up a name the environment does not know yields a neutral value, so
-open terms evaluate fine.  What does *not* evaluate is an ill-typed
-elimination — applying a pair or projecting a lambda — because neutral
-spines grow only from variables; those raise :class:`EvalError`.
+open terms evaluate fine.  An elimination that cannot fire, such as
+applying a pair or projecting a lambda, is neutral too: its head is the
+value it could not take apart, so the term is left stuck, as the tree
+engines leave it (Berger and Schwichtenberg; Abel).
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ from .names import (
     identity_subst,
 )
 from .patterns import Pattern, beta_bindings, names_of_pattern, with_pattern
-
-
-class EvalError(Exception):
-    """An elimination hit a value of the wrong kind (ill-typed input)."""
 
 
 class Thunk:
@@ -90,7 +87,10 @@ Elim = Union[EApp, EFirst, ESecond]
 
 @node_class
 class VNeutral:
-    head: Name
+    """A stuck elimination spine over a variable or over a value that an
+    elimination cannot take apart (a lambda projected, a pair applied)."""
+
+    head: Name | Value
     spine: tuple[Elim, ...]
 
 
@@ -167,17 +167,17 @@ def apply_value(fun: Value, arg: Thunk) -> Value:
         return eval_term(env, fun.body)
     if kind is VNeutral:
         return VNeutral(fun.head, fun.spine + (EApp(arg),))
-    raise EvalError("cannot apply a non-function value")
+    return VNeutral(fun, (EApp(arg),))
 
 
 def _project(value: Value, which: int) -> Value:
     kind = type(value)
     if kind is VPair:
         return _force(value.left if which == 0 else value.right)
+    elim = EFirst() if which == 0 else ESecond()
     if kind is VNeutral:
-        elim = EFirst() if which == 0 else ESecond()
         return VNeutral(value.head, value.spine + (elim,))
-    raise EvalError("cannot project a non-pair value")
+    return VNeutral(value, (elim,))
 
 
 def eval_term(env: Env, term: Term) -> Value:
@@ -209,7 +209,9 @@ def quote(scope: Scope, value: Value) -> Term:
     """Read a value back as a normal-form term under ``scope``."""
     kind = type(value)
     if kind is VNeutral:
-        acc: Term = Var(value.head)
+        acc: Term = (
+            Var(value.head) if type(value.head) is Name else quote(scope, value.head)
+        )
         for elim in value.spine:
             elim_kind = type(elim)
             if elim_kind is EApp:

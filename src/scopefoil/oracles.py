@@ -22,29 +22,32 @@ mapping first (see :mod:`scopefoil.bridge`).
 
 Binders in de Bruijn terms keep the *shape* of the pattern that bound them
 (wildcard / variable / pair) but not its names; a pattern's variables are
-numbered left to right with the rightmost innermost (index 0).  Each de
-Bruijn class keeps its surface constructor's fields in order, with a shape
-for the pattern, so :func:`to_debruijn` and :func:`from_debruijn` are walks
-over the field roles of :data:`scopefoil.lambda_pi.CONSTRUCTORS`, paired
-with the de Bruijn classes in :data:`TO_DB` and :data:`BY_DB`.
+numbered left to right with the rightmost innermost (index 0).  Only the
+variables ``BVar`` and ``FVar`` are written out: the class of each other
+node is derived from its entry in :data:`scopefoil.lambda_pi.CONSTRUCTORS`,
+with the surface fields in order and a ``shape`` for the pattern, and
+paired with it in :data:`TO_DB` and :data:`BY_DB`.  So :func:`to_debruijn`
+and :func:`from_debruijn` are walks over the field roles.
 
 Every de Bruijn node knows its ``size`` (its number of nodes, which a beta
 step charges as fuel) and ``loose`` (one more than its largest loose index,
 an index pointing past the term's own binders; 0 when there is none).  A
-compound node computes both from its children when it is built; a leaf
-reads them from its class (``BVar.loose`` is ``index + 1``).  They describe
-the term rather than being part of it, so neither is a match argument: the
-encoder, equality, hashing and ``repr`` see only the structure.
+derived node's ``__init__``, compiled by :func:`scopefoil.naive.node_class`,
+computes both from its children, a body's ``loose`` less its shape's
+arity; a leaf reads them from its class (``BVar.loose`` is ``index + 1``).
+They describe the term rather than being part of it, so neither is a match
+argument: the encoder, equality, hashing and ``repr`` see only the
+structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Callable, ClassVar, Union
+from typing import Callable, Union
 
 from . import bridge, lambda_pi, naive
 from .fuel import Fuel, FuelExceededError
-from .generic import PATTERN, SCOPED, children, constructor
+from .generic import PATTERN, SCOPED, TERM, Constructor, children, constructor
 from .names import Var as FoilVar
 
 
@@ -242,15 +245,21 @@ class ShapePair:
 Shape = Union[ShapeWildcard, ShapeVar, ShapePair]
 
 
-def _cache() -> int:
-    # A value computed from the children: not part of the term's structure.
-    return field(init=False, repr=False, compare=False)
+def shape_arity(shape: Shape) -> int:
+    kind = type(shape)
+    if kind is ShapeVar:
+        return 1
+    if kind is ShapeWildcard:
+        return 0
+    if kind is ShapePair:
+        return shape_arity(shape.left) + shape_arity(shape.right)
+    raise TypeError(f"not a shape: {shape!r}")
 
 
 @naive.node_class
 class BVar:
     index: int
-    size: ClassVar[int] = 1
+    size = 1  # a leaf's ``size`` and ``loose`` are not fields
 
     @property
     def loose(self) -> int:
@@ -260,130 +269,50 @@ class BVar:
 @naive.node_class
 class FVar:
     ident: naive.VarIdent
-    size: ClassVar[int] = 1
-    loose: ClassVar[int] = 0
+    size, loose = 1, 0
 
 
-@naive.node_class
-class DBApp:
-    fun: "DBTerm"
-    arg: "DBTerm"
-    size: int = _cache()
-    loose: int = _cache()
-
-    def __init__(self, fun: DBTerm, arg: DBTerm) -> None:
-        _app_fun(self, fun)
-        _app_arg(self, arg)
-        _app_size(self, 1 + fun.size + arg.size)
-        a, b = fun.loose, arg.loose
-        _app_loose(self, a if a > b else b)
+# A body's ``loose`` less the indices its node's shape binds, and the names
+# that this expression reads.
+_UNBOUND = " - (1 if type(shape) is ShapeVar else shape_arity(shape))"
+_ARITY = {"ShapeVar": ShapeVar, "shape_arity": shape_arity}
 
 
-_app_fun, _app_arg, _app_size, _app_loose = naive.slot_setters(DBApp)
-
-
-@naive.node_class
-class DBLam:
-    shape: Shape
-    body: "DBTerm"
-    size: int = _cache()
-    loose: int = _cache()
-
-    def __init__(self, shape: Shape, body: DBTerm) -> None:
-        _lam_shape(self, shape)
-        _lam_body(self, body)
-        _lam_size(self, 1 + body.size)
-        loose = body.loose - (1 if type(shape) is ShapeVar else shape_arity(shape))
-        _lam_loose(self, loose if loose > 0 else 0)
-
-
-_lam_shape, _lam_body, _lam_size, _lam_loose = naive.slot_setters(DBLam)
-
-
-@naive.node_class
-class DBPi:
-    shape: Shape
-    domain: "DBTerm"
-    codomain: "DBTerm"
-    size: int = _cache()
-    loose: int = _cache()
-
-    def __init__(self, shape: Shape, domain: DBTerm, codomain: DBTerm) -> None:
-        _pi_shape(self, shape)
-        _pi_domain(self, domain)
-        _pi_codomain(self, codomain)
-        _pi_size(self, 1 + domain.size + codomain.size)
-        a = domain.loose
-        b = codomain.loose - (1 if type(shape) is ShapeVar else shape_arity(shape))
-        _pi_loose(self, a if a > b else b)
-
-
-_pi_shape, _pi_domain, _pi_codomain, _pi_size, _pi_loose = naive.slot_setters(DBPi)
-
-
-@naive.node_class
-class DBPair:
-    left: "DBTerm"
-    right: "DBTerm"
-    size: int = _cache()
-    loose: int = _cache()
-
-    def __init__(self, left: DBTerm, right: DBTerm) -> None:
-        _pair_left(self, left)
-        _pair_right(self, right)
-        _pair_size(self, 1 + left.size + right.size)
-        a, b = left.loose, right.loose
-        _pair_loose(self, a if a > b else b)
-
-
-_pair_left, _pair_right, _pair_size, _pair_loose = naive.slot_setters(DBPair)
-
-
-@naive.node_class
-class DBFirst:
-    term: "DBTerm"
-    size: int = _cache()
-    loose: int = _cache()
-
-    def __init__(self, term: DBTerm) -> None:
-        _first_term(self, term)
-        _first_size(self, 1 + term.size)
-        _first_loose(self, term.loose)
-
-
-_first_term, _first_size, _first_loose = naive.slot_setters(DBFirst)
-
-
-@naive.node_class
-class DBSecond:
-    term: "DBTerm"
-    size: int = _cache()
-    loose: int = _cache()
-
-    def __init__(self, term: DBTerm) -> None:
-        _second_term(self, term)
-        _second_size(self, 1 + term.size)
-        _second_loose(self, term.loose)
-
-
-_second_term, _second_size, _second_loose = naive.slot_setters(DBSecond)
-
-
-@naive.node_class
-class DBUniverse:
-    size: ClassVar[int] = 1
-    loose: ClassVar[int] = 0
-
-
-DBTerm = Union[BVar, FVar, DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond, DBUniverse]
+def _db_class(con: Constructor) -> type:
+    """The de Bruijn class ``DB<name>`` of one surface constructor: its
+    fields in order, with a ``shape`` for the pattern, and an ``__init__``
+    that computes ``size`` and ``loose`` with one statement per child."""
+    annotations, sizes, looses = {}, ["1"], []
+    for name, role in zip(con.naive.__match_args__, con.roles):
+        if role is PATTERN:
+            annotations["shape"] = "Shape"
+            continue
+        annotations[name] = "DBTerm"
+        sizes.append(f"{name}.size")
+        looses.append(f"{name}.loose" + (_UNBOUND if role is SCOPED else ""))
+    if TERM not in con.roles:  # no child whose ``loose`` is at least 0
+        looses.append("0")
+    compute = [f"_set_size(self, {' + '.join(sizes)})"]
+    loose = looses[0]
+    for other in looses[1:]:
+        compute.append(f"a, b = {loose}, {other}")
+        loose = "a if a > b else b"
+    compute.append(f"_set_loose(self, {loose})")
+    annotations.update(size="int", loose="int")
+    cache = {"init": False, "repr": False, "compare": False}  # not structure
+    namespace = {"__annotations__": annotations, "__module__": __name__}
+    namespace.update(size=field(**cache), loose=field(**cache))
+    cls = type("DB" + con.naive.__name__, (), namespace)
+    return naive.node_class(cls, tuple(compute), _ARITY)
 
 
 # The de Bruijn class of each surface constructor, and the constructor of
-# each de Bruijn class.  A de Bruijn class keeps the surface fields in
-# order, with a ``shape`` in place of the ``pattern``.
-_DB_CLASSES = (DBPair, DBFirst, DBSecond, DBApp, DBLam, DBPi, DBUniverse)
-BY_DB = {db: con for con, db in zip(lambda_pi.CONSTRUCTORS, _DB_CLASSES, strict=True)}
+# each de Bruijn class.
+BY_DB = {_db_class(con): con for con in lambda_pi.CONSTRUCTORS}
 TO_DB = {con.naive: db for db, con in BY_DB.items()}
+DBPair, DBFirst, DBSecond, DBApp, DBLam, DBPi, DBUniverse = BY_DB
+
+DBTerm = Union[BVar, FVar, DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond, DBUniverse]
 
 
 def _shape_of(pattern: naive.Pattern) -> tuple[Shape, list[str]]:
@@ -397,17 +326,6 @@ def _shape_of(pattern: naive.Pattern) -> tuple[Shape, list[str]]:
         rs, rn = _shape_of(pattern.right)
         return ShapePair(ls, rs), ln + rn
     raise TypeError(f"not a pattern: {pattern!r}")
-
-
-def shape_arity(shape: Shape) -> int:
-    kind = type(shape)
-    if kind is ShapeVar:
-        return 1
-    if kind is ShapeWildcard:
-        return 0
-    if kind is ShapePair:
-        return shape_arity(shape.left) + shape_arity(shape.right)
-    raise TypeError(f"not a shape: {shape!r}")
 
 
 def _shape_paths(shape: Shape) -> list[tuple[int, ...]]:

@@ -100,6 +100,31 @@ def test_normalize_whnf(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_engines_leave_an_ill_typed_elimination_stuck(tmp_path, capsys):
+    for src in ("first (lam x . x)", "U U", "(U, U) U"):
+        path = _write(tmp_path, "t.lp", src)
+        for engine in ("direct", "free", "nbe"):
+            assert main(["normalize", "--engine", engine, str(path)]) == 0
+            assert capsys.readouterr() == (f"{src.replace('x . x', 'x0 . x0')}\n", "")
+
+
+def test_a_reader_that_stops_early_gets_no_traceback(tmp_path):
+    """The normal form of a 40,000-argument stuck spine outgrows the pipe,
+    so the CLI is still writing when the reader closes its end."""
+    path = _write(tmp_path, "spine.lp", "lam f . lam a . f" + " a" * 40_000)
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scopefoil.cli", "normalize", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(60) == b"lam x0 . lam x1 . x0" + b" x1" * 13 + b" "
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_normalize_whnf_rejects_nbe(tmp_path, capsys):
     path = _write(tmp_path, "t.lp", "U")
     assert main(["normalize", "--whnf", "--engine", "nbe", path]) == 1

@@ -75,11 +75,6 @@ DERIVED = {
     cls for con in (*lambda_pi.CONSTRUCTORS, LET) for cls in (con.direct, con.free)
 }
 
-# These compute ``size`` and ``loose`` from their children in an
-# ``__init__`` of their own, which stores every slot with ``slot_setters``.
-HAND_WRITTEN = {DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond}
-
-
 def _init_names(cls: type) -> list[str]:
     return [f.name for f in fields(cls) if f.init]
 
@@ -153,11 +148,31 @@ def test_the_setattr_check_sees_a_plain_dataclass():
     assert "__setattr__" in Plain.__init__.__code__.co_names
 
 
-@pytest.mark.parametrize(
-    "cls", [c for c in CLASSES if fields(c) and c not in HAND_WRITTEN], ids=_id
-)
+@pytest.mark.parametrize("cls", [c for c in CLASSES if fields(c)], ids=_id)
+def test_every_init_is_compiled_by_node_class(cls):
+    """No class writes its own ``__init__``, so no initializer is written
+    per constructor: a field computed from the others is declared with
+    ``init=False`` and computed by the compiled one."""
+    assert cls.__init__.__code__.co_filename == "<node_class>"
+
+
+def test_node_class_refuses_a_hand_written_init():
+    class Written:
+        value: int
+
+        def __init__(self, value: int) -> None:
+            object.__setattr__(self, "value", value)
+
+    with pytest.raises(TypeError, match="writes the __init__"):
+        naive.node_class(Written)
+
+
+@pytest.mark.parametrize("cls", [c for c in CLASSES if fields(c)], ids=_id)
 def test_the_signature_is_the_one_dataclass_generates(cls):
-    spec = [(f.name, f.type, field(default=f.default)) for f in fields(cls)]
+    spec = [
+        (f.name, f.type, field(default=f.default, init=f.init, repr=f.repr, compare=f.compare))
+        for f in fields(cls)
+    ]
     reference = make_dataclass(cls.__name__, spec, frozen=True, slots=True)
     assert inspect.signature(cls.__init__) == inspect.signature(reference.__init__)
     assert inspect.signature(cls) == inspect.signature(reference)
@@ -195,5 +210,9 @@ def test_node_class_refuses_a_field_it_cannot_store():
     class Later:
         value: int = field(default=0, kw_only=True)
 
-    with pytest.raises(TypeError, match="only plain fields"):
-        naive.node_class(Later)
+    class Computed:  # with nothing to compute it
+        value: int = field(init=False)
+
+    for cls in (Later, Computed):
+        with pytest.raises(TypeError, match="only plain fields"):
+            naive.node_class(cls)
