@@ -115,8 +115,9 @@ def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
     each body under a pattern, every identifier it binds gets an entry
     linking its name to the entry it shadows, put back on the way out, so
     entering a binder never copies the environment.  A single-variable
-    pattern becomes a bare ``NameBinder``.  Every node and every
-    ``ScopedAST`` built records its free-name mask.
+    pattern becomes a bare ``NameBinder``.  Every node built records its
+    free-name mask; a ``ScopedAST`` records none, and its body's mask less
+    the bound names goes into its node's.
     """
     env: dict[str, _Entry | None] = {}
 
@@ -138,12 +139,9 @@ def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
                 body = go(body_scope, field.term)
                 for text, _ in bound:
                     env[text] = env[text][1]
-                child = ScopedAST(binder, body)
                 fv = 1 << body.name.raw if type(body) is Var else body.fv
-                fv -= fv & bits
-                set_mask(child, fv)
-                mask |= fv
-                new.append(child)
+                mask |= fv - (fv & bits)
+                new.append(ScopedAST(binder, body))
             else:
                 child = go(scope, field)
                 mask |= 1 << child.name.raw if type(child) is Var else child.fv

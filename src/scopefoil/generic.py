@@ -42,9 +42,11 @@ from .patterns import Pattern, check_pattern_scope, pattern_mask, with_pattern
 
 
 @naive.node_class
-class ScopedAST(Node):
+class ScopedAST:
     """A subterm under a binder: a bare ``NameBinder`` for one variable, or
-    a wildcard or pair pattern (never a top-level ``PatternVar``)."""
+    a wildcard or pair pattern (never a top-level ``PatternVar``).  It
+    records no mask: the node that holds it records the body's mask less
+    the bound names."""
 
     binder: NameBinder | Pattern
     body: "AST"
@@ -162,7 +164,7 @@ def substitute(scope: Scope, subst: Subst, ast: AST) -> AST:
     child enters its binder from the ambient scope with the reuse rule
     (:func:`~scopefoil.names.enter`) and threads the extended substitution
     under it; a bare binder takes the inline path, a pattern goes through
-    :func:`with_pattern`.  Every node built here records its mask.
+    :func:`with_pattern`.  Every signature node built here records its mask.
     """
     if type(ast) is Var:
         return subst.get(ast.name.raw, ast)
@@ -298,7 +300,6 @@ def substitute(scope, subst, dom, ast):
                 fv = getattr(body, "fv", -1)
         c$i = ScopedAST(binder2, body)
         fv$i = fv - (fv & bound)
-        set_mask(c$i, fv$i)
     else:
         fv$i = getattr(c$i, "fv", -1)
         if fv$i < 0 or fv$i & dom:
@@ -324,8 +325,9 @@ _SUBSTITUTES = Compiled(
 
 def check_scope(ast: AST, scope: Scope) -> int:
     """Scope checker: every free name in ``ast`` must be in ``scope``, the
-    binders of one pattern must be pairwise distinct, and every recorded
-    free-name mask must be exact.  Returns the free-name mask of ``ast``."""
+    binders of one pattern must be pairwise distinct, and every node's
+    recorded free-name mask must be exact.  Returns the free-name mask of
+    ``ast``."""
     if type(ast) is Var:
         if ast.name.raw not in scope:
             raise ScopeViolationError(f"name #{ast.name.raw} is not in {scope!r}")
@@ -335,7 +337,6 @@ def check_scope(ast: AST, scope: Scope) -> int:
         if type(child) is ScopedAST:
             body = check_scope(child.body, check_pattern_scope(child.binder, scope))
             fv = body - (body & pattern_mask(child.binder))
-            check_mask(child, fv)
         else:
             fv = check_scope(child, scope)
         mask |= fv

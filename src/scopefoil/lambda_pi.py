@@ -171,12 +171,9 @@ def direct_to_free(term: terms.Term) -> Term:
             bound = pattern_mask(binder)
         elif role is SCOPED:
             body = direct_to_free(field)
-            child = ScopedAST(binder, body)
             fv = 1 << body.name.raw if type(body) is Var else body.fv
-            fv -= fv & bound
-            set_mask(child, fv)
-            mask |= fv
-            new.append(child)
+            mask |= fv - (fv & bound)
+            new.append(ScopedAST(binder, body))
         else:
             child = direct_to_free(field)
             mask |= 1 << child.name.raw if type(child) is Var else child.fv

@@ -11,11 +11,10 @@ comes back as the same object, and only a collision calls
 :func:`with_refreshed` for a fresh name.
 
 Static scope indices cannot be expressed in Python's type system, so the
-scope-safety contract is checked at run time instead: :func:`extend_scope`
-rejects a binder already in scope, ``sink`` rejects a target scope that does
-not extend the source, and the term modules expose whole-term checkers that
-re-validate membership node by node.  The engines enter binders with
-:func:`enter`, whose binder is never in scope, so they call none of these.
+scope-safety contract is checked at run time instead: ``sink`` rejects a
+target scope that does not extend the source, and the term modules expose
+whole-term checkers that re-validate membership node by node.  The binder
+:func:`enter` returns is never in scope, so entering one needs no check.
 """
 
 from __future__ import annotations
@@ -167,25 +166,8 @@ def fresh_raw_name(scope: Scope) -> RawName:
     return scope._mask.bit_length()
 
 
-def fresh_binder(scope: Scope) -> NameBinder:
-    return NameBinder(fresh_raw_name(scope))
-
-
 def name_of(binder: NameBinder) -> Name:
     return Name(binder.raw)
-
-
-def extend_scope(binder: NameBinder, scope: Scope) -> Scope:
-    """Scope extended with ``binder``.
-
-    The binder must be distinct from the scope it extends; binders produced
-    by :func:`fresh_binder` / :func:`with_refreshed` always are.
-    """
-    if binder.raw in scope:
-        raise ScopeViolationError(
-            f"binder #{binder.raw} already occurs in {scope!r}"
-        )
-    return scope.add(binder.raw)
 
 
 def with_refreshed(scope: Scope, name: Name) -> NameBinder:
@@ -204,8 +186,8 @@ def enter(scope: Scope, binder: NameBinder) -> tuple[NameBinder, Scope]:
     """Enter ``binder`` from ``scope``: the binder to use and the inner scope.
 
     The one step every engine takes at a binder: the reuse rule of
-    :func:`with_refreshed` and the scope extension of :func:`extend_scope`
-    in one call.  A binder that does not collide comes back as the same
+    :func:`with_refreshed` and the extension of the scope by the binder it
+    chose, in one call.  A binder that does not collide comes back as the same
     object; a colliding one is replaced by :func:`with_refreshed`'s fresh
     binder, so ``with_refreshed`` runs only on a collision.  Either way the
     returned binder is not in ``scope``, so there is no distinctness left to

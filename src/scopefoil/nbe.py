@@ -161,7 +161,7 @@ def apply_value(fun: Value, arg: Thunk) -> Value:
         binder, env = fun.binder, fun.env
         if type(binder) is NameBinder:
             return eval_term((binder.raw, arg, env), fun.body)
-        bindings = beta_bindings(identity_subst(), binder, arg, _first, _second)
+        bindings = beta_bindings(binder, arg, _first, _second)
         for raw, value in bindings.items():
             env = (raw, value, env)
         return eval_term(env, fun.body)

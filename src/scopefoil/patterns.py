@@ -27,9 +27,7 @@ from .names import (
     ScopeViolationError,
     Subst,
     add_rename,
-    add_subst,
     enter,
-    extend_scope,
     name_of,
 )
 
@@ -79,19 +77,6 @@ def pattern_mask(pattern: Pattern | NameBinder) -> int:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-def extend_scope_pattern(pattern: Pattern, scope: Scope) -> Scope:
-    """Scope extended by every binder of the pattern, left to right."""
-    kind = type(pattern)
-    if kind is PatternVar:
-        return extend_scope(pattern.binder, scope)
-    if kind is PatternPair:
-        left = extend_scope_pattern(pattern.left, scope)
-        return extend_scope_pattern(pattern.right, left)
-    if kind is PatternWildcard:
-        return scope
-    raise TypeError(f"not a pattern: {pattern!r}")
-
-
 def with_pattern(
     scope: Scope, pattern: Pattern, subst: Subst
 ) -> tuple[Pattern, Subst, Scope]:
@@ -123,13 +108,12 @@ def with_pattern(
 
 
 def beta_bindings(
-    subst: Subst,
     pattern: Pattern | NameBinder,
     arg: Any,
     first: Callable[[Any], Any],
     second: Callable[[Any], Any],
 ) -> Subst:
-    """``subst`` extended by what applying a ``pattern`` binder to ``arg`` binds.
+    """The substitution that applying a ``pattern`` binder to ``arg`` binds.
 
     Binding is lazy: a pair pattern binds its parts to ``first(arg)`` and
     ``second(arg)``, so reduction never forces the argument to be a literal
@@ -137,14 +121,14 @@ def beta_bindings(
     """
     kind = type(pattern)
     if kind is NameBinder:
-        return add_subst(subst, pattern, arg)
+        return {pattern.raw: arg}
     if kind is PatternVar:
-        return add_subst(subst, pattern.binder, arg)
+        return {pattern.binder.raw: arg}
     if kind is PatternPair:
-        subst = beta_bindings(subst, pattern.left, first(arg), first, second)
-        return beta_bindings(subst, pattern.right, second(arg), first, second)
+        left = beta_bindings(pattern.left, first(arg), first, second)
+        return left | beta_bindings(pattern.right, second(arg), first, second)
     if kind is PatternWildcard:
-        return subst
+        return {}
     raise TypeError(f"not a pattern: {pattern!r}")
 
 

@@ -46,13 +46,14 @@ class ParseError(Exception):
 _KEYWORDS = naive.RESERVED_WORDS
 
 # One scan: layout (whitespace and both comment forms) is skipped inside it,
-# and a character nothing else accepts falls through to ``bad``.
+# and a character nothing else accepts falls through to ``bad``, as does the
+# ``{-`` of a block comment that is never closed.
 _TOKEN_RE = re.compile(
     r"""
       (?P<skip>(?:\s|--[^\n]*|\{-.*?-\})+)
     | (?P<ident>[A-Za-z][A-Za-z0-9_']*)
     | (?P<symbol>->|[(),:;._])
-    | (?P<bad>.)
+    | (?P<bad>\{-|.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -79,7 +80,8 @@ def _lex(src: str) -> tuple[list[str], list[str], list[int], list[int]]:
             continue
         col = m.start() - line_start + 1
         if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", line, col)
+            message = "unterminated comment" if text == "{-" else f"unexpected character {text!r}"
+            raise ParseError(message, line, col)
         kinds.append("ident" if kind == "ident" and text not in _KEYWORDS else text)
         texts.append(text)
         lines.append(line)

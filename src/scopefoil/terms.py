@@ -226,7 +226,7 @@ def _reduce(scope: Scope, term, fuel: Fuel):
             if type(binder) is NameBinder:
                 bindings = {binder.raw: term.arg}
             else:
-                bindings = beta_bindings(identity_subst(), binder, term.arg, *project)
+                bindings = beta_bindings(binder, term.arg, *project)
             return _whnf(scope, namespace[substitution](scope, bindings, body), fuel)
         return term if fun2 is fun else App(fun2, term.arg)
     if kind is First or kind is Second:

@@ -103,3 +103,12 @@ def gen_foil_pattern(rng: random.Random, depth: int):
     source = gen_naive_pattern(rng, depth, set())
     pattern, env = foil_pattern(source)
     return pattern, source, env
+
+
+def extend_scope_pattern(pattern, scope):
+    """``scope`` extended by each binder of ``pattern``, left to right; a
+    binder already in scope fails the test."""
+    for name in names_of_pattern(pattern):
+        assert name.raw not in scope
+        scope = scope.add(name.raw)
+    return scope

@@ -42,7 +42,6 @@ from scopefoil.patterns import (
     PatternPair,
     PatternVar,
     PatternWildcard,
-    extend_scope_pattern,
     names_of_pattern,
     with_pattern,
 )
@@ -51,7 +50,7 @@ from scopefoil.terms import check_scope_direct, nf_direct, subst_direct
 
 import random
 
-from conftest import gen_foil_pattern, gen_naive_pattern, gen_naive_term
+from conftest import extend_scope_pattern, gen_foil_pattern, gen_naive_pattern, gen_naive_term
 
 
 @contextmanager

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import foil_pattern, gen_naive_term
+from conftest import extend_scope_pattern, foil_pattern, gen_naive_term
 
 from scopefoil import lambda_pi, naive
 from scopefoil.bench import gen_random
@@ -28,12 +28,7 @@ from scopefoil.cli import main
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
 from scopefoil.names import Name, Node, Scope, Var
 from scopefoil.oracles import alpha_eq
-from scopefoil.patterns import (
-    PatternPair,
-    PatternVar,
-    PatternWildcard,
-    extend_scope_pattern,
-)
+from scopefoil.patterns import PatternPair, PatternVar, PatternWildcard
 from scopefoil.syntax import parse_term, pretty_term
 from scopefoil.terms import check_scope_direct, nf_direct
 
@@ -168,13 +163,12 @@ def equivalence_corpus() -> list:
 
 
 def _masks(ast, out: list) -> list:
-    """The recorded mask of every node and every ``ScopedAST``, in walk order."""
+    """The recorded mask of every node, in walk order."""
     if type(ast) is Var:
         return out
     out.append((type(ast), ast.fv))
     for child in children(ast):
         if type(child) is ScopedAST:
-            out.append((ScopedAST, child.fv))
             _masks(child.body, out)
         else:
             _masks(child, out)

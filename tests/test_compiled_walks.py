@@ -86,7 +86,6 @@ def reference_substitute(scope, subst, ast):
             body = reference_substitute(scope2, subst2, child.body)
             child = ScopedAST(binder2, body)
             fv = (1 << body.name.raw if type(body) is Var else getattr(body, "fv", -1)) & ~bound
-            set_mask(child, fv)
         else:
             child = reference_substitute(scope, subst, child)
             fv = 1 << child.name.raw if type(child) is Var else getattr(child, "fv", -1)
@@ -114,7 +113,7 @@ def reference_whnf(scope, term, fuel):
             if type(binder) is NameBinder:
                 subst = {binder.raw: term.arg}
             else:
-                subst = beta_bindings(identity_subst(), binder, term.arg, _FIRST, _SECOND)
+                subst = beta_bindings(binder, term.arg, _FIRST, _SECOND)
             return reference_whnf(scope, reference_substitute(scope, subst, body), fuel)
         return term if fun2 is fun else AppSig(fun2, term.arg)
     if kind is FirstSig or kind is SecondSig:
@@ -191,7 +190,7 @@ def _foreign(rng, ast):
     new = []
     for child in children(ast):
         if type(child) is ScopedAST:
-            child = _maybe_mask(rng, ScopedAST(child.binder, _foreign(rng, child.body)))
+            child = ScopedAST(child.binder, _foreign(rng, child.body))
         else:
             child = _foreign(rng, child)
         new.append(child)

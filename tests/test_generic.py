@@ -379,12 +379,18 @@ def _subtrees(ast: AST):
             yield from _subtrees(child)
 
 
+def _nodes(ast: AST) -> int:
+    """How many compound nodes ``ast`` has: subtrees but variables and
+    scoped children, which record no mask."""
+    return sum(1 for sub in _subtrees(ast) if type(sub) not in (Var, ScopedAST))
+
+
 def _masked_nodes(ast: AST) -> int:
     """How many nodes of ``ast`` record a mask; each must equal a plain walk,
     and a negative one must cover it."""
     count = 0
     for sub in _subtrees(ast):
-        if type(sub) is Var:
+        if type(sub) in (Var, ScopedAST):
             continue
         fv, free = free_mask(sub), _free_names(sub)
         if fv >= 0:
@@ -419,8 +425,7 @@ def test_recorded_masks_equal_a_plain_free_name_walk(monkeypatch):
     monkeypatch.setattr(lambda_pi, "substitute", checked)
     for term in _mask_corpus():
         free = direct_to_free(to_foil_closed(term))
-        subtrees = sum(1 for sub in _subtrees(free) if type(sub) is not Var)
-        assert _masked_nodes(free) == subtrees
+        assert _masked_nodes(free) == _nodes(free)
         try:
             normal = nf_free(Scope(), free, fuel=20_000)
         except FuelExceededError:
@@ -428,8 +433,7 @@ def test_recorded_masks_equal_a_plain_free_name_walk(monkeypatch):
         check_scope(normal, Scope())
         _masked_nodes(normal)
         copy = substitute(Scope(), {0: UniverseSig()}, normal)
-        subtrees = sum(1 for sub in _subtrees(copy) if type(sub) is not Var)
-        assert _masked_nodes(copy) == subtrees
+        assert _masked_nodes(copy) == _nodes(copy)
         check_scope(copy, Scope())
     assert built > 500
 
@@ -475,12 +479,14 @@ def test_untouched_subtrees_come_back_as_they_are():
 def test_masks_are_not_part_of_the_structure():
     masked = _free("lam x . x")
     hand = LamSig(ScopedAST(NameBinder(2), Var(Name(2))))
-    assert free_mask(masked) == 0 and free_mask(masked.body) == 0
+    assert free_mask(masked) == 0
     assert free_mask(hand) == -1
     assert masked == hand and hash(masked) == hash(hand)
     assert repr(masked) == repr(hand)
     assert LamSig.__match_args__ == ("body",)
     assert ScopedAST.__match_args__ == ("binder", "body")
+    # a scoped child records no mask: the node that holds it records one
+    assert not hasattr(ScopedAST, "fv")
     # plain assignment cannot change it (CPython 3.11 raises TypeError for
     # a non-field name of a slotted frozen dataclass)
     with pytest.raises((FrozenInstanceError, TypeError)):
@@ -532,8 +538,7 @@ def test_a_pair_pattern_beta_records_masks():
     src = "(lam (a, b) . lam z . (b, a)) (lam x . x, lam y . y)"
     out = whnf_free(Scope(), direct_to_free(to_foil_closed(parse_term(src))))
     assert free_mask(out) == 0
-    subtrees = sum(1 for sub in _subtrees(out) if type(sub) is not Var)
-    assert _masked_nodes(out) == subtrees
+    assert _masked_nodes(out) == _nodes(out)
     assert check_scope(out, Scope()) == 0
     pair = "(lam x . x, lam y . y)"
     assert alpha_eq(out, parse_term(f"lam z . (second {pair}, first {pair})"))

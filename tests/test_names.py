@@ -18,8 +18,6 @@ from scopefoil.names import (
     add_rename,
     add_subst,
     enter,
-    extend_scope,
-    fresh_binder,
     fresh_raw_name,
     identity_subst,
     name_of,
@@ -73,29 +71,19 @@ def test_fresh_raw_name_is_max_plus_one():
     assert fresh_raw_name(scope.add(6)) == 7
 
 
-def test_fresh_binder_never_collides():
+def test_fresh_raw_name_never_collides():
     rng = random.Random(101)
     for _ in range(200):
         scope = Scope()
         for raw in rng.sample(range(50), rng.randrange(10)):
             scope = scope.add(raw)
-        binder = fresh_binder(scope)
-        assert binder.raw not in scope
+        assert fresh_raw_name(scope) not in scope
 
 
-def test_extend_scope():
-    scope = Scope()
-    binder = fresh_binder(scope)
-    scope2 = extend_scope(binder, scope)
-    assert binder.raw in scope2
+def _extend(binder, scope):
+    """``scope`` extended with ``binder``, which must not be in it already."""
     assert binder.raw not in scope
-    assert name_of(binder) == Name(binder.raw)
-
-
-def test_extend_scope_rejects_a_collision():
-    scope = extend_scope(NameBinder(3), Scope())
-    with pytest.raises(ScopeViolationError):
-        extend_scope(NameBinder(3), scope)
+    return scope.add(binder.raw)
 
 
 def test_with_refreshed_reuses_when_free():
@@ -103,6 +91,7 @@ def test_with_refreshed_reuses_when_free():
     scope = Scope().add(0).add(1)
     binder = with_refreshed(scope, Name(7))
     assert binder.raw == 7
+    assert name_of(binder) == Name(7)
 
 
 def test_with_refreshed_renames_on_collision():
@@ -131,7 +120,7 @@ def test_enter_agrees_with_with_refreshed_and_extend_scope():
         for candidate in range(7):
             binder2, inner = enter(scope, NameBinder(candidate))
             assert binder2 == with_refreshed(scope, Name(candidate))
-            assert inner == extend_scope(binder2, scope)
+            assert inner == _extend(binder2, scope)
 
 
 def test_with_refreshed_exhaustive_small():
@@ -147,7 +136,7 @@ def test_with_refreshed_exhaustive_small():
                 assert binder.raw == max(members) + 1
             else:
                 assert binder.raw == candidate
-            scope2 = extend_scope(binder, scope)
+            scope2 = _extend(binder, scope)
             assert binder.raw in scope2
             assert set(scope) | {binder.raw} == set(scope2)
 

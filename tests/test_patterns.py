@@ -16,7 +16,6 @@ from scopefoil.patterns import (
     PatternPair,
     PatternVar,
     PatternWildcard,
-    extend_scope_pattern,
     names_of_pattern,
     with_pattern,
 )
@@ -33,13 +32,6 @@ def test_names_of_pattern_left_to_right():
         PatternVar(NameBinder(0)),
     )
     assert names_of_pattern(pattern) == [Name(2), Name(0)]
-
-
-def test_extend_scope_pattern():
-    pattern = PatternPair(PatternVar(NameBinder(1)), PatternVar(NameBinder(3)))
-    scope = extend_scope_pattern(pattern, Scope())
-    assert set(scope) == {1, 3}
-    assert extend_scope_pattern(PatternWildcard(), Scope()) == Scope()
 
 
 def test_with_pattern_no_collision_keeps_names():

@@ -193,7 +193,8 @@ def test_ident_locations_after_comments():
     "src, line, col, message",
     [
         ("lam x . {- a\nbb -}  x $", 2, 10, "unexpected character '$'"),
-        ("lam x . x {- never\n closed", 1, 11, "unexpected character '{'"),
+        ("lam x . x {- never\n closed", 1, 11, "unterminated comment"),
+        ("lam x . x {", 1, 11, "unexpected character '{'"),
         ("lam x . x -y", 1, 11, "unexpected character '-'"),
         ("lam x . -- trailing", 1, 20, "expected a term, found 'end of input'"),
         ("(lam x . x -- trailing\n", 2, 1, "expected ')', found 'end of input'"),
