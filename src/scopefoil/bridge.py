@@ -10,11 +10,13 @@ identifiers innermost-first (shadowing works the way you expect), allocates
 every binder fresh against the accumulated scope — so its output is
 globally distinct and passes the scope checkers — and calls the supplied
 ``rename`` function for identifiers bound by neither a binder nor the
-environment.  ``to_foil_term`` is ``free_to_direct`` of it.
+environment.  ``to_foil_term`` is the same walk building the direct tree.
 ``from_foil_term`` is the one walk back, forgetting scope indices.  It reads
-either tree, telling a field apart by its value: a generic node's
-``ScopedAST`` holds its binder, a direct node's pattern is a field of its own.
-Neither tree is converted to the other on the way out.
+either tree: a generic node's ``ScopedAST`` holds its binder, a direct
+node's pattern is a field of its own.  Neither tree is converted to the
+other on the way in or out.  Each walk is compiled once per class from the
+class's roles (:func:`~scopefoil.generic.compile_walk`), the way
+``generic.substitute`` is, so no node loops over its fields.
 
 The default identifier scheme maps raw name ``n`` to ``x{n}``.  BEWARE: this
 scheme knows nothing about the identifiers the term had before
@@ -26,14 +28,15 @@ they fed ``to_foil_term``.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 from . import naive, terms
-from .generic import PATTERN, SCOPED, ScopedAST, children
-from .lambda_pi import BY_FREE, BY_NAIVE, Term, constructor, free_to_direct
+from .generic import Compiled, ScopedAST, compile_walk
+from .lambda_pi import BY_FREE, BY_NAIVE, Term
 from .names import Name, NameBinder, RawName, Scope, Var, fresh_raw_name, set_mask
 from .patterns import Pattern, PatternPair, PatternVar, PatternWildcard, pattern_mask
-from .terms import BY_DIRECT, CONSTRUCTORS
+from .terms import BY_DIRECT
 
 
 class UnboundVariableError(Exception):
@@ -54,9 +57,6 @@ class DuplicateBinderError(Exception):
 
 RenameFn = Callable[[naive.VarIdent], Name]
 IdentFn = Callable[[RawName], naive.VarIdent]
-# An identifier's environment entry: its innermost name, and the entry that
-# name shadows (``None`` where it shadows nothing).
-_Entry = tuple[Name, "_Entry | None"]
 
 
 def fail_on_free(ident: naive.VarIdent) -> Name:
@@ -108,6 +108,101 @@ def _as_pattern(binder: NameBinder | Pattern) -> Pattern:
     return PatternVar(binder) if type(binder) is NameBinder else binder
 
 
+# The walk from surface syntax of one surface class, building the generic
+# tree or, with ``direct``, the direct one; ``walks`` holds the other
+# classes' walks to the same tree.  Each field is handled by its role: the
+# pattern allocates its binders fresh against ``scope``, a single variable
+# inline and any other pattern through ``_bind_pattern``; a scoped field's
+# body is converted with the pattern's identifiers entered in ``env`` and
+# taken out again after it; a term is converted in ``scope``.  ``env`` maps
+# an identifier to its innermost name and the entry that name shadows
+# (``None`` where it shadows nothing), so a variable is resolved inline,
+# innermost binder first, and through ``rename`` where it is unbound.  The
+# block between ``# each field`` and ``# end`` is repeated for each field,
+# with the parts marked for its role (:func:`~scopefoil.generic.compile_walk`);
+# the walk reads this module's names as its globals.
+_TO_TREE_LINE = sys._getframe().f_lineno + 2
+_TO_TREE = """\
+def to_tree(env, rename, scope, t):
+    # each field
+    c$i = t.$field
+    # when pattern
+    if type(c$i) is naive.PatternVar:
+        raw = fresh_raw_name(scope)
+        binder = NameBinder(raw)
+        text, bname, bound = c$i.ident.text, Name(raw), None
+        inner = scope.add(raw)
+        bits = 1 << raw
+        if direct:
+            pat = PatternVar(binder)
+    else:
+        bound = []
+        binder, inner = _bind_pattern(scope, c$i, bound)
+        bits = pattern_mask(binder)
+        pat = binder
+    # when scoped
+    if bound is None:
+        env[text] = (bname, env.get(text))
+    else:
+        for text, bname in bound:
+            env[text] = (bname, env.get(text))
+    c$i = c$i.term
+    here = inner
+    # when term
+    here = scope
+    # when scoped term
+    if type(c$i) is naive.Var:
+        ident = c$i.ident
+        entry = env.get(ident.text)
+        name = rename(ident) if entry is None else entry[0]
+        c$i = Var(name)
+        fv$i = 1 << name.raw
+    else:
+        c$i = walks[type(c$i)](env, rename, here, c$i)
+        fv$i = c$i.fv
+    # when scoped
+    if bound is None:
+        env[text] = env[text][1]
+    else:
+        for text, _ in bound:
+            env[text] = env[text][1]
+    fv$i -= fv$i & bits
+    if not direct:
+        c$i = ScopedAST(binder, c$i)
+    # end
+    node = cls($args) if direct else cls($terms)
+    set_mask(node, $fvs)
+    return node
+"""
+
+
+def _to_tree_walks(direct: bool) -> Compiled:
+    """The surface walks to the direct tree, or to the generic one."""
+
+    def build(cls: type) -> Callable:
+        con = BY_NAIVE.get(cls)
+        if con is None:
+            raise TypeError(f"not a term: a {cls.__name__}")
+        target = con.direct if direct else con.free
+        return compile_walk(
+            cls, _TO_TREE, _TO_TREE_LINE, globals(), roles=con.roles,
+            cls=target, direct=direct, walks=walks,
+        )
+
+    walks = Compiled(build)
+    return walks
+
+
+_TO_FREE = _to_tree_walks(direct=False)
+_TO_DIRECT = _to_tree_walks(direct=True)
+
+
+def _to_tree(walks: Compiled, rename: RenameFn, scope: Scope, term: naive.Term):
+    if type(term) is naive.Var:
+        return Var(rename(term.ident))
+    return walks[type(term)]({}, rename, scope, term)
+
+
 def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
     """Convert a surface term to the generic AST.
 
@@ -117,47 +212,17 @@ def to_free_term(rename: RenameFn, scope: Scope, term: naive.Term) -> Term:
     entering a binder never copies the environment.  A single-variable
     pattern becomes a bare ``NameBinder``.  Every node built records its
     free-name mask; a ``ScopedAST`` records none, and its body's mask less
-    the bound names goes into its node's.
+    the bound names goes into its node's.  The walk of each class is
+    compiled from its roles (:data:`_TO_TREE`).
     """
-    env: dict[str, _Entry | None] = {}
-
-    def go(scope: Scope, t: naive.Term) -> Term:
-        if type(t) is naive.Var:
-            entry = env.get(t.ident.text)
-            return Var(rename(t.ident) if entry is None else entry[0])
-        con = constructor(BY_NAIVE, t)
-        new = []
-        mask = 0
-        for role, field in zip(con.roles, children(t)):
-            if role is PATTERN:
-                bound: list[tuple[str, Name]] = []
-                binder, body_scope = _bind_pattern(scope, field, bound)
-                bits = pattern_mask(binder)
-            elif role is SCOPED:
-                for text, name in bound:
-                    env[text] = (name, env.get(text))
-                body = go(body_scope, field.term)
-                for text, _ in bound:
-                    env[text] = env[text][1]
-                fv = 1 << body.name.raw if type(body) is Var else body.fv
-                mask |= fv - (fv & bits)
-                new.append(ScopedAST(binder, body))
-            else:
-                child = go(scope, field)
-                mask |= 1 << child.name.raw if type(child) is Var else child.fv
-                new.append(child)
-        node = con.free(*new)
-        set_mask(node, mask)
-        return node
-
-    return go(scope, term)
+    return _to_tree(_TO_FREE, rename, scope, term)
 
 
 def to_foil_term(rename: RenameFn, scope: Scope, term: naive.Term) -> terms.Term:
-    """Convert a surface term to the scope-indexed direct representation:
-    :func:`to_free_term`'s tree in its direct form, every node with its
-    free-name mask."""
-    return free_to_direct(to_free_term(rename, scope, term))
+    """Convert a surface term to the scope-indexed direct representation,
+    in one walk: :func:`to_free_term`'s tree in its direct form, every node
+    with its free-name mask, a single variable bound by a ``PatternVar``."""
+    return _to_tree(_TO_DIRECT, rename, scope, term)
 
 
 def to_foil_closed(term: naive.Term) -> terms.Term:
@@ -207,40 +272,56 @@ def from_foil_pattern(raw_to_ident: IdentFn, pattern: Pattern | NameBinder) -> n
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-# The constructor record of each class of either scope-safe tree, and the
-# positions of each direct class's bodies, which its fields hold unwrapped.
+# The walk back to surface syntax of one class of either tree, a direct
+# one with ``direct``: fields are read in the surface class's order, a
+# direct tree's pattern from its field and a generic tree's from a scoped
+# field's binder, after the body; a variable is read inline.  ``walks``
+# holds every class's walk.  The block is compiled as ``_TO_TREE``'s is.
+_FROM_TREE_LINE = sys._getframe().f_lineno + 2
+_FROM_TREE = """\
+def from_tree(ident, t):
+    # each field
+    # when pattern
+    if direct:
+        pat = from_foil_pattern(ident, t.$field)
+    # when scoped term
+    c$i = t.$field
+    # when scoped
+    if not direct:
+        binder = c$i.binder
+        c$i = c$i.body
+    # when scoped term
+    if type(c$i) is Var:
+        c$i = naive.Var(ident(c$i.name.raw))
+    else:
+        c$i = walks[type(c$i)](ident, c$i)
+    # when scoped
+    c$i = naive.ScopedTerm(c$i)
+    if not direct:
+        pat = from_foil_pattern(ident, binder)
+    # end
+    return cls($args)
+"""
+
 BY_TREE = BY_DIRECT | BY_FREE
-_BODIES = {
-    con.direct: tuple(i for i, role in enumerate(con.roles) if role is SCOPED)
-    for con in CONSTRUCTORS
-}
+
+
+def _build_from_tree(cls: type) -> Callable:
+    con = BY_TREE.get(cls)
+    if con is None:
+        raise TypeError(f"not a term: a {cls.__name__}")
+    return compile_walk(
+        con.naive, _FROM_TREE, _FROM_TREE_LINE, globals(), roles=con.roles,
+        cls=con.naive, direct=cls is con.direct, walks=_FROM_TREES,
+    )
+
+
+_FROM_TREES = Compiled(_build_from_tree)
 
 
 def from_foil_term(raw_to_ident: IdentFn, term: terms.Term | Term) -> naive.Term:
     """Either scope-safe tree back in surface syntax, scope indices forgotten;
-    each field is read by value (see the module docstring)."""
-    kind = type(term)
-    if kind is Var:
+    the walk of each class is compiled from its roles (:data:`_FROM_TREE`)."""
+    if type(term) is Var:
         return naive.Var(raw_to_ident(term.name.raw))
-    con = BY_TREE.get(kind)
-    if con is None:
-        raise TypeError(f"not a term: {term!r}")
-    new = []
-    for field in children(term):
-        kind = type(field)
-        if kind is Var:
-            new.append(naive.Var(raw_to_ident(field.name.raw)))
-        elif kind is ScopedAST:
-            binder = field.binder
-            new.append(naive.ScopedTerm(from_foil_term(raw_to_ident, field.body)))
-        elif kind in BY_TREE:
-            new.append(from_foil_term(raw_to_ident, field))
-        else:  # a direct node's pattern
-            new.append(from_foil_pattern(raw_to_ident, field))
-    if con.pattern is not None:
-        if type(term) is con.free:
-            new.insert(con.pattern, from_foil_pattern(raw_to_ident, binder))
-        else:
-            for i in _BODIES[type(term)]:
-                new[i] = naive.ScopedTerm(new[i])
-    return con.naive(*new)
+    return _FROM_TREES[type(term)](raw_to_ident, term)

@@ -54,13 +54,15 @@ class CliError(Exception):
 
 
 def _read_source(path: str) -> str:
+    # Strict UTF-8 either way; ``utf-8-sig`` drops the byte order mark some
+    # editors write at the start of a file, so it is not lexed.
     try:
         if path == "-":
             # The bytes, decoded strictly and with newlines translated as a
             # file's are, whatever error handler the locale gave ``sys.stdin``.
-            text = sys.stdin.buffer.read().decode("utf-8")
+            text = sys.stdin.buffer.read().decode("utf-8-sig")
             return io.StringIO(text, newline=None).read()
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc

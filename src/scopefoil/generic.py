@@ -17,6 +17,7 @@ compiles its congruence step the same way.  Scope weakening is
 
 from __future__ import annotations
 
+import re
 import sys
 from operator import attrgetter
 from string import Template
@@ -199,7 +200,14 @@ _WALK_CODE: dict[str, CodeType] = {}
 
 
 def compile_walk(
-    cls: type, template: str, line: int, namespace: dict, /, head: str = "", **closure: object
+    cls: type,
+    template: str,
+    line: int,
+    namespace: dict,
+    /,
+    head: str = "",
+    roles: tuple[str, ...] = (),
+    **closure: object,
 ) -> Callable:
     """The walk ``template`` unrolled over the fields of ``cls``.
 
@@ -207,7 +215,14 @@ def compile_walk(
     ``# each field`` and ``# end``; the block is repeated once per field,
     with ``$i`` its position, ``$field`` its name and ``$head`` whether that
     name is ``head``, and ``$args`` and ``$fvs`` after it become
-    ``c0, c1, ...`` and ``fv0 | fv1 | ...`` (or ``0``).  The function runs in
+    ``c0, c1, ...`` and ``fv0 | fv1 | ...`` (or ``0``).  ``roles`` gives each
+    field's role (each is a term where it is not given).  A line ``# when``
+    followed by roles starts a part of the block that a field gets only if
+    its role is one of them, up to the next such line; in ``$args`` the
+    pattern field's value is ``pat``, ``$terms`` lists the other fields'
+    values alone, and ``$fvs`` has no ``fv`` of the pattern.  Only the parts
+    a field takes are compiled, which halves the compiling that every new
+    process pays for the walks it uses.  The function runs in
     ``namespace``, a module's globals, and closes over ``closure``.  The
     source names no class, so classes whose fields share their names share
     one code object.  It is compiled with the module's file name and with
@@ -221,15 +236,27 @@ def compile_walk(
         fields = cls.__match_args__
     except AttributeError:
         raise TypeError(f"not a syntax tree: a {cls.__name__}") from None
+    roles = roles or (TERM,) * len(fields)
     prologue, rest = template.split("    # each field\n")
     block, tail = rest.split("    # end\n")
-    each = Template(block).substitute
+    common, *parts = re.split(r"^    # when ([a-z ]+)\n", block, flags=re.M)
+    each = {
+        role: Template(
+            common + "".join(p for when, p in zip(parts[::2], parts[1::2]) if role in when.split())
+        ).substitute
+        for role in (PATTERN, SCOPED, TERM)
+    }
+    terms = [i for i, role in enumerate(roles) if role is not PATTERN]
     source = (
         prologue
-        + "".join(each(i=i, field=f, head=f == head) for i, f in enumerate(fields))
+        + "".join(
+            each[role](i=i, field=f, head=f == head)
+            for i, (f, role) in enumerate(zip(fields, roles, strict=True))
+        )
         + Template(tail).substitute(
-            args=", ".join(f"c{i}" for i in range(len(fields))),
-            fvs=" | ".join(f"fv{i}" for i in range(len(fields))) or "0",
+            args=", ".join("pat" if role is PATTERN else f"c{i}" for i, role in enumerate(roles)),
+            terms=", ".join(f"c{i}" for i in terms),
+            fvs=" | ".join(f"fv{i}" for i in terms) or "0",
         )
     )
     source = f"def __create__({', '.join(closure)}):\n{indent(source, '    ')}"

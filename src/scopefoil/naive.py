@@ -12,7 +12,9 @@ from typing import Callable, Union
 
 RESERVED_WORDS = frozenset({"check", "compute", "lam", "fun", "first", "second", "U"})
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
+# An identifier: this, and not a reserved word.  The lexer matches the same.
+IDENT = r"[A-Za-z][A-Za-z0-9_']*"
+_IDENT_RE = re.compile(IDENT + r"\Z")
 
 
 def node_class(
@@ -141,6 +143,21 @@ class VarIdent:
     def __post_init__(self) -> None:
         if not _IDENT_RE.match(self.text) or self.text in RESERVED_WORDS:
             raise ValueError(f"invalid identifier: {self.text!r}")
+
+
+_new_ident = object.__new__
+_set_ident_text = VarIdent.text.__set__
+_set_ident_loc = VarIdent.loc.__set__
+
+
+def lexed_ident(text: str, loc: tuple[int, int]) -> VarIdent:
+    """The identifier ``text`` at ``loc``, built without ``VarIdent``'s
+    check: the caller has matched ``text`` with :data:`IDENT` and found it
+    is not a reserved word."""
+    ident = _new_ident(VarIdent)
+    _set_ident_text(ident, text)
+    _set_ident_loc(ident, loc)
+    return ident
 
 
 @node_class

@@ -28,6 +28,8 @@ words: ``check compute lam fun first second U``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, islice
 from typing import Callable, NoReturn, TypeVar
 
 from . import naive
@@ -43,54 +45,72 @@ class ParseError(Exception):
         self.col = col
 
 
-_KEYWORDS = naive.RESERVED_WORDS
+# A token's kind: a reserved word or a symbol is its own text, any other
+# identifier is "ident".
+_KINDS = {text: text for text in naive.RESERVED_WORDS | {"->", *"(),:;._"}}
 
-# One scan: layout (whitespace and both comment forms) is skipped inside it,
-# and a character nothing else accepts falls through to ``bad``, as does the
-# ``{-`` of a block comment that is never closed.
+# One match per token, with the layout before it (whitespace and both
+# comment forms) skipped inside the match.  Group 1 is an identifier, 2 a
+# symbol and 3 a character nothing else accepts, or the ``{-`` of a block
+# comment that is never closed; at the end of the input, where only layout
+# is left, no group matches.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<skip>(?:\s|--[^\n]*|\{-.*?-\})+)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_']*)
-    | (?P<symbol>->|[(),:;._])
-    | (?P<bad>\{-|.)
+    rf"""
+      (?:\s|--[^\n]*|\{{-.*?-\}})*
+      (?: ({naive.IDENT})
+        | (->|[(),:;._])
+        | (\{{-|.)
+        | \Z )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-def _lex(src: str) -> tuple[list[str], list[str], list[int], list[int]]:
-    """The tokens as four parallel lists: kinds ("ident", "eof", or the
-    literal text of a keyword or symbol), texts, lines and columns.
+def _lex(src: str) -> tuple[list[str], list[str], list[int | None]]:
+    """The tokens as three parallel lists: kinds (see :data:`_KINDS`, and
+    "eof" last), texts, and each identifier's offset into ``src``.
 
-    Only skipped layout can hold a newline, so lines are counted there.
+    Any other token's offset is ``None``, and :func:`_offset` finds it
+    again: only an error needs it.  An offset past 256 is an int object of
+    its own, and keeping one per token raised the parse's peak memory by
+    0.2 MB on normbench's ``random`` program.
     """
     kinds: list[str] = []
     texts: list[str] = []
-    lines: list[int] = []
-    cols: list[int] = []
-    line, line_start = 1, 0
+    offsets: list[int | None] = []
     for m in _TOKEN_RE.finditer(src):
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + text.rfind("\n") + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "bad":
+        group = m.lastindex
+        if group is None:
+            break
+        text = m[group]
+        if group == 3:
             message = "unterminated comment" if text == "{-" else f"unexpected character {text!r}"
-            raise ParseError(message, line, col)
-        kinds.append("ident" if kind == "ident" and text not in _KEYWORDS else text)
+            raise ParseError(message, *_position(_line_starts(src), m.start(group)))
+        kind = _KINDS.get(text, "ident")
+        kinds.append(kind)
         texts.append(text)
-        lines.append(line)
-        cols.append(col)
+        offsets.append(m.start(1) if kind == "ident" else None)
     kinds.append("eof")
     texts.append("")
-    lines.append(line)
-    cols.append(len(src) - line_start + 1)
-    return kinds, texts, lines, cols
+    offsets.append(None)
+    return kinds, texts, offsets
+
+
+def _offset(src: str, i: int) -> int:
+    """The offset of token ``i`` of ``src``, scanned for again."""
+    m = next(islice(_TOKEN_RE.finditer(src), i, None))
+    return len(src) if m.lastindex is None else m.start(m.lastindex)
+
+
+def _line_starts(src: str) -> list[int]:
+    """The offset of each line's first character; lines end at ``\\n``."""
+    return [0, *accumulate(len(line) + 1 for line in src.split("\n")[:-1])]
+
+
+def _position(starts: list[int], offset: int) -> tuple[int, int]:
+    """The (line, column) of ``offset``, both from 1, given the line starts."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 _ATOM_STARTERS = ("ident", "U", "(")
@@ -100,13 +120,22 @@ class _Parser:
     """Recursive descent over the token lists; ``i`` indexes the next token."""
 
     def __init__(self, src: str):
-        self.kinds, self.texts, self.lines, self.cols = _lex(src)
+        self.src = src
+        self.kinds, self.texts, self.offsets = _lex(src)
+        self.starts = _line_starts(src)
         self.i = 0
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The (line, column) of token ``i``."""
+        offset = self.offsets[i]
+        if offset is None:
+            offset = _offset(self.src, i)
+        return _position(self.starts, offset)
 
     def fail(self, expected: str) -> NoReturn:
         i = self.i
         found = self.texts[i] or "end of input"
-        raise ParseError(f"expected {expected}, found {found!r}", self.lines[i], self.cols[i])
+        raise ParseError(f"expected {expected}, found {found!r}", *self.position(i))
 
     def expect(self, kind: str) -> None:
         if self.kinds[self.i] != kind:
@@ -119,8 +148,11 @@ class _Parser:
         # The loc tuple is built here, next to its identifier: building one
         # per token in the lexer (most of them freed after the parse) made
         # the named, de Bruijn and NbE engines 2-5% slower on parsed deep
-        # nests, though the trees were equal.
-        return naive.VarIdent(self.texts[i], loc=(self.lines[i], self.cols[i]))
+        # nests, though the trees were equal.  The lexer matched the text
+        # with ``naive.IDENT`` and its kind excludes the reserved words, so
+        # ``VarIdent``'s own check would find nothing.
+        loc = _position(self.starts, self.offsets[i])
+        return naive.lexed_ident(self.texts[i], loc)
 
     # ---- terms ----
 
@@ -219,7 +251,7 @@ def _parse(src: str, rule: Callable[[_Parser], _T]) -> _T:
         return rule(p)
     except RecursionError:
         message = "input nested too deeply to parse"
-        raise ParseError(message, p.lines[p.i], p.cols[p.i]) from None
+        raise ParseError(message, *p.position(p.i)) from None
 
 
 def parse_program(src: str) -> list[naive.Command]:

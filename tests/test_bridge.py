@@ -201,7 +201,7 @@ def test_to_foil_bytes_and_masks_are_pinned(equivalence_corpus):
 
 
 def test_to_free_is_direct_to_free_of_to_foil(equivalence_corpus):
-    # a round trip since ``to_foil_term`` is ``free_to_direct`` of ``to_free_term``
+    # the direct walk's tree, made generic, is the generic walk's
     for term in equivalence_corpus:
         one = to_free_closed(term)
         two = direct_to_free(to_foil_closed(term))
@@ -272,6 +272,15 @@ def test_read_back_builds_no_generic_tree(monkeypatch, equivalence_corpus, tmp_p
         ("(lam x . x, x)", UnboundVariableError, (1, 13)),
         ("lam ((a, b), (c, (d, b))) . a", DuplicateBinderError, (1, 22)),
         ("fun ((p, q) : U) -> lam (q, (r, q)) . U", DuplicateBinderError, (1, 33)),
+        ("lam (a, (b, a)) . a", DuplicateBinderError, (1, 13)),
+        # ``a`` is bound again once the pair that shadows it ends; ``b`` is not
+        ("lam a . ((lam (a, b) . b) a b)", UnboundVariableError, (1, 29)),
+        ("lam x . (lam y . lam x . x) x y", UnboundVariableError, (1, 31)),
+        # two faults: the first in source order is the one raised
+        ("lam q . (z, lam (c, c) . c)", UnboundVariableError, (1, 10)),
+        ("(lam (c, c) . c, z)", DuplicateBinderError, (1, 10)),
+        ("fun ((p, p) : zz) -> U", DuplicateBinderError, (1, 10)),
+        ("fun (p : zz) -> lam (c, c) . U", UnboundVariableError, (1, 10)),
     ],
 )
 def test_both_walks_raise_the_same_errors(src, error, loc):
@@ -283,3 +292,9 @@ def test_both_walks_raise_the_same_errors(src, error, loc):
         raised.append((str(err.value), err.value.message, err.value.ident.loc))
     assert raised[0] == raised[1]
     assert raised[0][2] == loc
+
+
+@pytest.mark.parametrize("text", ["lam", "U", "1x", "_a", "x-y", ""])
+def test_an_identifier_built_directly_is_still_checked(text):
+    with pytest.raises(ValueError, match="invalid identifier"):
+        naive.VarIdent(text)

@@ -227,6 +227,53 @@ def test_undecodable_stdin_fails_like_a_file_under_the_c_locale():
         assert result == (code, out, err)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "compute (lam x . x) U : U ;\ncheck lam (a, _) . a : U ;\n",
+        "compute (lam x . x : U ;\n",
+        "compute lam x . yy : U ;\n",
+        "compute lam (a, a) . a : U ;\n",
+        "check U : U ;\ncompute zz : U ;\n",
+        "compute U %\n",
+    ],
+)
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_a_leading_byte_order_mark_is_not_read(src, from_stdin, tmp_path, capsys, monkeypatch):
+    """A UTF-8 byte order mark before the program changes nothing: the same
+    output, and every error at the same line and column as without it."""
+    results = []
+    for data in (src.encode(), BOM + src.encode()):
+        path = tmp_path / "p.lp"
+        path.write_bytes(data)
+        if from_stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        name = "-" if from_stdin else str(path)
+        code = main(["run", name])
+        out, err = capsys.readouterr()
+        results.append((code, out, err.replace(name, "FILE")))
+    assert results[0] == results[1]
+    if src.startswith("compute (lam x . x) U"):
+        assert results[0] == (0, "U\nscope-ok\n", "")
+    else:
+        assert results[0][0] == 1 and results[0][2].startswith("error: FILE:")
+
+
+def test_a_byte_order_mark_does_not_excuse_malformed_bytes(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.lp"
+    path.write_bytes(BOM + b"\xffU")
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert main(["normalize", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+    stdin = io.TextIOWrapper(io.BytesIO(BOM + b"\xffU"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["normalize", "-"]) == 1
+    assert capsys.readouterr().err == f"error: -: {reason}\n"
+
+
 def test_bench_rejects_an_unwritable_csv_path_before_running(tmp_path, capsys, monkeypatch):
     def run_benchmarks(config):
         raise AssertionError("the benchmark ran before the CSV path was checked")
