@@ -29,7 +29,7 @@ they fed ``to_foil_term``.
 from __future__ import annotations
 
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import naive, terms
 from .generic import Compiled, ScopedAST, compile_walk

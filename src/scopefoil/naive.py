@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import inspect
 import re
+from collections.abc import Callable
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from types import CodeType
-from typing import Callable, Union
 
 RESERVED_WORDS = frozenset({"check", "compute", "lam", "fun", "first", "second", "U"})
 
@@ -183,7 +183,7 @@ class PatternPair:
     right: "Pattern"
 
 
-Pattern = Union[PatternWildcard, PatternVar, PatternPair]
+Pattern = PatternWildcard | PatternVar | PatternPair
 
 
 @node_class
@@ -231,7 +231,7 @@ class Universe:
     pass
 
 
-Term = Union[Var, Pair, First, Second, App, Lam, Pi, Universe]
+Term = Var | Pair | First | Second | App | Lam | Pi | Universe
 
 
 @node_class
@@ -246,7 +246,7 @@ class Compute:
     annot: Term
 
 
-Command = Union[Check, Compute]
+Command = Check | Compute
 
 
 def pattern_idents(pattern: Pattern) -> list[VarIdent]:

@@ -24,8 +24,6 @@ engines leave it (Berger and Schwichtenberg; Abel).
 
 from __future__ import annotations
 
-from typing import Union
-
 from .generic import ScopedAST
 from .lambda_pi import (
     AppSig,
@@ -82,7 +80,7 @@ class ESecond:
     pass
 
 
-Elim = Union[EApp, EFirst, ESecond]
+Elim = EApp | EFirst | ESecond
 
 
 @node_class
@@ -120,14 +118,14 @@ class VUniverse:
     pass
 
 
-Value = Union[VNeutral, VLam, VPi, VPair, VUniverse]
+Value = VNeutral | VLam | VPi | VPair | VUniverse
 
 # Environments are persistent linked cells ``(raw, value, rest)``, newest
 # first, ending in ``None``; a value is a thunk or an already-forced value.
 # Entering a binder conses one cell, so closures share their outer
 # environment instead of copying it; lookup walks to the nearest binding,
 # which is the innermost one, so shadowing works.
-Env = Union[tuple, None]
+Env = tuple | None
 
 
 def _lookup(env: Env, raw: int):  # type: ignore[no-untyped-def]

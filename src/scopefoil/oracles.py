@@ -13,6 +13,8 @@ not share the scope-indexed machinery:
   index walk, :func:`_map_db` (TAPL's ``tmmap``), and whose weak head step
   is Krivine's machine: one loop over the head and an explicit spine of
   pending eliminators, with Brent's cycle check over the machine states.
+  Normalization stops, too, where it comes back to a term it is already
+  normalizing.
 
 ``alpha_eq`` converts any representation in this package to the de Bruijn
 form and compares structurally; it is the only alpha-equivalence used
@@ -42,8 +44,8 @@ structure.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import field
-from typing import Callable, Union
 
 from . import bridge, lambda_pi, naive
 from .fuel import Fuel, FuelExceededError
@@ -242,7 +244,7 @@ class ShapePair:
     right: "Shape"
 
 
-Shape = Union[ShapeWildcard, ShapeVar, ShapePair]
+Shape = ShapeWildcard | ShapeVar | ShapePair
 
 
 def shape_arity(shape: Shape) -> int:
@@ -312,7 +314,7 @@ BY_DB = {_db_class(con): con for con in lambda_pi.CONSTRUCTORS}
 TO_DB = {con.naive: db for db, con in BY_DB.items()}
 DBPair, DBFirst, DBSecond, DBApp, DBLam, DBPi, DBUniverse = BY_DB
 
-DBTerm = Union[BVar, FVar, DBApp, DBLam, DBPi, DBPair, DBFirst, DBSecond, DBUniverse]
+DBTerm = BVar | FVar | DBApp | DBLam | DBPi | DBPair | DBFirst | DBSecond | DBUniverse
 
 
 def _shape_of(pattern: naive.Pattern) -> tuple[Shape, list[str]]:
@@ -559,13 +561,15 @@ def _frames_repeat(saved: list, low: int, spine: list) -> bool:
     return True
 
 
-def _whnf_db(term: DBTerm, fuel: Fuel) -> tuple[DBTerm, list]:
+def _whnf_db(term: DBTerm, fuel: Fuel) -> tuple[DBTerm, list | tuple]:
     # Krivine's machine: the eliminators above the head wait on ``spine``
     # (the nodes themselves, innermost last), and each contraction takes
     # the head and the top frame, so a nest of redexes takes no Python
     # frame per level.  A redex ``App(Lam, arg)`` met on the way down is
     # contracted at once, without a push and a pop.  Returns the head, no
-    # eliminator, and the frames it is stuck under.
+    # eliminator, and the frames it is stuck under: the machine's own list
+    # when nothing was contracted, so they are the term's own nodes, and a
+    # tuple of them otherwise (``_nf_db`` tells the two apart by type).
     #
     # Brent's cycle check runs over machine states: at each power-of-two
     # contraction count the head and a copy of the spine are saved, and
@@ -602,7 +606,7 @@ def _whnf_db(term: DBTerm, fuel: Fuel) -> tuple[DBTerm, list]:
             term = term.term
             continue
         elif not spine:
-            return term, spine
+            break
         else:
             frame = spine[-1]
             frame_kind = type(frame)
@@ -616,7 +620,7 @@ def _whnf_db(term: DBTerm, fuel: Fuel) -> tuple[DBTerm, list]:
                 fuel.spend()
                 term = term.left if frame_kind is DBFirst else term.right
             else:
-                return term, spine
+                break
             if len(spine) < low:
                 low = len(spine)
         if (
@@ -628,6 +632,7 @@ def _whnf_db(term: DBTerm, fuel: Fuel) -> tuple[DBTerm, list]:
         steps += 1
         if steps & (steps - 1) == 0:
             saved, saved_spine, low = term, spine[:], len(spine)
+    return term, (tuple(spine) if steps else spine)
 
 
 def whnf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
@@ -655,7 +660,7 @@ def whnf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
     return term
 
 
-def _nf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
+def _nf_db(term: DBTerm, fuel: _Normalizing) -> DBTerm:
     kind = type(term)
     # Only an eliminator can be a redex; every other node is its own whnf.
     if kind is DBApp or kind is DBFirst or kind is DBSecond:
@@ -663,6 +668,8 @@ def _nf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
         # arguments, innermost first, so the spine is unwound once and
         # costs time linear in its length.
         term, spine = _whnf_db(term, fuel)
+        if type(spine) is tuple:
+            return _nf_reduced(term, spine, fuel)
         term = _nf_db(term, fuel)
         for frame in reversed(spine):
             if type(frame) is DBApp:
@@ -683,6 +690,52 @@ def _nf_db(term: DBTerm, fuel: Fuel) -> DBTerm:
     raise TypeError(f"not a term: {term!r}")
 
 
+class _Normalizing(Fuel):
+    """The budget of one :func:`nf_debruijn` call, and the terms that
+    :func:`_nf_entered` is normalizing in it: one list per ``size``, of
+    the entered terms of that size, outermost first."""
+
+    __slots__ = ("entered",)
+
+    def __init__(self, budget: int | None):
+        self.remaining = budget
+        self.entered: dict[int, list[DBTerm]] = {}
+
+
+def _nf_reduced(head: DBTerm, spine: tuple, fuel: _Normalizing) -> DBTerm:
+    # ``_nf_db``'s unwinding of a weak head step that contracted: the head
+    # and each argument but a leaf, which is normal, go through
+    # ``_nf_entered``.
+    term = head if head.size == 1 else _nf_entered(head, fuel)
+    for frame in reversed(spine):
+        if type(frame) is DBApp:
+            arg = frame.arg
+            term = DBApp(term, arg if arg.size == 1 else _nf_entered(arg, fuel))
+        else:
+            term = type(frame)(term)
+    return term
+
+
+def _nf_entered(term: DBTerm, fuel: _Normalizing) -> DBTerm:
+    # ``_nf_db`` is a function of its term, so normalizing a term while an
+    # equal one is being normalized further up repeats forever.  Getting
+    # down to an equal term takes a contraction, since every step to a
+    # child lowers ``size``; the first round passes a step that contracted,
+    # so the second meets the entry that step made.  An entry goes when its
+    # call returns, so only ancestors are compared, never siblings; an
+    # error ends the whole ``nf_debruijn`` call.
+    size = term.size
+    entered = fuel.entered.get(size)
+    if entered is None:
+        entered = fuel.entered[size] = []
+    elif term in entered:
+        raise FuelExceededError(_CYCLE)
+    entered.append(term)
+    term = _nf_db(term, fuel)
+    entered.pop()
+    return term
+
+
 def nf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
     """Normal-order normalization on de Bruijn terms.
 
@@ -693,10 +746,13 @@ def nf_debruijn(term: DBTerm, fuel: int | None = None) -> DBTerm:
     :func:`whnf_debruijn` does: :class:`FuelExceededError` with "work budget
     exhausted", or with "reduction returns to a term it has passed: it
     never ends" under any budget when one weak head reduction comes back to
-    a state it passed.  A divergence that only spans several of them, under
-    a binder, is left to the budget.
+    a state it passed, or when, after a weak head step that contracted, it
+    sets out to normalize a term equal to one it is still normalizing: the
+    head or an argument of such a step.  Both repeat forever.  A divergence
+    that repeats no term, one that keeps growing across weak head
+    reductions, is left to the budget.
     """
-    return _nf_db(term, Fuel(fuel))
+    return _nf_db(term, _Normalizing(fuel))
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,8 @@ the engines call them at every binder they pass, and a class-pattern
 
 from __future__ import annotations
 
-from typing import Any, Callable, Union
+from collections.abc import Callable
+from typing import Any
 
 from .naive import node_class
 from .names import (
@@ -48,7 +49,7 @@ class PatternPair:
     right: "Pattern"
 
 
-Pattern = Union[PatternWildcard, PatternVar, PatternPair]
+Pattern = PatternWildcard | PatternVar | PatternPair
 
 
 def names_of_pattern(pattern: Pattern) -> list[Name]:

@@ -33,6 +33,7 @@ from itertools import accumulate, islice
 from typing import Callable, NoReturn, TypeVar
 
 from . import naive
+from .naive import App, First, Lam, Pair, PatternVar, Pi, Second, Universe, Var
 
 _T = TypeVar("_T")
 
@@ -289,38 +290,110 @@ def pretty_pattern(pattern: naive.Pattern) -> str:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-# ``pretty_pattern`` and ``_pp`` dispatch with ``type`` tests, most frequent
-# case first: a class-pattern ``match`` costs about ten times as much per
-# node, and printing is the last stage of ``scopefoil run``.
-def _pp(term: naive.Term, level: int) -> str:
+# ``pretty_pattern``, ``_pp`` and ``_emit`` dispatch with ``type`` tests,
+# most frequent case first: a class-pattern ``match`` costs about ten times
+# as much per node, and printing is the last stage of ``scopefoil run``.
+#
+# ``_pp`` returns its subterm's text built with f-strings, which is the
+# fastest way to print a small term, but copies each subterm's text again
+# at every level above it: quadratic in the depth.  So past
+# ``_STRING_DEPTH`` levels it hands the subterm to ``_emit``, which passes
+# its pieces to ``emit`` (a list's ``append``) to be joined once.  Each
+# character is then copied at most that many times, and a deep nest prints
+# in linear time; ``_emit`` alone printed ``random``'s small terms 10-19%
+# slower.  The printer names the node classes directly: reading them off
+# ``naive`` cost those terms about 5%.
+_STRING_DEPTH = 64
+
+
+def _pp(term: naive.Term, level: int, depth: int) -> str:
     kind = type(term)
-    if kind is naive.Var:
+    if kind is Var:
         return term.ident.text
-    if kind is naive.App:
-        s = f"{_pp(term.fun, _APP_LEVEL)} {_pp(term.arg, _ATOM_LEVEL)}"
-        return f"({s})" if level > _APP_LEVEL else s
-    if kind is naive.Lam:
-        s = f"lam {pretty_pattern(term.pattern)} . {_pp(term.body.term, _TERM_LEVEL)}"
-        return f"({s})" if level > _TERM_LEVEL else s
-    if kind is naive.Universe:
-        return "U"
-    if kind is naive.Pair:
-        return f"({_pp(term.left, _TERM_LEVEL)}, {_pp(term.right, _TERM_LEVEL)})"
-    if kind is naive.First or kind is naive.Second:
-        word = "first" if kind is naive.First else "second"
-        s = f"{word} {_pp(term.term, _ATOM_LEVEL)}"
-        return f"({s})" if level > _APP_LEVEL else s
-    if kind is naive.Pi:
+    if depth == _STRING_DEPTH:
+        out: list[str] = []
+        _emit(term, level, out.append)
+        return "".join(out)
+    depth += 1
+    # A variable child or pattern, the most frequent, is read in place.
+    if kind is App:
+        fun, arg = term.fun, term.arg
         s = (
-            f"fun ({pretty_pattern(term.pattern)} : {_pp(term.domain, _TERM_LEVEL)})"
-            f" -> {_pp(term.codomain.term, _TERM_LEVEL)}"
+            f"{fun.ident.text if type(fun) is Var else _pp(fun, _APP_LEVEL, depth)} "
+            f"{arg.ident.text if type(arg) is Var else _pp(arg, _ATOM_LEVEL, depth)}"
+        )
+        return f"({s})" if level > _APP_LEVEL else s
+    if kind is Lam:
+        pattern, body = term.pattern, term.body.term
+        s = (
+            f"lam {pattern.ident.text if type(pattern) is PatternVar else pretty_pattern(pattern)}"
+            f" . {body.ident.text if type(body) is Var else _pp(body, _TERM_LEVEL, depth)}"
+        )
+        return f"({s})" if level > _TERM_LEVEL else s
+    if kind is Universe:
+        return "U"
+    if kind is Pair:
+        return f"({_pp(term.left, _TERM_LEVEL, depth)}, {_pp(term.right, _TERM_LEVEL, depth)})"
+    if kind is First or kind is Second:
+        word = "first" if kind is First else "second"
+        s = f"{word} {_pp(term.term, _ATOM_LEVEL, depth)}"
+        return f"({s})" if level > _APP_LEVEL else s
+    if kind is Pi:
+        s = (
+            f"fun ({pretty_pattern(term.pattern)} : {_pp(term.domain, _TERM_LEVEL, depth)})"
+            f" -> {_pp(term.codomain.term, _TERM_LEVEL, depth)}"
         )
         return f"({s})" if level > _TERM_LEVEL else s
     raise TypeError(f"not a term: {term!r}")
 
 
+def _emit(term: naive.Term, level: int, emit: Callable[[str], None]) -> None:
+    kind = type(term)
+    if kind is Var:
+        emit(term.ident.text)
+    elif kind is App:
+        if level > _APP_LEVEL:
+            emit("(")
+        _emit(term.fun, _APP_LEVEL, emit)
+        emit(" ")
+        _emit(term.arg, _ATOM_LEVEL, emit)
+        if level > _APP_LEVEL:
+            emit(")")
+    elif kind is Lam:
+        emit("(lam " if level > _TERM_LEVEL else "lam ")
+        emit(f"{pretty_pattern(term.pattern)} . ")
+        _emit(term.body.term, _TERM_LEVEL, emit)
+        if level > _TERM_LEVEL:
+            emit(")")
+    elif kind is Universe:
+        emit("U")
+    elif kind is Pair:
+        emit("(")
+        _emit(term.left, _TERM_LEVEL, emit)
+        emit(", ")
+        _emit(term.right, _TERM_LEVEL, emit)
+        emit(")")
+    elif kind is First or kind is Second:
+        if level > _APP_LEVEL:
+            emit("(")
+        emit("first " if kind is First else "second ")
+        _emit(term.term, _ATOM_LEVEL, emit)
+        if level > _APP_LEVEL:
+            emit(")")
+    elif kind is Pi:
+        emit("(fun (" if level > _TERM_LEVEL else "fun (")
+        emit(f"{pretty_pattern(term.pattern)} : ")
+        _emit(term.domain, _TERM_LEVEL, emit)
+        emit(") -> ")
+        _emit(term.codomain.term, _TERM_LEVEL, emit)
+        if level > _TERM_LEVEL:
+            emit(")")
+    else:
+        raise TypeError(f"not a term: {term!r}")
+
+
 def pretty_term(term: naive.Term) -> str:
-    return _pp(term, _TERM_LEVEL)
+    return _pp(term, _TERM_LEVEL, 0)
 
 
 def pretty_command(command: naive.Command) -> str:

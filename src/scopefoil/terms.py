@@ -24,8 +24,9 @@ head of a stuck spine twice, so the spine costs time linear in its length.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from types import FunctionType
-from typing import Callable, Union, get_args
+from typing import get_args
 
 from . import naive
 from .fuel import Fuel
@@ -58,7 +59,7 @@ CONSTRUCTORS = tuple(
 Pair, First, Second, App, Lam, Pi, Universe = (con.direct for con in CONSTRUCTORS)
 BY_DIRECT = {con.direct: con for con in CONSTRUCTORS}
 
-Term = Union[Var, Pair, First, Second, App, Lam, Pi, Universe]
+Term = Var | Pair | First | Second | App | Lam | Pi | Universe
 
 
 def subst_direct(scope: Scope, subst: Subst, term: Term) -> Term:

@@ -20,12 +20,13 @@ import scopefoil
 from scopefoil import lambda_pi, naive, oracles
 from scopefoil.bench import (
     DEFAULT_GEN_FUEL,
+    _gen_closed,
     church_fact,
     church_mult,
     church_plus,
     gen_random,
 )
-from scopefoil.fuel import FuelExceededError
+from scopefoil.fuel import Fuel, FuelExceededError
 from scopefoil.oracles import (
     BVar,
     DBApp,
@@ -530,6 +531,111 @@ for src in sys.argv[1:]:
         capture_output=True, text=True, timeout=120, env=env, check=True,
     ).stdout
     assert out.splitlines() == [_CYCLE] * 6
+
+
+# gen_random(107, 15)'s first candidate: normalizing the spine argument
+# x1 x1 (x0 (lam x2 . x1 x0)) under lam x0 comes back to normalizing it
+_REENTERING = (
+    "lam x0 . (lam x1 . x1 x1)"
+    " (lam x1 . (lam x2 . (lam x3 . x3 x2) x0) (x1 x1 (x0 (lam x2 . x1 x0))))"
+)
+# Turing's fixed point of lam a . lam z . y a: the head lam z . y T that its
+# weak head step reaches holds T itself, as an argument no redex passes
+_TURING = "(lam x . lam f . f (x x f)) (lam x . lam f . f (x x f)) (lam a . lam z . y a)"
+
+
+def test_debruijn_reentered_terms_at_the_default_recursion_limit():
+    # no weak head reduction repeats a state: each divergence comes back to
+    # a term it is normalizing across several of them, and the check stops
+    # it under no budget at all, before the stack runs out
+    script = """
+from scopefoil.fuel import FuelExceededError
+from scopefoil.oracles import nf_debruijn, to_debruijn
+from scopefoil.syntax import parse_term
+for src in sys.argv[1:]:
+    try:
+        nf_debruijn(to_debruijn(parse_term(src)), None)
+    except FuelExceededError as e:
+        print(e)
+    except RecursionError:
+        print("RecursionError")
+"""
+    src_dir = os.path.dirname(os.path.dirname(scopefoil.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys" + script, _REENTERING, _TURING],
+        capture_output=True, text=True, timeout=120, env=env, check=True,
+    ).stdout
+    assert out.splitlines() == [_CYCLE] * 2
+
+
+def test_debruijn_stops_where_it_reenters_a_term():
+    # at the admission budget, the first check that fires is the re-entry:
+    # without it the candidate spends all 50,000 units
+    for src in (_REENTERING, _TURING):
+        with pytest.raises(FuelExceededError, match=_CYCLE):
+            nf_debruijn(to_debruijn(parse_term(src)), DEFAULT_GEN_FUEL)
+
+
+def test_debruijn_reentry_check_compares_ancestors_not_siblings():
+    # the weak head step gives f A A with A = (lam x . x) a: the two A are
+    # normalized one after the other, so the second is no re-entry
+    term = to_debruijn(
+        parse_term("lam f . lam a . (lam g . g ((lam x . x) a) ((lam x . x) a)) f")
+    )
+    assert nf_debruijn(term) == to_debruijn(parse_term("lam f . lam a . f a a"))
+
+
+def _nf_db_reference(term, fuel):
+    # ``oracles._nf_db`` without the re-entry check: a divergence that spans
+    # several weak head reductions runs until the budget is spent
+    kind = type(term)
+    if kind is DBApp or kind is DBFirst or kind is DBSecond:
+        term, spine = oracles._whnf_db(term, fuel)
+        term = _nf_db_reference(term, fuel)
+        for frame in reversed(spine):
+            if type(frame) is DBApp:
+                term = DBApp(term, _nf_db_reference(frame.arg, fuel))
+            else:
+                term = type(frame)(term)
+        return term
+    if kind is DBLam:
+        return DBLam(term.shape, _nf_db_reference(term.body, fuel))
+    if kind is DBPair:
+        return DBPair(_nf_db_reference(term.left, fuel), _nf_db_reference(term.right, fuel))
+    if kind is DBPi:
+        return DBPi(
+            term.shape, _nf_db_reference(term.domain, fuel),
+            _nf_db_reference(term.codomain, fuel),
+        )
+    return term
+
+
+def _outcome(normalize, term, fuel):
+    try:
+        return normalize(term, fuel)
+    except FuelExceededError as e:
+        return str(e)
+
+
+def test_debruijn_reentry_check_changes_no_outcome():
+    # the same normal form where the reference reaches one, and a budget
+    # error where it fails; some of the reference's exhausted budgets are
+    # the check's cycles
+    rng = random.Random(2929)
+    terms = [_gen_closed(rng, rng.randrange(3, 18)) for _ in range(5000)]
+    terms += [gen_naive_term(rng, rng.randrange(1, 6)) for _ in range(1000)]
+    stopped = 0
+    for surface in terms:
+        term = to_debruijn(surface)
+        want = _outcome(_nf_db_reference, term, Fuel(2_000))
+        got = _outcome(nf_debruijn, term, 2_000)
+        if isinstance(want, str):
+            assert isinstance(got, str), pretty_term(surface)
+            stopped += want != got
+        else:
+            assert got == want, pretty_term(surface)
+    assert stopped >= 10
 
 
 def test_debruijn_cycle_check_ignores_terms_of_a_returned_call():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import gen_naive_term
 
-from scopefoil import naive
+from scopefoil import naive, syntax
 from scopefoil.syntax import (
     ParseError,
     parse_program,
@@ -169,6 +169,30 @@ def test_parse_pretty_roundtrip_random():
     for _ in range(200):
         term = gen_naive_term(rng, rng.randrange(1, 6))
         assert parse_term(pretty_term(term)) == term
+
+
+@pytest.mark.parametrize("string_depth", [0, 1, 2, 3])
+def test_pretty_term_is_the_same_past_the_string_depth(monkeypatch, string_depth):
+    """Below ``_STRING_DEPTH`` levels the printer emits its pieces instead
+    of returning strings; the text is the same wherever it switches."""
+    rng = random.Random(4096)
+    terms = [gen_naive_term(rng, rng.randrange(1, 7)) for _ in range(300)]
+    texts = [pretty_term(t) for t in terms]
+    monkeypatch.setattr(syntax, "_STRING_DEPTH", string_depth)
+    assert [pretty_term(t) for t in terms] == texts
+    for term, text in zip(terms, texts):
+        assert parse_term(text) == term
+
+
+def test_pretty_term_of_deep_nests():
+    """A binder nest, an argument nest and a projection nest print past the
+    string depth with every binder and parenthesis in place."""
+    n = 5000
+    binders = " . ".join(f"lam x{i}" for i in range(n)) + " . x0"
+    arguments = "f (" * n + "f x" + ")" * n
+    projections = "first (" * n + "first p" + ")" * n
+    for src in (binders, arguments, projections):
+        assert pretty_term(parse_term(src)) == src
 
 
 def test_ident_locations_after_comments():
