@@ -144,17 +144,22 @@ def church_fact(n: int) -> naive.Term:
 
 def _gen_closed(rng: random.Random, size: int) -> naive.Term:
     """A closed pure Lam/App/Var term with exactly ``size`` internal nodes."""
+    # ``x{k}``, bound at depth ``k``: made and checked once, when a binder
+    # at that depth is first reached, and shared by every use
+    idents: list[naive.VarIdent] = []
 
     def go(n: int, depth: int) -> naive.Term:
         if n == 0:
-            return naive.Var(naive.VarIdent(f"x{rng.randrange(depth)}"))
+            return naive.Var(idents[rng.randrange(depth)])
         # At depth 0 an application needs at least one internal node on each
         # side (a bare variable cannot be closed).
         app_ok = n >= 3 if depth == 0 else n >= 1
         if not app_ok or rng.random() < 1 / 3:
-            binder = naive.VarIdent(f"x{depth}")
+            if depth == len(idents):
+                idents.append(naive.VarIdent(f"x{depth}"))
             return naive.Lam(
-                naive.PatternVar(binder), naive.ScopedTerm(go(n - 1, depth + 1))
+                naive.PatternVar(idents[depth]),
+                naive.ScopedTerm(go(n - 1, depth + 1)),
             )
         lo = 1 if depth == 0 else 0
         left = rng.randint(lo, (n - 1) - lo)

@@ -4,10 +4,11 @@ package."""
 
 from __future__ import annotations
 
-import inspect
 import re
 from collections.abc import Callable
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from inspect import Parameter, Signature
+from reprlib import recursive_repr
 from types import CodeType
 
 RESERVED_WORDS = frozenset({"check", "compute", "lam", "fun", "first", "second", "U"})
@@ -23,22 +24,38 @@ def node_class(
     """``cls`` as a frozen, slotted dataclass built the cheap way.
 
     Every frozen, slotted class of the package is made with this decorator
-    (``generic.derive``'s classes too).  It is ``dataclass(frozen=True,
-    slots=True)`` except for ``__init__``: the one that ``dataclass``
-    generates stores each field with ``object.__setattr__(self, name,
-    value)``, which finds the slot by its name on every call; the one
-    compiled here calls each slot descriptor's own ``__set__``, which a
-    frozen dataclass does not intercept either.  A two-field node then takes
-    about 30% less time to build, a one-field node about 25% less (CPython
-    3.11).  Defaults, ``__post_init__``, equality, hashing, ``repr``, match
-    arguments, the signature and the docstring are those of the plain
-    dataclass.  Assigning or deleting any attribute raises
-    ``FrozenInstanceError`` through one shared ``__setattr__`` and
-    ``__delattr__``: the ones ``dataclass(slots=True)`` writes close over
-    the class before its slotted copy, so for a name that is not a field
-    they fail with a ``TypeError`` from ``super()`` instead.  A class with
-    no fields keeps ``object.__init__``; one that writes its own
-    ``__init__`` is refused.
+    (``generic.derive``'s and ``oracles``' derived classes too), in place of
+    ``dataclass(frozen=True, slots=True)``, whose behaviour it keeps:
+    ``__init__`` with the same signature, defaults and ``__post_init__``;
+    ``__eq__`` comparing tuples of the ``compare`` fields of two instances
+    of the same class, ``__hash__`` hashing that tuple; ``__repr__`` over
+    the ``repr`` fields, guarded against recursion; ``__getstate__`` and
+    ``__setstate__`` over every field, which pickling and copying need;
+    ``FrozenInstanceError`` on assigning or deleting any attribute; and,
+    for a class with no docstring, one built from the signature.  A class
+    that writes any of these methods itself is refused.
+
+    ``dataclass`` is asked only for the field list (``fields``), the match
+    arguments and the slotted class; it writes no method.  The methods are
+    compiled here from one source per field layout that names no class, so
+    every class whose fields have the same names shares one code object per
+    method, and importing the package compiles a few dozen sources where
+    ``dataclass`` compiled five functions for each class.  With the
+    docstring built from the field list rather than by
+    ``inspect.signature``, re-importing the package takes 47 reference ms
+    instead of 64 when every module is compiled from source, and 19 instead
+    of 37 from cached bytecode (``BENCH_30.json``).
+
+    The ``__init__`` stores each field through its slot descriptor's own
+    ``__set__``, where the one ``dataclass`` writes calls
+    ``object.__setattr__(self, name, value)``, which finds the slot by its
+    name on every call: a two-field node then takes about 30% less time to
+    build, a one-field node about 25% less (CPython 3.11).  A class with no
+    fields keeps ``object.__init__``.  The frozen ``__setattr__`` and
+    ``__delattr__`` are shared by every class: the ones
+    ``dataclass(slots=True)`` writes close over the class before its
+    slotted copy, so for a name that is not a field they fail with a
+    ``TypeError`` from ``super()`` instead.
 
     A field declared with ``init=False`` is computed, not passed: its value
     comes from ``compute``, statements that run at the end of the
@@ -46,20 +63,31 @@ def node_class(
     ``f`` with ``_set_f(self, value)``.  The other names they read are
     ``namespace``'s.
     """
-    if "__init__" in cls.__dict__:
-        raise TypeError(f"{cls.__name__}: node_class writes the __init__")
+    for name in _WRITTEN:
+        if name in cls.__dict__:
+            raise TypeError(f"{cls.__name__}: node_class writes the {name}")
     doc = cls.__doc__
-    # a placeholder keeps ``dataclass`` from writing a docstring from the
-    # signature before the class has its ``__init__``
+    # a placeholder keeps ``dataclass`` from building a docstring with
+    # ``inspect.signature``
     cls.__doc__ = "node"
-    cls = dataclass(cls, frozen=True, slots=True, init=False)
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
-    if fields(cls):
-        cls.__init__ = _setter_init(cls, compute, namespace)
-    # the docstring ``dataclass`` gives a class that has none
-    cls.__doc__ = doc or cls.__name__ + str(inspect.signature(cls)).replace(
-        " -> None", ""
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
+    node_fields = fields(cls)
+    _install_methods(cls, node_fields)
+    if node_fields:
+        cls.__init__ = _setter_init(cls, node_fields, compute, namespace)
+    cls.__doc__ = doc or cls.__name__ + str(
+        Signature(
+            [
+                Parameter(
+                    f.name,
+                    Parameter.POSITIONAL_OR_KEYWORD,
+                    default=Parameter.empty if f.default is MISSING else f.default,
+                    annotation=f.type,
+                )
+                for f in node_fields
+                if f.init
+            ]
+        )
     )
     return cls
 
@@ -72,11 +100,86 @@ def _frozen_delattr(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-_INIT_CODE: dict[str, CodeType] = {}
+_WRITTEN = (
+    "__init__",
+    "__eq__",
+    "__hash__",
+    "__repr__",
+    "__getstate__",
+    "__setstate__",
+    "__setattr__",
+    "__delattr__",
+)
+
+# Compiled sources, by their text: the ``__init__`` factories, and the
+# modules that define the other methods.
+_CODE: dict[str, CodeType] = {}
+
+# The globals of every method compiled from ``_METHODS``: one dict, so the
+# builtin reads that a shared code object specializes hold for each class.
+_METHOD_GLOBALS: dict[str, object] = {}
+
+# The methods ``dataclass(frozen=True, slots=True)`` would write, with the
+# same bodies: equality and hashing read the ``compare`` fields, ``repr``
+# the ``repr`` fields and the pickling pair all of them.
+_METHODS = """\
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({self_eq})==({other_eq})
+    return NotImplemented
+def __hash__(self):
+    return hash(({self_eq}))
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({shown})"
+def __getstate__(self):
+    return [{self_names}]
+def __setstate__(self, state):
+    for name, value in zip({names!r}, state):
+        object.__setattr__(self, name, value)
+"""
+
+
+def _compiled(source: str) -> CodeType:
+    # ``dont_inherit``: this module's ``from __future__ import annotations``
+    # would otherwise turn an ``__init__``'s annotations into strings.
+    code = _CODE.get(source)
+    if code is None:
+        code = _CODE[source] = compile(source, "<node_class>", "exec", dont_inherit=True)
+    return code
+
+
+def _install_methods(cls: type, node_fields: tuple) -> None:
+    def attrs(obj: str, names: list[str]) -> str:
+        return "".join(f"{obj}.{name}," for name in names)
+
+    eq = [f.name for f in node_fields if f.compare]
+    names = tuple(f.name for f in node_fields)
+    source = _METHODS.format(
+        self_eq=attrs("self", eq),
+        other_eq=attrs("other", eq),
+        shown=", ".join(f"{f.name}={{self.{f.name}!r}}" for f in node_fields if f.repr),
+        self_names=attrs("self", names),
+        names=names,
+    )
+    defined: dict[str, Callable] = {}
+    exec(_compiled(source), _METHOD_GLOBALS, defined)
+    for name, method in defined.items():
+        method.__module__ = cls.__module__
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        if name == "__repr__":
+            wrapped = method
+            method = recursive_repr()(wrapped)
+            method.__wrapped__ = wrapped  # as ``functools.wraps`` records it
+        setattr(cls, name, method)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
 
 
 def _setter_init(
-    cls: type, compute: tuple[str, ...], namespace: dict | None
+    cls: type,
+    node_fields: tuple,
+    compute: tuple[str, ...],
+    namespace: dict | None,
 ) -> Callable[..., None]:
     # An ``__init__`` with what ``dataclass`` would give it: the same
     # parameters, annotations and defaults.  It reads the slot setters from
@@ -88,8 +191,9 @@ def _setter_init(
     globals_ = {"__name__": cls.__module__, **(namespace or {})}
     setters = globals_ if compute else closure
     params, body = [], []
-    for f in fields(cls):
-        if f.kw_only or f.default_factory is not MISSING or not (f.init or compute):
+    for f in node_fields:
+        plain = f.hash is None and not f.kw_only and f.default_factory is MISSING
+        if not plain or not (f.init or compute):
             raise TypeError(
                 f"{cls.__name__}.{f.name}: node_class stores only plain fields"
             )
@@ -113,18 +217,14 @@ def _setter_init(
         + "\n    return __init__\n"
     )
     # The source names no class, so classes whose fields share their names
-    # share one compiled code object (Pair, PatternPair, PairSig, VPair, ...),
-    # and importing the package compiles fewer initializers than ``dataclass``
-    # would.  A class that computes fields has globals of its own, so it gets
-    # a code object of its own too: the reads a code object specializes are
-    # kept for one globals dict.  ``dont_inherit``: this module's ``from
-    # __future__ import annotations`` would otherwise turn the annotations
-    # into strings.
-    code = _INIT_CODE.get(source)
-    if code is None:
+    # share one compiled code object (Pair, PatternPair, PairSig, VPair, ...).
+    # A class that computes fields has globals of its own, so it gets a code
+    # object of its own too: the reads a code object specializes are kept
+    # for one globals dict.
+    if compute:
         code = compile(source, "<node_class>", "exec", dont_inherit=True)
-        if not compute:
-            _INIT_CODE[source] = code
+    else:
+        code = _compiled(source)
     defined: dict[str, Callable] = {}
     exec(code, globals_, defined)
     init = defined["__create__"](**closure)

@@ -1,15 +1,25 @@
 """Every frozen, slotted node class is built one way: ``naive.node_class``.
 
-The classes are found by walking the package's modules, so a class added
-later is covered without a change here; ``Let``, derived outside the
-package in ``test_generic``, stands for a grammar the package has never
-seen.  Each must behave as the plain ``dataclass(frozen=True, slots=True)``
-would, while storing its fields through the slot setters.
+The classes are found by walking the package's modules for the frozen
+``__setattr__`` that ``node_class`` installs, so a class added later is
+covered without a change here; ``Let``, derived outside the package in
+``test_generic``, stands for a grammar the package has never seen.  Each
+must behave as the plain ``dataclass(frozen=True, slots=True)`` would:
+its signature, docstring, equality, hashing, ``repr``, pickling and
+copying are compared with those of a ``make_dataclass`` reference with
+the same fields.  None of its methods is written by ``dataclass``: each
+is compiled by ``node_class``, once for all the classes whose fields have
+the same names, and the initializer stores the fields through the slot
+setters.
 """
 
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
+import sys
+from collections import defaultdict
 from dataclasses import (
     MISSING,
     FrozenInstanceError,
@@ -49,7 +59,7 @@ def _node_classes() -> list[type]:
                 isinstance(value, type)
                 and value.__module__ == module.__name__
                 and is_dataclass(value)
-                and value.__dataclass_params__.frozen
+                and value.__dict__.get("__setattr__") is naive._frozen_setattr
                 and "__slots__" in value.__dict__
             ):
                 found.append(value)
@@ -70,10 +80,22 @@ SAMPLE_ARGS = {
     DBSecond: (BVar(0),),
 }
 
+# A second sample of those classes, unequal to the first.
+OTHER_ARGS = {
+    naive.VarIdent: ("y", (1, 2)),
+    DBApp: (BVar(1), BVar(0)),
+    DBLam: (ShapeVar(), BVar(1)),
+    DBPi: (ShapeVar(), DBUniverse(), BVar(1)),
+    DBPair: (BVar(1), FVar(naive.VarIdent("y"))),
+    DBFirst: (BVar(1),),
+    DBSecond: (BVar(1),),
+}
+
 # Classes generated by ``generic.derive``, which have no docstring.
 DERIVED = {
     cls for con in (*lambda_pi.CONSTRUCTORS, LET) for cls in (con.direct, con.free)
 }
+
 
 def _init_names(cls: type) -> list[str]:
     return [f.name for f in fields(cls) if f.init]
@@ -85,6 +107,38 @@ def _sample(cls: type) -> tuple:
 
 def _id(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def _reference(cls: type) -> type:
+    """The plain ``dataclass(frozen=True, slots=True)`` with ``cls``'s fields."""
+    spec = [
+        (f.name, f.type, field(default=f.default, init=f.init, repr=f.repr, compare=f.compare))
+        for f in fields(cls)
+    ]
+    return make_dataclass(cls.__name__, spec, frozen=True, slots=True)
+
+
+def _as_reference(reference: type, node: object) -> object:
+    """An instance of ``reference`` holding ``node``'s field values, computed
+    fields included."""
+    copied = object.__new__(reference)
+    for f in fields(node):
+        object.__setattr__(copied, f.name, getattr(node, f.name))
+    return copied
+
+
+def _pair(cls: type) -> tuple[tuple, tuple]:
+    """Two samples of arguments that make unequal nodes, when ``cls`` compares
+    any field; values that pickle and compare equal after a round trip."""
+    if cls in SAMPLE_ARGS:
+        return SAMPLE_ARGS[cls], OTHER_ARGS[cls]
+    names = _init_names(cls)
+    return tuple(f"a{i}" for i in range(len(names))), tuple(f"b{i}" for i in range(len(names)))
+
+
+def _bound(cls: type) -> bool:
+    """Whether pickle finds ``cls`` under its name in its module."""
+    return getattr(sys.modules[cls.__module__], cls.__qualname__, None) is cls
 
 
 def test_the_walk_finds_the_classes_of_every_layer():
@@ -156,6 +210,116 @@ def test_every_init_is_compiled_by_node_class(cls):
     assert cls.__init__.__code__.co_filename == "<node_class>"
 
 
+def _methods(cls: type) -> dict[str, object]:
+    """The functions other than ``__init__`` that ``node_class`` compiles for
+    ``cls``; the one that ``__repr__`` wraps to guard against recursion
+    stands for it."""
+    names = ("__eq__", "__hash__", "__repr__", "__getstate__", "__setstate__")
+    return {name: inspect.unwrap(cls.__dict__[name]) for name in names}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_id)
+def test_every_method_is_compiled_by_node_class(cls):
+    """Nor does ``dataclass`` write any other method: the ones it compiles
+    are in the file ``<string>``."""
+    for method in _methods(cls).values():
+        assert method.__code__.co_filename == "<node_class>"
+
+
+def test_the_file_name_check_sees_a_plain_dataclass():
+    @dataclass(frozen=True, slots=True)
+    class Plain:
+        value: object
+
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        method = inspect.unwrap(getattr(Plain, name))
+        assert method.__code__.co_filename == "<string>"
+
+
+def test_classes_with_the_same_fields_share_each_method_s_code():
+    """The sources name no class, so each is compiled once for every plain
+    class with the same field names (a class that computes a field compiles
+    its own ``__init__``)."""
+    groups = defaultdict(list)
+    for cls in CLASSES:
+        plain = all(
+            f.init and f.compare and f.repr and f.default is MISSING for f in fields(cls)
+        )
+        if fields(cls) and plain and not hasattr(cls, "__post_init__"):
+            groups[tuple(f.name for f in fields(cls))].append(cls)
+    assert len(groups[("left", "right")]) >= 4  # Pair, PatternPair, PairSig, ...
+    for group in groups.values():
+        first = {**_methods(group[0]), "__init__": group[0].__init__}
+        for cls in group[1:]:
+            for name, method in {**_methods(cls), "__init__": cls.__init__}.items():
+                assert method.__code__ is first[name].__code__, (cls, name)
+                assert method.__qualname__ == f"{cls.__qualname__}.{name}"
+                assert method.__module__ == cls.__module__
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_id)
+def test_equality_hashing_and_repr_are_the_dataclass_s(cls):
+    reference = _reference(cls)
+    first, second = _pair(cls)
+    node, same, other = cls(*first), cls(*first), cls(*second)
+    ref, ref_same, ref_other = (_as_reference(reference, n) for n in (node, same, other))
+    assert node is not same and node == same and not node != same
+    compared = any(f.compare for f in fields(cls))
+    assert (node == other) == (ref == ref_other) == (not compared)
+    assert (node != other) == (ref != ref_other)
+    assert hash(node) == hash(same) == hash(ref) == hash(ref_same)
+    assert hash(other) == hash(ref_other)
+    assert repr(node) == repr(ref) and repr(other) == repr(ref_other)
+    assert node.__eq__(ref) is NotImplemented
+    assert node.__getstate__() == ref.__getstate__()
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_id)
+def test_pickling_and_copying_are_the_dataclass_s(cls):
+    node = cls(*_pair(cls)[0])
+    copies = [copy.copy(node), copy.deepcopy(node)]
+    if _bound(cls):
+        copies.append(pickle.loads(pickle.dumps(node)))
+    for copied in copies:
+        assert type(copied) is cls and copied == node
+        assert copied.__getstate__() == node.__getstate__()  # computed fields too
+        with pytest.raises(FrozenInstanceError):
+            setattr(copied, "not_a_field", 0)
+
+
+def test_most_classes_pickle_by_name():
+    """Every class of the package is bound under its name, so only the
+    test-made ``Let`` classes skip the pickle round trip above."""
+    assert [cls for cls in CLASSES if not _bound(cls)] == [LET.direct]
+
+
+def test_a_field_left_out_of_comparison_is_left_out_of_all_of_it():
+    """``VarIdent.loc`` (``compare=False, repr=False``) and the de Bruijn
+    classes' computed ``size`` and ``loose`` are not structure: they do not
+    change equality, hashing or ``repr``, but they do pickle and copy."""
+    here, there = naive.VarIdent("x", (1, 2)), naive.VarIdent("x", (3, 4))
+    assert here == there and hash(here) == hash(there)
+    assert repr(here) == repr(there) == "VarIdent(text='x')"
+    assert pickle.loads(pickle.dumps(there)).loc == (3, 4)
+    assert copy.deepcopy(there).loc == (3, 4)
+
+    node = DBApp(BVar(0), BVar(1))
+    assert (node.size, node.loose) == (3, 2)
+    forged = copy.copy(node)
+    DBApp.size.__set__(forged, 99)
+    DBApp.loose.__set__(forged, 99)
+    assert forged == node and hash(forged) == hash(node)
+    assert repr(forged) == repr(node) == "DBApp(fun=BVar(index=0), arg=BVar(index=1))"
+    assert (copy.deepcopy(forged).size, pickle.loads(pickle.dumps(forged)).loose) == (99, 99)
+
+
+def test_repr_of_a_node_that_contains_itself_stops():
+    """``repr`` is guarded against recursion, as the dataclass's is."""
+    pair = naive.Pair(None, None)
+    naive.Pair.left.__set__(pair, pair)
+    assert repr(pair) == "Pair(left=..., right=None)"
+
+
 def test_node_class_refuses_a_hand_written_init():
     class Written:
         value: int
@@ -167,13 +331,16 @@ def test_node_class_refuses_a_hand_written_init():
         naive.node_class(Written)
 
 
+def test_node_class_refuses_any_method_it_writes():
+    for name in ("__eq__", "__hash__", "__repr__", "__getstate__", "__setattr__"):
+        written = type("Written", (), {"__annotations__": {"value": int}, name: None})
+        with pytest.raises(TypeError, match=f"writes the {name}"):
+            naive.node_class(written)
+
+
 @pytest.mark.parametrize("cls", [c for c in CLASSES if fields(c)], ids=_id)
 def test_the_signature_is_the_one_dataclass_generates(cls):
-    spec = [
-        (f.name, f.type, field(default=f.default, init=f.init, repr=f.repr, compare=f.compare))
-        for f in fields(cls)
-    ]
-    reference = make_dataclass(cls.__name__, spec, frozen=True, slots=True)
+    reference = _reference(cls)
     assert inspect.signature(cls.__init__) == inspect.signature(reference.__init__)
     assert inspect.signature(cls) == inspect.signature(reference)
     if cls in DERIVED or cls.__doc__.startswith(f"{cls.__name__}("):
@@ -213,6 +380,9 @@ def test_node_class_refuses_a_field_it_cannot_store():
     class Computed:  # with nothing to compute it
         value: int = field(init=False)
 
-    for cls in (Later, Computed):
+    class Hashed:  # hashed apart from its comparison
+        value: int = field(hash=False)
+
+    for cls in (Later, Computed, Hashed):
         with pytest.raises(TypeError, match="only plain fields"):
             naive.node_class(cls)
