@@ -6,8 +6,11 @@ closure together with its environment and only evaluated when the closure
 is applied.  Quotation reads normal forms back, applying closures to fresh
 neutral variables under an extended scope: each binder is entered with
 :func:`scopefoil.names.enter`, so a binder that does not collide keeps its
-name.  Evaluation, application, projection and quotation dispatch with
-``type`` tests, most frequent case first.
+name.  A chain of binders, a lambda or Pi whose body is syntactically
+another, is quoted in one loop that takes no frame per binder, so a nest
+of any depth reads back within the stack.  Evaluation, application,
+projection and quotation dispatch with ``type`` tests, most frequent case
+first.
 
 Arguments and pair components are delayed with memoized thunks, and a pair
 pattern binds its variables to thunks of the argument's projections, so
@@ -220,30 +223,58 @@ def quote(scope: Scope, value: Value) -> Term:
                 acc = SecondSig(acc)
         return acc
     if kind is VLam:
-        return LamSig(_quote_scoped(scope, value.env, value.binder, value.body))
+        return _quote_binders(scope, value.env, None, value.binder, value.body)
     if kind is VPair:
         return PairSig(quote(scope, _force(value.left)), quote(scope, _force(value.right)))
     if kind is VPi:
         domain = quote(scope, value.domain)
-        return PiSig(domain, _quote_scoped(scope, value.env, value.binder, value.codomain))
+        return _quote_binders(scope, value.env, domain, value.binder, value.codomain)
     if kind is VUniverse:
         return UniverseSig()
     raise TypeError(f"not a value: {value!r}")
 
 
-def _quote_scoped(
-    scope: Scope, env: Env, binder: NameBinder | Pattern, body: Term
-) -> ScopedAST:
-    """Quote a closure body under its binder, entered from ``scope``: each
-    name the old binder bound is bound to a neutral of its new name."""
-    if type(binder) is NameBinder:
-        binder2, scope2 = enter(scope, binder)
-        env = (binder.raw, VNeutral(Name(binder2.raw), ()), env)
-    else:
-        binder2, _, scope2 = with_pattern(scope, binder, identity_subst())
-        for old, new in zip(names_of_pattern(binder), names_of_pattern(binder2)):
-            env = (old.raw, VNeutral(new, ()), env)
-    return ScopedAST(binder2, quote(scope2, eval_term(env, body)))
+def _quote_binders(
+    scope: Scope, env: Env, domain: Term | None, binder: NameBinder | Pattern, body: Term
+) -> Term:
+    """Quote a closure, and the chain of binders its body opens, in one loop.
+
+    ``domain`` is the closure's quoted Pi domain, or ``None`` for a lambda.
+    Each binder is entered from the scope the one before it made, and each
+    name it bound is bound in ``env`` to a neutral of its new name.  While the
+    body is syntactically a lambda or a Pi, the loop goes on under it, doing
+    what quoting the ``VLam`` or ``VPi`` that :func:`eval_term` would build
+    does (a Pi's domain is evaluated and quoted under the binders so far),
+    without building it.  Any other body is evaluated and quoted, and the
+    chain of ``(binder, domain)`` cells is rebuilt around it from the inside
+    out, so a nest of n binders takes one frame, not 2n.
+    """
+    chain = None
+    while True:
+        if type(binder) is NameBinder:
+            binder2, scope = enter(scope, binder)
+            env = (binder.raw, VNeutral(Name(binder2.raw), ()), env)
+        else:
+            binder2, _, scope = with_pattern(scope, binder, identity_subst())
+            for old, new in zip(names_of_pattern(binder), names_of_pattern(binder2)):
+                env = (old.raw, VNeutral(new, ()), env)
+        chain = (binder2, domain, chain)
+        kind = type(body)
+        if kind is LamSig:
+            domain = None
+            scoped = body.body
+        elif kind is PiSig:
+            domain = quote(scope, eval_term(env, body.domain))
+            scoped = body.codomain
+        else:
+            break
+        binder, body = scoped.binder, scoped.body
+    term = quote(scope, eval_term(env, body))
+    while chain is not None:
+        binder2, domain, chain = chain
+        scoped = ScopedAST(binder2, term)
+        term = LamSig(scoped) if domain is None else PiSig(domain, scoped)
+    return term
 
 
 def nf_nbe(scope: Scope, term: Term) -> Term:

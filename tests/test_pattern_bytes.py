@@ -3,9 +3,11 @@
 ``alpha_eq`` cannot see a change in the raw names a normalizer picks for the
 binders it refreshes, and no benchmark workload has a wildcard or pair
 pattern, so the bytes of ``nf_direct``, ``nf_free`` and ``nf_nbe`` are pinned
-here by digest: over a fixed set of wildcard and pair-pattern redexes, each
-normalized in scopes whose raw names collide with the term's binders, and
-over the ``gen_random(9000 + i, 12)`` corpus of ``tests/test_nbe.py``.
+here by digest: over a fixed set of wildcard and pair-pattern redexes (the
+last two with ``lam`` and ``fun`` binders back to back, which ``nf_nbe``
+quotes as one chain), each normalized in scopes whose raw names collide with
+the term's binders, and over the ``gen_random(9000 + i, 12)`` corpus of
+``tests/test_nbe.py``.
 """
 
 import hashlib
@@ -29,6 +31,9 @@ PATTERN_REDEXES = (
     "lam q . (lam (x, (y, _)) . lam z . (y, (x, z))) (q, (lam t . q t, U))",
     "fun (_ : U) -> fun ((p, q) : U) -> (lam (r, s) . r s) (q, p)",
     "lam g . (lam (a, b) . fun ((c, d) : a) -> b c d) (g, lam e . lam (h, _) . e h)",
+    "lam (a, b) . fun (c : a) -> lam _ . lam d . (lam e . e) (b, d)",
+    "fun ((a, b) : lam x . lam y . x) -> lam _ . "
+    "fun (c : (lam z . z) U) -> lam (d, _) . (a, (b, (c, d)))",
 )
 
 # Closed terms allocate binders from raw 0, so every binder of a redex
@@ -58,9 +63,9 @@ def _digests() -> dict[str, str]:
 
 
 PINNED = {
-    "direct": "99d807f0b77cc969167ac37525da5c4bd604b35d5a97ce525cf993ab5889616b",
-    "free": "bc47105b5830e14878d4443997808482e4e882ddb94fa6f44ad4a5852b8197c0",
-    "nbe": "9bae7f368a980e1067683d0a61a5b5d5069b989a9dc16c481196349279ee4454",
+    "direct": "3cb7738396cedbfd40cd3b293661a135e6773ea5e3c172db47dd1da7d2561ff9",
+    "free": "7b2fcbe2da6b22da51ca224c16d13ef5e82b745e1bcde56b0ad2dcbc07daf914",
+    "nbe": "87c0f6238f1c04a4c99b22da97721b7f7beac7bd4c7831f9e81ad207f4f91190",
 }
 
 
