@@ -7,8 +7,11 @@ not share the scope-indexed machinery:
   capture-avoiding substitution with free-variable sets and a deterministic
   fresh-identifier supply.  Each ``nf_named``/``whnf_named`` call keeps one
   free-identifier memo for all its substitutions, and a substitution
-  returns a subterm whose free identifiers miss its domain as it is;
-  after whnf a stuck spine is normalized without being reduced again, and
+  returns a subterm whose free identifiers miss its domain as it is.
+  After whnf a stuck spine is normalized without being reduced again, a
+  chain of binders is gone under in one loop (one frame for a nest of any
+  depth), and a node whose children come back as the same objects is
+  returned as it is, so a normal term is not copied; and
 * a de Bruijn normalizer whose shifting and beta contraction share one
   index walk, :func:`_map_db` (TAPL's ``tmmap``), and whose weak head step
   is Krivine's machine: one loop over the head and an explicit spine of
@@ -184,43 +187,64 @@ def whnf_named(term: naive.Term, fuel: int | None = None) -> naive.Term:
     return _whnf_named(term, Fuel(fuel), {})
 
 
-def _nf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
-    return _nf_whnf_named(_whnf_named(term, fuel, memo), fuel, memo)
-
-
 def _nf_whnf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
     # ``term`` is in whnf, so a spine's heads are too: they are normalized
     # here without being reduced again, and a stuck spine costs time linear
-    # in its length.
+    # in its length.  Every other child is put in whnf first.  A chain of
+    # binders is gone under in one loop, as ``terms._nf_whnf`` does: while a
+    # body is a lambda or a Pi, or reduces to one, the loop goes on under
+    # it, and the chain is rebuilt from the inside out, so a nest of n
+    # binders takes one frame.  A node whose children all come back as the
+    # same objects is returned as it is.
     kind = type(term)
     if kind is naive.App:
-        return naive.App(
-            _nf_whnf_named(term.fun, fuel, memo), _nf_named(term.arg, fuel, memo)
-        )
-    if kind is naive.Lam:
-        return naive.Lam(
-            term.pattern, naive.ScopedTerm(_nf_named(term.body.term, fuel, memo))
-        )
+        fun = _nf_whnf_named(term.fun, fuel, memo)
+        arg = _nf_whnf_named(_whnf_named(term.arg, fuel, memo), fuel, memo)
+        return term if arg is term.arg and fun is term.fun else naive.App(fun, arg)
+    if kind is naive.Lam or kind is naive.Pi:
+        chain = None  # (node, new domain, old body, rest)
+        while True:
+            if kind is naive.Lam:
+                domain = None
+                body = before = term.body.term
+            else:
+                domain = _nf_whnf_named(_whnf_named(term.domain, fuel, memo), fuel, memo)
+                body = before = term.codomain.term
+            kind = type(body)
+            if kind is not naive.Lam and kind is not naive.Pi:
+                body = _whnf_named(body, fuel, memo)
+                kind = type(body)
+                if kind is not naive.Lam and kind is not naive.Pi:
+                    body = _nf_whnf_named(body, fuel, memo)
+                    break
+            chain = (term, domain, before, chain)
+            term = body
+        while True:  # rebuild the chain from the inside out
+            if domain is None:
+                if body is not before:
+                    term = naive.Lam(term.pattern, naive.ScopedTerm(body))
+            elif body is not before or domain is not term.domain:
+                term = naive.Pi(term.pattern, domain, naive.ScopedTerm(body))
+            if chain is None:
+                return term
+            body = term
+            term, domain, before, chain = chain
     if kind is naive.Var or kind is naive.Universe:
         return term
     if kind is naive.First or kind is naive.Second:
-        return kind(_nf_whnf_named(term.term, fuel, memo))
+        t = _nf_whnf_named(term.term, fuel, memo)
+        return term if t is term.term else kind(t)
     if kind is naive.Pair:
-        return naive.Pair(
-            _nf_named(term.left, fuel, memo), _nf_named(term.right, fuel, memo)
-        )
-    if kind is naive.Pi:
-        return naive.Pi(
-            term.pattern,
-            _nf_named(term.domain, fuel, memo),
-            naive.ScopedTerm(_nf_named(term.codomain.term, fuel, memo)),
-        )
+        left = _nf_whnf_named(_whnf_named(term.left, fuel, memo), fuel, memo)
+        right = _nf_whnf_named(_whnf_named(term.right, fuel, memo), fuel, memo)
+        return term if left is term.left and right is term.right else naive.Pair(left, right)
     raise TypeError(f"not a term: {term!r}")
 
 
 def nf_named(term: naive.Term, fuel: int | None = None) -> naive.Term:
     """Normal-order normalization on the surface syntax."""
-    return _nf_named(term, Fuel(fuel), {})
+    fuel, memo = Fuel(fuel), {}
+    return _nf_whnf_named(_whnf_named(term, fuel, memo), fuel, memo)
 
 
 # --------------------------------------------------------------------------

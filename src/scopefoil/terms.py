@@ -252,7 +252,14 @@ def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     """Normalize ``term``, a whnf, putting each child but a head (:data:`HEADS`)
     in whnf first; a variable child of an application or under a binder is
     left where it is, with no call.  A node whose subterms all come back as
-    the same objects is returned as it is."""
+    the same objects is returned as it is.
+
+    A chain of binders is gone under in one loop.  Each binder is entered
+    from the scope the one before it made (a Pi's domain is normalized in
+    the scope outside it); while the body is a lambda or a Pi, or reduces
+    to one, the loop goes on under it, and any other body is normalized by
+    a call.  The chain is rebuilt from the inside out, so a nest of n
+    binders takes one frame, not one per binder."""
     kind = type(term)
     if kind is App:
         fun, arg = term.fun, term.arg
@@ -260,40 +267,57 @@ def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
         arg2 = arg if type(arg) is Var else _nf_whnf(scope, _whnf(scope, arg, fuel), fuel)
         return term if fun2 is fun and arg2 is arg else App(fun2, arg2)
     if kind is Lam or kind is Pi:
-        pattern = term.pattern
-        if type(pattern) is PatternVar:
-            binder = pattern.binder
-            binder2, scope2 = enter(scope, binder)
-            if binder2 is binder:
-                rename = None
+        chain = None  # (node, new pattern, new domain, old body, rest)
+        while True:
+            pattern = term.pattern
+            if type(pattern) is PatternVar:
+                binder = pattern.binder
+                binder2, scope2 = enter(scope, binder)
+                if binder2 is binder:
+                    rename = None
+                else:
+                    pattern = PatternVar(binder2)
+                    rename = {binder.raw: Var(Name(binder2.raw))}
             else:
-                pattern = PatternVar(binder2)
-                rename = {binder.raw: Var(Name(binder2.raw))}
-        else:
-            pattern, rename, scope2 = with_pattern(scope, pattern, identity_subst())
-        if kind is Pi:
-            domain = _nf_whnf(scope, _whnf(scope, term.domain, fuel), fuel)
-        body = before = term.body if kind is Lam else term.codomain
-        if rename:  # some binder was renamed
-            body = subst_direct(scope2, rename, body)
-        if type(body) is not Var:
-            body = _nf_whnf(scope2, _whnf(scope2, body, fuel), fuel)
-        if kind is Lam:
-            return term if pattern is term.pattern and body is before else Lam(pattern, body)
-        if pattern is term.pattern and domain is term.domain and body is before:
-            return term
-        return Pi(pattern, domain, body)
+                pattern, rename, scope2 = with_pattern(scope, pattern, identity_subst())
+            if kind is Lam:
+                domain = None
+                body = before = term.body
+            else:
+                domain = _nf_whnf(scope, _whnf(scope, term.domain, fuel), fuel)
+                body = before = term.codomain
+            if rename:  # some binder was renamed
+                body = subst_direct(scope2, rename, body)
+            kind = type(body)
+            if kind is Var:
+                break
+            if kind is not Lam and kind is not Pi:
+                body = _whnf(scope2, body, fuel)
+                kind = type(body)
+                if kind is not Lam and kind is not Pi:
+                    body = _nf_whnf(scope2, body, fuel)
+                    break
+            chain = (term, pattern, domain, before, chain)
+            term, scope = body, scope2
+        while True:  # rebuild the chain from the inside out
+            if domain is None:
+                if pattern is not term.pattern or body is not before:
+                    term = Lam(pattern, body)
+            elif pattern is not term.pattern or domain is not term.domain or body is not before:
+                term = Pi(pattern, domain, body)
+            if chain is None:
+                return term
+            body = term
+            term, pattern, domain, before, chain = chain
     if kind is Var or kind is Universe:
         return term
     if kind is First or kind is Second:
-        t = term.term
-        t2 = _nf_whnf(scope, t, fuel)
-        return term if t2 is t else kind(t2)
+        t = _nf_whnf(scope, term.term, fuel)
+        return term if t is term.term else kind(t)
     if kind is Pair:
-        left, right = term.left, term.right
-        left2 = _nf_whnf(scope, _whnf(scope, left, fuel), fuel)
-        right2 = _nf_whnf(scope, _whnf(scope, right, fuel), fuel)
-        return term if left2 is left and right2 is right else Pair(left2, right2)
+        left = _nf_whnf(scope, _whnf(scope, term.left, fuel), fuel)
+        right = _nf_whnf(scope, _whnf(scope, term.right, fuel), fuel)
+        return term if left is term.left and right is term.right else Pair(left, right)
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import gen_naive_term
+from conftest import ALREADY_NORMAL, gen_naive_term
 
 import scopefoil
 from scopefoil import lambda_pi, naive, oracles
@@ -432,6 +432,20 @@ def test_whnf_named_versus_nf_named():
     term = parse_term("(lam x . (x, x)) ((lam y . y) U)")
     assert pretty_term(whnf_named(term)) == "((lam y . y) U, (lam y . y) U)"
     assert pretty_term(nf_named(term)) == "(U, U)"
+
+
+@pytest.mark.parametrize("src", ALREADY_NORMAL, ids=("spine", "pair_pi", "nest"))
+def test_nf_named_returns_a_normal_term_itself(src):
+    term = parse_term(src)
+    assert nf_named(term) is term
+
+
+def test_nf_named_copies_only_the_path_to_a_redex():
+    term = parse_term("lam f . (f (lam a . a), ((lam x . x) f, fun (b : U) -> f b))")
+    out = nf_named(term)
+    assert pretty_term(out) == "lam f . (f (lam a . a), (f, fun (b : U) -> f b))"
+    before, after = term.body.term, out.body.term
+    assert after.left is before.left and after.right.right is before.right.right
 
 
 def test_nf_named_pattern_beta():
