@@ -11,8 +11,6 @@ from inspect import Parameter, Signature
 from reprlib import recursive_repr
 from types import CodeType
 
-RESERVED_WORDS = frozenset({"check", "compute", "lam", "fun", "first", "second", "U"})
-
 # An identifier: this, and not a reserved word.  The lexer matches the same.
 IDENT = r"[A-Za-z][A-Za-z0-9_']*"
 _IDENT_RE = re.compile(IDENT + r"\Z")
@@ -347,6 +345,36 @@ class Compute:
 
 
 Command = Check | Compute
+
+
+# The notation of each surface class, from which ``syntax`` compiles the
+# parser and the printer: its level, and its text with each field in braces.
+# A term field is at the level after its colon, or at TERM; a form is
+# parenthesized where a higher level is wanted.
+TERM, APP, ATOM = 0, 1, 2
+NOTATION: dict[type, tuple[int, str]] = {
+    Lam: (TERM, "lam {pattern} . {body}"),
+    Pi: (TERM, "fun ({pattern} : {domain}) -> {codomain}"),
+    App: (APP, "{fun:1} {arg:2}"),
+    First: (APP, "first {term:2}"),
+    Second: (APP, "second {term:2}"),
+    Var: (ATOM, "{ident}"),
+    Universe: (ATOM, "U"),
+    Pair: (ATOM, "({left}, {right})"),
+    PatternVar: (ATOM, "{ident}"),
+    PatternWildcard: (ATOM, "_"),
+    PatternPair: (ATOM, "({left}, {right})"),
+    Check: (TERM, "check {term} : {annot} ;"),
+    Compute: (TERM, "compute {term} : {annot} ;"),
+}
+
+# A field in a notation text: ``FIELD.split`` gives the literal text between
+# fields, and each field's name and level.  The literal tokens, split at
+# whitespace, are the reserved words and the lexer's symbols.
+FIELD = re.compile(r"\{(\w+)(?::(\d))?\}")
+_LITERALS = {t for _, text in NOTATION.values() for t in FIELD.sub(" ", text).split()}
+RESERVED_WORDS = frozenset(filter(_IDENT_RE.match, _LITERALS))
+SYMBOLS = frozenset(_LITERALS - RESERVED_WORDS)
 
 
 def pattern_idents(pattern: Pattern) -> list[VarIdent]:

@@ -1,39 +1,32 @@
 """Concrete syntax: lexer, parser and pretty-printer.
 
-Grammar (``pretty`` emits exactly this shape, and ``parse(pretty(t))`` is
-structurally ``t``)::
+The forms are the entries of :data:`naive.NOTATION`, each compiled here
+into a parse rule and a printer; the parser finds a form by its first token
+in the table of its level.  Two rules are the parser's own:
 
-    program  ::= command*
-    command  ::= "check" term ":" term ";"
-               | "compute" term ":" term ";"
+- **juxtaposition**: at application level, a term followed by an atom is
+  the table's one form that starts with a term, so ``f g h`` is
+  ``(f g) h``;
+- **grouping**: ``"(" term ")"`` is an atom, or, when a ``,`` follows the
+  term, the start of the form that begins ``"(" term ","`` (the pair).
 
-    term     ::= "lam" pattern "." term                      -- binds to the right
-               | "fun" "(" pattern ":" term ")" "->" term
-               | term1
-    term1    ::= term1 term2                                 -- application, left-assoc
-               | "first" term2
-               | "second" term2
-               | term2
-    term2    ::= ident | "U" | "(" term ")" | "(" term "," term ")"
-
-    pattern  ::= "_" | ident | "(" pattern "," pattern ")"
-
-    ident    ::= letter (letter | digit | "_" | "'")*        -- minus reserved words
-
-Comments: ``--`` to end of line and non-nesting ``{- ... -}``.  Whitespace
-and layout are insignificant; every command ends with ``;``.  Reserved
-words: ``check compute lam fun first second U``.
+The printer uses the fewest parentheses, and ``parse(pretty(t))`` is
+structurally ``t``.  Identifiers are ``naive.IDENT`` minus the reserved
+words, the table's words.  Comments: ``--`` to end of line and non-nesting
+``{- ... -}``.  Whitespace and layout are insignificant; every command ends
+with ``;``.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import defaultdict
 from itertools import accumulate, islice
-from typing import Callable, NoReturn, TypeVar
+from typing import Callable, NoReturn, TypeVar, get_args
 
 from . import naive
-from .naive import App, First, Lam, Pair, PatternVar, Pi, Second, Universe, Var
+from .naive import APP, ATOM, TERM
 
 _T = TypeVar("_T")
 
@@ -48,18 +41,19 @@ class ParseError(Exception):
 
 # A token's kind: a reserved word or a symbol is its own text, any other
 # identifier is "ident".
-_KINDS = {text: text for text in naive.RESERVED_WORDS | {"->", *"(),:;._"}}
+_KINDS = {text: text for text in naive.RESERVED_WORDS | naive.SYMBOLS}
 
 # One match per token, with the layout before it (whitespace and both
 # comment forms) skipped inside the match.  Group 1 is an identifier, 2 a
 # symbol and 3 a character nothing else accepts, or the ``{-`` of a block
 # comment that is never closed; at the end of the input, where only layout
-# is left, no group matches.
+# is left, no group matches.  A longer symbol is tried first.
+_SYMBOL = "|".join(re.escape(s) for s in sorted(naive.SYMBOLS, key=lambda s: (-len(s), s)))
 _TOKEN_RE = re.compile(
     rf"""
       (?:\s|--[^\n]*|\{{-.*?-\}})*
       (?: ({naive.IDENT})
-        | (->|[(),:;._])
+        | ({_SYMBOL})
         | (\{{-|.)
         | \Z )
     """,
@@ -114,11 +108,8 @@ def _position(starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - starts[line - 1] + 1
 
 
-_ATOM_STARTERS = ("ident", "U", "(")
-
-
 class _Parser:
-    """Recursive descent over the token lists; ``i`` indexes the next token."""
+    """Descent over the token lists; ``i`` indexes the next token."""
 
     def __init__(self, src: str):
         self.src = src
@@ -138,110 +129,194 @@ class _Parser:
         found = self.texts[i] or "end of input"
         raise ParseError(f"expected {expected}, found {found!r}", *self.position(i))
 
-    def expect(self, kind: str) -> None:
-        if self.kinds[self.i] != kind:
-            self.fail(repr(kind))
-        self.i += 1
-
-    def ident(self) -> naive.VarIdent:
-        i = self.i
-        self.i = i + 1
-        # The loc tuple is built here, next to its identifier: building one
-        # per token in the lexer (most of them freed after the parse) made
-        # the named, de Bruijn and NbE engines 2-5% slower on parsed deep
-        # nests, though the trees were equal.  The lexer matched the text
-        # with ``naive.IDENT`` and its kind excludes the reserved words, so
-        # ``VarIdent``'s own check would find nothing.
-        loc = _position(self.starts, self.offsets[i])
-        return naive.lexed_ident(self.texts[i], loc)
-
-    # ---- terms ----
+    # The three levels of a term: each reads a form of its own level, found
+    # by its first token, or else one of the level below.
 
     def term(self) -> naive.Term:
-        kind = self.kinds[self.i]
-        if kind == "lam":
-            self.i += 1
-            pattern = self.pattern()
-            self.expect(".")
-            return naive.Lam(pattern, naive.ScopedTerm(self.term()))
-        if kind == "fun":
-            self.i += 1
-            self.expect("(")
-            pattern = self.pattern()
-            self.expect(":")
-            domain = self.term()
-            self.expect(")")
-            self.expect("->")
-            return naive.Pi(pattern, domain, naive.ScopedTerm(self.term()))
-        return self.app_term()
+        kinds, i = self.kinds, self.i
+        kind = kinds[i]
+        # an identifier that no atom follows, the most frequent term, is
+        # read at once
+        if kind == "ident" and kinds[i + 1] not in _ATOM_RULES:
+            return _IDENT_RULE(self)
+        rule = _TERM_RULES.get(kind)
+        if rule is None:
+            return self.app()
+        # the body is read here, after the rule has returned, so a nest of
+        # binders takes one frame per binder
+        binder = rule(self)
+        return binder[0](binder, self.term())
 
-    def app_term(self) -> naive.Term:
+    def app(self) -> naive.Term:
         kinds = self.kinds
-        kind = kinds[self.i]
-        if kind == "first" or kind == "second":
-            self.i += 1
-            head = (naive.First if kind == "first" else naive.Second)(self.atom())
-        else:
-            head = self.atom()
-        while kinds[self.i] in _ATOM_STARTERS:
-            head = naive.App(head, self.atom())
+        rule = _HEADS.get(kinds[self.i])
+        if rule is None:
+            self.fail("a term")
+        head = rule(self)
+        while kinds[self.i] in _ATOM_RULES:
+            head = _JUXTAPOSED(head, _ATOM_RULES[kinds[self.i]](self))
         return head
 
     def atom(self) -> naive.Term:
-        kind = self.kinds[self.i]
-        if kind == "ident":
-            return naive.Var(self.ident())
-        if kind == "U":
-            self.i += 1
-            return naive.Universe()
-        if kind == "(":
-            self.i += 1
-            left = self.term()
-            if self.kinds[self.i] == ",":
-                self.i += 1
-                right = self.term()
-                self.expect(")")
-                return naive.Pair(left, right)
-            self.expect(")")
-            return left
-        self.fail("a term")
+        rule = _ATOM_RULES.get(self.kinds[self.i])
+        if rule is None:
+            self.fail("a term")
+        return rule(self)
 
-    # ---- patterns ----
+    def group(self) -> naive.Term:
+        self.i += 1
+        inner = self.term()
+        rule = _GROUPED.get(self.kinds[self.i])
+        if rule is not None:
+            return rule(self, inner)
+        if self.kinds[self.i] != ")":
+            self.fail("')'")
+        self.i += 1
+        return inner
 
     def pattern(self) -> naive.Pattern:
-        kind = self.kinds[self.i]
-        if kind == "_":
-            self.i += 1
-            return naive.PatternWildcard()
-        if kind == "ident":
-            return naive.PatternVar(self.ident())
-        if kind == "(":
-            self.i += 1
-            left = self.pattern()
-            self.expect(",")
-            right = self.pattern()
-            self.expect(")")
-            return naive.PatternPair(left, right)
-        self.fail("a pattern")
-
-    # ---- programs ----
-
-    def command(self) -> naive.Command:
-        kind = self.kinds[self.i]
-        if kind != "check" and kind != "compute":
-            self.fail("'check' or 'compute'")
-        self.i += 1
-        term = self.term()
-        self.expect(":")
-        annot = self.term()
-        self.expect(";")
-        return (naive.Check if kind == "check" else naive.Compute)(term, annot)
+        rule = _PATTERN_RULES.get(self.kinds[self.i])
+        if rule is None:
+            self.fail("a pattern")
+        return rule(self)
 
     def program(self) -> list[naive.Command]:
         commands: list[naive.Command] = []
         while self.kinds[self.i] != "eof":
-            commands.append(self.command())
+            rule = _COMMAND_RULES.get(self.kinds[self.i])
+            if rule is None:
+                self.fail(" or ".join(map(repr, _COMMAND_RULES)))
+            commands.append(rule(self))
         return commands
+
+
+# --------------------------------------------------------------------------
+# parse rules and printers, compiled from the notation table
+# --------------------------------------------------------------------------
+
+# How a field is read and printed, by the name of its type; ``{read}`` reads
+# a term at the field's level, a pattern or an atom by its table's rule.  An
+# identifier skips ``VarIdent``'s check, which the lexer has made, and gets
+# its loc tuple here: one per token in the lexer made the named, de Bruijn
+# and NbE engines 2-5% slower on parsed deep nests.
+_SHOW = "P[type(c := node.{field})](c, {level}, out)"
+_FIELDS = {
+    "VarIdent": (
+        "i = p.i; p.i = i + 1; {c} = lexed_ident(p.texts[i], position(p.starts, p.offsets[i]))",
+        "out(node.{field}.text)",
+    ),
+    "Pattern": ("{c} = PATTERN.get(p.kinds[p.i], pattern)(p)", _SHOW),
+    "ScopedTerm": ("{c} = ScopedTerm({read})", "P[type(c := node.{field}.term)](c, {level}, out)"),
+    "Term": ("{c} = {read}", _SHOW),
+}
+_READ_TERM = ("p.term()", "p.app()", "ATOM.get(p.kinds[p.i], atom)(p)")
+
+
+def _def(header: str, lines: list[str]) -> str:
+    return header + "".join("\n    " + line for line in lines)
+
+
+def _sources(cls: type, level: int, text: str, given: int, binder: bool) -> list[str]:
+    """The printer and the parse rule of the form of ``cls``.
+
+    The printer passes the pieces of a node's text to ``out``, in
+    parentheses where ``level`` is higher than the form's.  The rule reads
+    the form after its first ``given`` tokens, which its caller has read
+    (the fields among them are its arguments), and takes the next token, if
+    a literal, as matched.  A ``binder`` form ends in a term, its body: the
+    rule returns ``build_X`` and the other fields, and once the parser has
+    read the body, ``build_X`` makes the node from them and the body.
+    """
+    name, parts = cls.__name__, naive.FIELD.split(text)
+    show = [f"if level > {level}: out('(')"] if level < ATOM else []
+    read, params, fields, body = [], [], [], None
+    for k in range(0, len(parts), 3):
+        if parts[k]:
+            show.append(f"out({parts[k]!r})")
+        for token in parts[k].split():
+            if given < 0:
+                read.append(f"if p.kinds[p.i] != {token!r}: p.fail({repr(token)!r})")
+            if given <= 0:
+                read.append("p.i += 1")
+            given -= 1
+        if k + 1 == len(parts):
+            break
+        field, field_level, c = parts[k + 1], int(parts[k + 2] or TERM), f"c{len(fields)}"
+        how_read, how_show = _FIELDS[cls.__annotations__[field].strip("'")]
+        show.append(how_show.format(field=field, level=field_level))
+        fields.append(c)
+        if given > 0:
+            params.append(c)
+        elif binder and k + 4 == len(parts):
+            body = how_read.format(c=c, read="body")
+        else:
+            read.append(how_read.format(c=c, read=_READ_TERM[field_level]))
+        given -= 1
+    if level < ATOM:
+        show.append(f"if level > {level}: out(')')")
+    made = f"{name}({', '.join(fields)})"
+    sources = [_def(f"def pretty_{name}(node, level, out):", show)]
+    if binder:
+        if body is None:
+            raise ValueError(f"{name}: a term-level form ends in a term")
+        heads = "".join(f"{c}, " for c in fields[:-1])
+        build = [f"_, {heads}= binder", body, f"return {made}"]
+        sources.append(_def(f"def build_{name}(binder, body):", build))
+        made = f"build_{name}, {heads}"
+    read.append(f"return {made}")
+    sources.append(_def(f"def parse_{name}({', '.join(['p', *params])}):", read))
+    return sources
+
+
+def _compile_notation() -> tuple[dict, dict, type]:
+    """The parse rules, in tables by a form's first token; the printers, by
+    class; and the class of juxtaposition, the one form that starts with a
+    term, which the parser reads itself.
+
+    A term form is in the table of its level, a pattern or a command in that
+    of its sort, and the form that starts ``"(" term`` in the table
+    "grouped", under the token after the term.  All are compiled as one
+    source under this module's file name, so cProfile counts their time in
+    ``syntax``, each under its own line and name.
+    """
+    tables: dict = defaultdict(dict)
+    namespace = dict(
+        ScopedTerm=naive.ScopedTerm, lexed_ident=naive.lexed_ident, position=_position,
+        ATOM=tables[ATOM], atom=_Parser.atom, PATTERN=tables["pattern"], pattern=_Parser.pattern,
+    )
+    sources: list[str] = []
+    placed: list[tuple[object, str, type]] = []  # (table, first token, class)
+    sorts = {"term": naive.Term, "pattern": naive.Pattern, "command": naive.Command}
+    for sort, union in sorts.items():
+        for cls in get_args(union):
+            level, text = naive.NOTATION[cls]
+            namespace[cls.__name__] = cls
+            first = naive.FIELD.match(text)
+            tokens = naive.FIELD.sub(" {} ", text).split()
+            grouped = sort == "term" and tokens[0] == "("
+            binder = sort == "term" and level == TERM
+            printer, *rule = _sources(cls, level, text, 2 if grouped else 0, binder)
+            sources.append(printer)
+            if first and cls.__annotations__[first[1]] != "VarIdent":
+                juxtaposed = cls
+                continue
+            sources += rule
+            table = "grouped" if grouped else level if sort == "term" else sort
+            placed.append((table, tokens[2] if grouped else "ident" if first else tokens[0], cls))
+    exec(compile("\n".join(sources), __file__, "exec"), namespace)
+    for table, key, cls in placed:
+        tables[table][key] = namespace[f"parse_{cls.__name__}"]
+    namespace["P"] = {cls: namespace[f"pretty_{cls.__name__}"] for cls in naive.NOTATION}
+    return tables, namespace["P"], juxtaposed
+
+
+_TABLES, _PRINTERS, _JUXTAPOSED = _compile_notation()
+_TERM_RULES, _APP_RULES, _ATOM_RULES = _TABLES[TERM], _TABLES[APP], _TABLES[ATOM]
+_PATTERN_RULES, _COMMAND_RULES = _TABLES["pattern"], _TABLES["command"]
+_GROUPED = _TABLES["grouped"]
+_IDENT_RULE = _ATOM_RULES["ident"]
+_ATOM_RULES["("] = _Parser.group
+_HEADS = {**_APP_RULES, **_ATOM_RULES}  # the forms an application starts with
 
 
 def _parse(src: str, rule: Callable[[_Parser], _T]) -> _T:
@@ -261,7 +336,8 @@ def parse_program(src: str) -> list[naive.Command]:
 
 def _whole_term(p: _Parser) -> naive.Term:
     term = p.term()
-    p.expect("eof")
+    if p.kinds[p.i] != "eof":
+        p.fail("end of input")
     return term
 
 
@@ -274,136 +350,15 @@ def parse_term(src: str) -> naive.Term:
 # pretty-printing
 # --------------------------------------------------------------------------
 
-_TERM_LEVEL = 0
-_APP_LEVEL = 1
-_ATOM_LEVEL = 2
 
-
-def pretty_pattern(pattern: naive.Pattern) -> str:
-    kind = type(pattern)
-    if kind is naive.PatternVar:
-        return pattern.ident.text
-    if kind is naive.PatternPair:
-        return f"({pretty_pattern(pattern.left)}, {pretty_pattern(pattern.right)})"
-    if kind is naive.PatternWildcard:
-        return "_"
-    raise TypeError(f"not a pattern: {pattern!r}")
-
-
-# ``pretty_pattern``, ``_pp`` and ``_emit`` dispatch with ``type`` tests,
-# most frequent case first: a class-pattern ``match`` costs about ten times
-# as much per node, and printing is the last stage of ``scopefoil run``.
-#
-# ``_pp`` returns its subterm's text built with f-strings, which is the
-# fastest way to print a small term, but copies each subterm's text again
-# at every level above it: quadratic in the depth.  So past
-# ``_STRING_DEPTH`` levels it hands the subterm to ``_emit``, which passes
-# its pieces to ``emit`` (a list's ``append``) to be joined once.  Each
-# character is then copied at most that many times, and a deep nest prints
-# in linear time; ``_emit`` alone printed ``random``'s small terms 10-19%
-# slower.  The printer names the node classes directly: reading them off
-# ``naive`` cost those terms about 5%.
-_STRING_DEPTH = 64
-
-
-def _pp(term: naive.Term, level: int, depth: int) -> str:
-    kind = type(term)
-    if kind is Var:
-        return term.ident.text
-    if depth == _STRING_DEPTH:
-        out: list[str] = []
-        _emit(term, level, out.append)
-        return "".join(out)
-    depth += 1
-    # A variable child or pattern, the most frequent, is read in place.
-    if kind is App:
-        fun, arg = term.fun, term.arg
-        s = (
-            f"{fun.ident.text if type(fun) is Var else _pp(fun, _APP_LEVEL, depth)} "
-            f"{arg.ident.text if type(arg) is Var else _pp(arg, _ATOM_LEVEL, depth)}"
-        )
-        return f"({s})" if level > _APP_LEVEL else s
-    if kind is Lam:
-        pattern, body = term.pattern, term.body.term
-        s = (
-            f"lam {pattern.ident.text if type(pattern) is PatternVar else pretty_pattern(pattern)}"
-            f" . {body.ident.text if type(body) is Var else _pp(body, _TERM_LEVEL, depth)}"
-        )
-        return f"({s})" if level > _TERM_LEVEL else s
-    if kind is Universe:
-        return "U"
-    if kind is Pair:
-        return f"({_pp(term.left, _TERM_LEVEL, depth)}, {_pp(term.right, _TERM_LEVEL, depth)})"
-    if kind is First or kind is Second:
-        word = "first" if kind is First else "second"
-        s = f"{word} {_pp(term.term, _ATOM_LEVEL, depth)}"
-        return f"({s})" if level > _APP_LEVEL else s
-    if kind is Pi:
-        s = (
-            f"fun ({pretty_pattern(term.pattern)} : {_pp(term.domain, _TERM_LEVEL, depth)})"
-            f" -> {_pp(term.codomain.term, _TERM_LEVEL, depth)}"
-        )
-        return f"({s})" if level > _TERM_LEVEL else s
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _emit(term: naive.Term, level: int, emit: Callable[[str], None]) -> None:
-    kind = type(term)
-    if kind is Var:
-        emit(term.ident.text)
-    elif kind is App:
-        if level > _APP_LEVEL:
-            emit("(")
-        _emit(term.fun, _APP_LEVEL, emit)
-        emit(" ")
-        _emit(term.arg, _ATOM_LEVEL, emit)
-        if level > _APP_LEVEL:
-            emit(")")
-    elif kind is Lam:
-        emit("(lam " if level > _TERM_LEVEL else "lam ")
-        emit(f"{pretty_pattern(term.pattern)} . ")
-        _emit(term.body.term, _TERM_LEVEL, emit)
-        if level > _TERM_LEVEL:
-            emit(")")
-    elif kind is Universe:
-        emit("U")
-    elif kind is Pair:
-        emit("(")
-        _emit(term.left, _TERM_LEVEL, emit)
-        emit(", ")
-        _emit(term.right, _TERM_LEVEL, emit)
-        emit(")")
-    elif kind is First or kind is Second:
-        if level > _APP_LEVEL:
-            emit("(")
-        emit("first " if kind is First else "second ")
-        _emit(term.term, _ATOM_LEVEL, emit)
-        if level > _APP_LEVEL:
-            emit(")")
-    elif kind is Pi:
-        emit("(fun (" if level > _TERM_LEVEL else "fun (")
-        emit(f"{pretty_pattern(term.pattern)} : ")
-        _emit(term.domain, _TERM_LEVEL, emit)
-        emit(") -> ")
-        _emit(term.codomain.term, _TERM_LEVEL, emit)
-        if level > _TERM_LEVEL:
-            emit(")")
-    else:
-        raise TypeError(f"not a term: {term!r}")
-
-
-def pretty_term(term: naive.Term) -> str:
-    return _pp(term, _TERM_LEVEL, 0)
-
-
-def pretty_command(command: naive.Command) -> str:
-    match command:
-        case naive.Check(term, annot):
-            return f"check {pretty_term(term)} : {pretty_term(annot)} ;"
-        case naive.Compute(term, annot):
-            return f"compute {pretty_term(term)} : {pretty_term(annot)} ;"
-    raise TypeError(f"not a command: {command!r}")
+def pretty_term(node: naive.Term | naive.Pattern | naive.Command) -> str:
+    """The text of a term, or of a pattern or a command: each node's
+    printer passes its pieces to one list, joined once, so a nest prints in
+    time linear in its depth."""
+    out: list[str] = []
+    _PRINTERS[type(node)](node, TERM, out.append)
+    return "".join(out)
 
 
 def pretty_program(commands: list[naive.Command]) -> str:
-    return "".join(pretty_command(c) + "\n" for c in commands)
+    return "".join(pretty_term(command) + "\n" for command in commands)

@@ -9,12 +9,38 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from scopefoil import naive
 from scopefoil.bench import ensure_deep_recursion
 from scopefoil.bridge import to_foil_closed
 from scopefoil.patterns import names_of_pattern
 
 ensure_deep_recursion()
+
+# The traceback entries a ``RecursionError`` keeps at each end for its report.
+_RECURSION_ENDS = 30
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Cut a ``RecursionError``'s traceback to its first and last
+    ``_RECURSION_ENDS`` entries before the report is built.
+
+    To find where a traceback recurses, pytest compares the locals of each
+    entry with those of every earlier entry at the same line, which takes
+    time quadratic in the depth: a test failing at the suite's recursion
+    limit would hang the run instead of failing.
+    """
+    if call.excinfo is not None and isinstance(call.excinfo.value, RecursionError):
+        entries = []
+        tb = call.excinfo.tb
+        while tb is not None:
+            entries.append(tb)
+            tb = tb.tb_next
+        if len(entries) > 2 * _RECURSION_ENDS:
+            entries[_RECURSION_ENDS - 1].tb_next = entries[-_RECURSION_ENDS]
+    return (yield)
 
 
 # Terms already in normal form: a stuck spine, a pair-pattern Pi with a

@@ -18,10 +18,14 @@ spine's head once and then normalize only its arguments, so they are linear
 in the spine's length; ``nbe`` works in head-plus-spine form throughout.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import scopefoil
 from scopefoil import lambda_pi, naive, oracles, terms
 from scopefoil.bench import DEFAULT_FUEL
 from scopefoil.bridge import to_foil_closed
@@ -305,3 +309,27 @@ def test_a_stuck_spine_is_reduced_once(shape):
             sys.setprofile(None)
         assert out is term
         assert calls <= 4 * n, (normalize.__name__, calls)
+
+
+def test_a_recursion_error_at_the_suite_limit_fails_in_time(tmp_path):
+    """A test that recurses to the suite's recursion limit, with other
+    locals in every frame, is reported as one failure well inside a minute:
+    ``conftest.py`` cuts the traceback to its ends before pytest looks for
+    the recursion in it, which takes time quadratic in its length."""
+    (tmp_path / "test_recurses.py").write_text(
+        "def down(n):\n"
+        "    return down(n + 1) + n\n"
+        "\n"
+        "def test_recurses():\n"
+        "    down(0)\n"
+    )
+    tests = Path(__file__).resolve().parent
+    src = Path(scopefoil.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (tests, src)))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "conftest", "-p", "no:cacheprovider",
+         "test_recurses.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert "1 failed" in done.stdout, done.stdout + done.stderr
+    assert "RecursionError" in done.stdout

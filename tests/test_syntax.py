@@ -3,12 +3,13 @@
 import random
 import re
 import sys
+from typing import get_args
 
 import pytest
 
 from conftest import gen_naive_term
 
-from scopefoil import naive, syntax
+from scopefoil import naive
 from scopefoil.syntax import (
     ParseError,
     parse_program,
@@ -110,6 +111,16 @@ def test_reserved_words_rejected_as_variables():
             parse_term(f"lam {word} . U")
 
 
+def test_the_notation_gives_the_reserved_words_and_symbols():
+    """The literal tokens of ``naive.NOTATION`` are the words no identifier
+    may be and the symbols the lexer knows."""
+    assert naive.RESERVED_WORDS == {"check", "compute", "lam", "fun", "first", "second", "U"}
+    assert naive.SYMBOLS == {"->", "(", ")", ",", ":", ";", ".", "_"}
+    assert set(naive.NOTATION) == {
+        *get_args(naive.Term), *get_args(naive.Pattern), *get_args(naive.Command)
+    }
+
+
 def test_var_ident_validation():
     naive.VarIdent("x'")
     naive.VarIdent("Ab_3")
@@ -171,27 +182,17 @@ def test_parse_pretty_roundtrip_random():
         assert parse_term(pretty_term(term)) == term
 
 
-@pytest.mark.parametrize("string_depth", [0, 1, 2, 3])
-def test_pretty_term_is_the_same_past_the_string_depth(monkeypatch, string_depth):
-    """Below ``_STRING_DEPTH`` levels the printer emits its pieces instead
-    of returning strings; the text is the same wherever it switches."""
-    rng = random.Random(4096)
-    terms = [gen_naive_term(rng, rng.randrange(1, 7)) for _ in range(300)]
-    texts = [pretty_term(t) for t in terms]
-    monkeypatch.setattr(syntax, "_STRING_DEPTH", string_depth)
-    assert [pretty_term(t) for t in terms] == texts
-    for term, text in zip(terms, texts):
-        assert parse_term(text) == term
-
-
 def test_pretty_term_of_deep_nests():
-    """A binder nest, an argument nest and a projection nest print past the
-    string depth with every binder and parenthesis in place."""
+    """A binder nest, an argument nest, a projection nest and pair patterns
+    nested to the left and to the right print with every binder and
+    parenthesis in place."""
     n = 5000
     binders = " . ".join(f"lam x{i}" for i in range(n)) + " . x0"
     arguments = "f (" * n + "f x" + ")" * n
     projections = "first (" * n + "first p" + ")" * n
-    for src in (binders, arguments, projections):
+    left = "lam " + "(" * n + "p0" + "".join(f", p{i})" for i in range(1, n + 1)) + " . p0"
+    right = "lam " + "".join(f"(p{i}, " for i in range(n)) + "_" + ")" * n + " . p0"
+    for src in (binders, arguments, projections, left, right):
         assert pretty_term(parse_term(src)) == src
 
 
@@ -222,7 +223,7 @@ def test_ident_locations_after_comments():
         ("lam x . x -y", 1, 11, "unexpected character '-'"),
         ("lam x . -- trailing", 1, 20, "expected a term, found 'end of input'"),
         ("(lam x . x -- trailing\n", 2, 1, "expected ')', found 'end of input'"),
-        ("lam x . x ) -- trailing", 1, 11, "expected 'eof', found ')'"),
+        ("lam x . x ) -- trailing", 1, 11, "expected end of input, found ')'"),
         ("lam {- c -} 3 . x", 1, 13, "unexpected character '3'"),
         ("lam x {- c -} x", 1, 15, "expected '.', found 'x'"),
         ("fun (x : U) {- -} x", 1, 19, "expected '->', found 'x'"),
