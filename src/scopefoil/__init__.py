@@ -10,7 +10,8 @@ Layers, bottom to top; each module imports only the ones above it here:
 
 - :mod:`scopefoil.naive` -- raw named syntax, and ``node_class``, the
   construction path of every frozen node class in the package.
-- :mod:`scopefoil.fuel` -- the work budget every normalizer spends.
+- :mod:`scopefoil.fuel` -- the work budget every normalizer spends, and
+  the defaults a process reads before it imports an engine.
 - :mod:`scopefoil.names` / :mod:`scopefoil.patterns` -- scopes,
   binders, substitutions, and binding patterns.
 - :mod:`scopefoil.generic` -- a signature-generic AST whose

@@ -25,7 +25,6 @@ import csv
 import logging
 import random
 import statistics
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -33,7 +32,13 @@ from typing import Callable
 from . import naive
 from .bridge import default_ident, from_foil_term, to_foil_closed, to_free_closed
 from .encoding import hash_debruijn
-from .fuel import FuelExceededError
+from .fuel import (
+    DEFAULT_FUEL,
+    GROUPS,
+    IMPLEMENTATIONS,
+    FuelExceededError,
+    ensure_deep_recursion,
+)
 from .lambda_pi import nf_free
 from .names import Scope
 from .nbe import nf_nbe
@@ -49,15 +54,6 @@ from .terms import nf_direct
 
 log = logging.getLogger(__name__)
 
-IMPLEMENTATIONS = ("named", "debruijn", "foil_direct", "free_foil", "nbe")
-GROUPS = ("nf", "random15", "random20")
-
-# Budget handed to the fueled normalizers during measured runs.  The de
-# Bruijn oracle charges work units (beta cost ~ size of the copied
-# argument), and the largest fixed workload (factorial of 6) costs about
-# 3.1 million of them, so leave decent headroom.
-DEFAULT_FUEL = 10_000_000
-
 # Budget for *admitting* a random term into a benchmark group.  Much
 # smaller on purpose: a benchmark term gets normalized dozens of times
 # (five implementations, warmups, repeats), so only cheap terms make
@@ -67,38 +63,9 @@ DEFAULT_GEN_FUEL = 50_000
 
 _GENERATOR_ATTEMPTS = 200
 
-_RECURSION_LIMIT = 100_000
-
 
 class ResultMismatchError(Exception):
     """Two implementations disagreed on a normal form (this is a bug)."""
-
-
-def ensure_deep_recursion() -> None:
-    """Normal forms can be long constructor chains (Church 720 is an
-    application spine of depth 720); raise the interpreter's recursion limit
-    so walking them is safe.
-
-    Raising only ``sys.setrecursionlimit`` is not enough on CPython builds
-    where every Python call also consumes C stack: past the OS stack size the
-    process dies with a segfault instead of a catchable ``RecursionError``.
-    So the OS stack limit is raised too, where the platform allows it.
-    """
-    if sys.getrecursionlimit() < _RECURSION_LIMIT:
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-    try:
-        import resource
-    except ImportError:  # non-POSIX: keep the default stack
-        return
-    soft, hard = resource.getrlimit(resource.RLIMIT_STACK)
-    want = 1 << 30  # 1 GiB comfortably holds that many C-level frames
-    if soft != resource.RLIM_INFINITY and soft < want:
-        new_soft = want if hard == resource.RLIM_INFINITY else min(want, hard)
-        if new_soft > soft:
-            try:
-                resource.setrlimit(resource.RLIMIT_STACK, (new_soft, hard))
-            except (ValueError, OSError):
-                pass
 
 
 # --------------------------------------------------------------------------

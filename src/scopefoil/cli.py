@@ -10,6 +10,10 @@ Subcommands::
 Exit codes: 0 success, 1 user error (syntax, unbound variable, ...) or an
 output pipe closed by its reader, 2 internal invariant failure (scope
 violation, implementation mismatch).
+
+A command imports the engine it runs, and ``bench`` the harness, inside its
+own function, so a process loads only what its command uses; the parser's
+defaults come from :mod:`scopefoil.fuel`.
 """
 
 from __future__ import annotations
@@ -18,19 +22,9 @@ import argparse
 import io
 import os
 import sys
+from collections.abc import Callable
 
 from . import naive
-from .bench import (
-    DEFAULT_FUEL,
-    GROUPS,
-    IMPLEMENTATIONS,
-    BenchConfig,
-    ResultMismatchError,
-    ensure_deep_recursion,
-    run_benchmarks,
-    summarize,
-    write_csv,
-)
 from .bridge import (
     DuplicateBinderError,
     UnboundVariableError,
@@ -39,12 +33,9 @@ from .bridge import (
     to_foil_closed,
     to_free_closed,
 )
-from .fuel import FuelExceededError
-from .lambda_pi import nf_free, whnf_free
+from .fuel import DEFAULT_FUEL, GROUPS, IMPLEMENTATIONS, FuelExceededError, ensure_deep_recursion
 from .names import Scope, ScopeViolationError
-from .nbe import nf_nbe
 from .syntax import ParseError, parse_program, parse_term, pretty_program, pretty_term
-from .terms import nf_direct, whnf_direct
 
 ENGINES = ("direct", "free", "nbe")
 
@@ -81,27 +72,37 @@ def _located(path: str, exc: Exception) -> CliError:
     return CliError(f"{path}: {exc}")
 
 
-def _normalize_surface(term: naive.Term, engine: str, whnf: bool) -> naive.Term:
-    """Convert, normalize with the chosen engine, and convert back.
+def _normalizer(engine: str, whnf: bool) -> Callable[[naive.Term], naive.Term]:
+    """The chosen engine's normalization of a surface term: convert,
+    normalize and convert back.
 
     The direct engine works on the direct tree, the others on the generic
-    AST; one walk reads either back."""
-    scope = Scope()
+    AST; one walk reads either back.  Only the chosen engine is imported,
+    once per command."""
     if engine == "direct":
-        direct = to_foil_closed(term)
-        result = whnf_direct(scope, direct) if whnf else nf_direct(scope, direct)
+        from .terms import nf_direct, whnf_direct
+
+        convert, normalize = to_foil_closed, whnf_direct if whnf else nf_direct
     elif engine == "free":
-        free = to_free_closed(term)
-        result = whnf_free(scope, free) if whnf else nf_free(scope, free)
+        from .lambda_pi import nf_free, whnf_free
+
+        convert, normalize = to_free_closed, whnf_free if whnf else nf_free
     else:
-        result = nf_nbe(scope, to_free_closed(term))
-    return from_foil_term(default_ident, result)
+        from .nbe import nf_nbe
+
+        convert, normalize = to_free_closed, nf_nbe
+
+    def run(term: naive.Term) -> naive.Term:
+        return from_foil_term(default_ident, normalize(Scope(), convert(term)))
+
+    return run
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     src = _read_source(args.file)
     try:
         program = parse_program(src)
+        normalize = _normalizer(args.engine, whnf=False)
         for command in program:
             match command:
                 case naive.Check(term, annot):
@@ -110,8 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     print("scope-ok")
                 case naive.Compute(term, annot):
                     to_free_closed(annot)
-                    result = _normalize_surface(term, args.engine, whnf=False)
-                    print(pretty_term(result))
+                    print(pretty_term(normalize(term)))
     except (ParseError, UnboundVariableError, DuplicateBinderError) as exc:
         raise _located(args.file, exc) from exc
     return 0
@@ -126,7 +126,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     src = _read_source(args.file)
     try:
         term = parse_term(src)
-        result = _normalize_surface(term, args.engine, whnf=args.whnf)
+        result = _normalizer(args.engine, args.whnf)(term)
     except (ParseError, UnboundVariableError, DuplicateBinderError) as exc:
         raise _located(args.file, exc) from exc
     print(pretty_term(result))
@@ -144,6 +144,8 @@ def _cmd_echo(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import BenchConfig, ResultMismatchError, run_benchmarks, summarize, write_csv
+
     config = BenchConfig(
         groups=tuple(args.group),
         implementations=tuple(args.impl) if args.impl else IMPLEMENTATIONS,
@@ -157,7 +159,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         open(args.csv, "a").close()
     except OSError as exc:
         raise CliError(f"{args.csv}: {exc.strerror or exc}") from exc
-    rows = run_benchmarks(config)
+    try:
+        rows = run_benchmarks(config)
+    except ResultMismatchError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
     write_csv(rows, args.csv)
     print(summarize(rows))
     print(f"wrote {len(rows)} rows to {args.csv}")
@@ -244,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: term too deep to normalize", file=sys.stderr)
         return 1
-    except (ScopeViolationError, ResultMismatchError) as exc:
+    except ScopeViolationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,9 @@ the pattern, so every field is a term or a
 wildcard/pair pattern.  Substitution, scope checking, the canonical encoding,
 the conversions and the congruence part of normalization are derived from
 the fields, with no code written per constructor; the congruence part is
-compiled once per class from one template and returns a node whose children
-all come back as the same objects as it is.  Weak-head reduction is the one
+compiled once per class from one template, tests at the parent whether a
+child needs weak-head reduction, and returns a node whose children all come
+back as the same objects as it is.  Weak-head reduction is the one
 :func:`scopefoil.terms.weak_head` writes for both scope-safe trees.
 
 The ``as_*`` views return a node's fields, or ``None`` on mismatch.
@@ -94,13 +95,15 @@ def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
 
 # The congruence walk of one signature class, after whnf: each child is
 # normalized in field order, a scoped child's binder entered from ``scope``
-# and its body renamed only on a collision; a variable is left as it is, and
-# a node is put in whnf, unless it is a head (:data:`~scopefoil.terms.HEADS`),
-# and sent straight to its class's walk.  A node whose children all come
-# back as the same objects is returned as it is.  The block between
-# ``# each field`` and ``# end`` is repeated for each field
-# (:func:`~scopefoil.generic.compile_walk`); the walk reads this module's
-# names, ``_whnf``, ``substitute`` and the rest, as its globals.
+# and its body renamed only on a collision.  Whether a child needs whnf is
+# tested here, at the parent: only a projection, or an application whose
+# head is not a variable, is put in whnf (unless it is a head,
+# :data:`~scopefoil.terms.HEADS`), any other node is sent straight to its
+# class's walk, and a variable is left as it is, with no call.  A node
+# whose children all come back as the same objects is returned as it is.
+# The block between ``# each field`` and ``# end`` is repeated for each
+# field (:func:`~scopefoil.generic.compile_walk`); the walk reads this
+# module's names, ``_whnf``, ``substitute`` and the rest, as its globals.
 _CONGRUENCE_LINE = sys._getframe().f_lineno + 2
 _CONGRUENCE = """\
 def _nf(scope, term, fuel):
@@ -118,17 +121,24 @@ def _nf(scope, term, fuel):
             binder2, rename, scope2 = with_pattern(scope, binder, identity_subst())
             if rename:  # some binder was renamed
                 body = substitute(scope2, rename, body)
-        if type(body) is not Var:
+        kind = type(body)
+        if kind is AppSig and type(body.fun) is not Var or kind is FirstSig or kind is SecondSig:
             body = _whnf(scope2, body, fuel)
-            if type(body) is not Var:
-                body = _NFS[type(body)](scope2, body, fuel)
+            kind = type(body)
+        if kind is not Var:
+            body = _NFS[kind](scope2, body, fuel)
         if binder2 is not binder or body is not c$i.body:
             c$i = ScopedAST(binder2, body)
             changed = True
     elif kind is not Var:
-        child = c$i if $head else _whnf(scope, c$i, fuel)
-        if type(child) is not Var:
-            child = _NFS[type(child)](scope, child, fuel)
+        child = c$i
+        if not $head and (
+            kind is AppSig and type(child.fun) is not Var or kind is FirstSig or kind is SecondSig
+        ):
+            child = _whnf(scope, child, fuel)
+            kind = type(child)
+        if kind is not Var:
+            child = _NFS[kind](scope, child, fuel)
         if child is not c$i:
             c$i = child
             changed = True

@@ -8,10 +8,12 @@ not share the scope-indexed machinery:
   fresh-identifier supply.  Each ``nf_named``/``whnf_named`` call keeps one
   free-identifier memo for all its substitutions, and a substitution
   returns a subterm whose free identifiers miss its domain as it is.
-  After whnf a stuck spine is normalized without being reduced again, a
-  chain of binders is gone under in one loop (one frame for a nest of any
-  depth), and a node whose children come back as the same objects is
-  returned as it is, so a normal term is not copied; and
+  Whether a child needs weak-head reduction is tested at its parent, so a
+  variable or a whnf is not sent into a call.  After whnf a stuck spine is
+  normalized without being reduced again, a chain of binders is gone under
+  in one loop (one frame for a nest of any depth), and a node whose
+  children come back as the same objects is returned as it is, so a normal
+  term is not copied; and
 * a de Bruijn normalizer whose shifting and beta contraction share one
   index walk, :func:`_map_db` (TAPL's ``tmmap``), and whose weak head step
   is Krivine's machine: one loop over the head and an explicit spine of
@@ -128,9 +130,17 @@ def subst_named(
     if sub.keys().isdisjoint(naive.free_idents(term, memo)):
         return term
     if kind is naive.App:
-        return naive.App(
-            subst_named(sub, term.fun, memo), subst_named(sub, term.arg, memo)
-        )
+        # a variable child is looked up in place, with no call
+        fun, arg = term.fun, term.arg
+        if type(fun) is naive.Var:
+            fun = sub.get(fun.ident.text, fun)
+        else:
+            fun = subst_named(sub, fun, memo)
+        if type(arg) is naive.Var:
+            arg = sub.get(arg.ident.text, arg)
+        else:
+            arg = subst_named(sub, arg, memo)
+        return naive.App(fun, arg)
     if kind is naive.Lam:
         body = term.body.term
         pattern2, sub2 = _pattern_refresh(term.pattern, sub, body, memo)
@@ -164,22 +174,33 @@ def _bindings_named(pattern: naive.Pattern, arg: naive.Term) -> dict[str, naive.
 
 
 def _whnf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
+    # As ``terms._reduce``: the head is looked at before it is reduced, so a
+    # variable head returns at once and a lambda or a pair is contracted
+    # with no call.
     kind = type(term)
     if kind is naive.App:
         fun = term.fun
-        fun2 = _whnf_named(fun, fuel, memo)
-        if type(fun2) is naive.Lam:
-            fuel.spend()
-            sub = _bindings_named(fun2.pattern, term.arg)
-            return _whnf_named(subst_named(sub, fun2.body.term, memo), fuel, memo)
-        return term if fun2 is fun else naive.App(fun2, term.arg)
+        head = type(fun)
+        if head is naive.Var:
+            return term
+        if head is not naive.Lam:
+            fun = _whnf_named(fun, fuel, memo)
+            if type(fun) is not naive.Lam:
+                return term if fun is term.fun else naive.App(fun, term.arg)
+        fuel.spend()
+        sub = _bindings_named(fun.pattern, term.arg)
+        return _whnf_named(subst_named(sub, fun.body.term, memo), fuel, memo)
     if kind is naive.First or kind is naive.Second:
         t = term.term
-        t2 = _whnf_named(t, fuel, memo)
-        if type(t2) is not naive.Pair:
-            return term if t2 is t else kind(t2)
+        head = type(t)
+        if head is naive.Var:
+            return term
+        if head is not naive.Pair:
+            t = _whnf_named(t, fuel, memo)
+            if type(t) is not naive.Pair:
+                return term if t is term.term else kind(t)
         fuel.spend()
-        return _whnf_named(t2.left if kind is naive.First else t2.right, fuel, memo)
+        return _whnf_named(t.left if kind is naive.First else t.right, fuel, memo)
     return term
 
 
@@ -190,16 +211,25 @@ def whnf_named(term: naive.Term, fuel: int | None = None) -> naive.Term:
 def _nf_whnf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
     # ``term`` is in whnf, so a spine's heads are too: they are normalized
     # here without being reduced again, and a stuck spine costs time linear
-    # in its length.  Every other child is put in whnf first.  A chain of
-    # binders is gone under in one loop, as ``terms._nf_whnf`` does: while a
-    # body is a lambda or a Pi, or reduces to one, the loop goes on under
-    # it, and the chain is rebuilt from the inside out, so a nest of n
-    # binders takes one frame.  A node whose children all come back as the
-    # same objects is returned as it is.
+    # in its length.  Whether any other child needs whnf is tested here, as
+    # in ``terms._nf_whnf``: only a projection, or an application whose head
+    # is not a variable, is put in whnf, and a variable is kept with no
+    # call.  A chain of binders is gone under in one loop, as
+    # ``terms._nf_whnf`` does: while a body is a lambda or a Pi, or reduces
+    # to one, the loop goes on under it, and the chain is rebuilt from the
+    # inside out, so a nest of n binders takes one frame.  A node whose
+    # children all come back as the same objects is returned as it is.
     kind = type(term)
     if kind is naive.App:
-        fun = _nf_whnf_named(term.fun, fuel, memo)
-        arg = _nf_whnf_named(_whnf_named(term.arg, fuel, memo), fuel, memo)
+        fun, arg = term.fun, term.arg
+        if type(fun) is not naive.Var:
+            fun = _nf_whnf_named(fun, fuel, memo)
+        k = type(arg)
+        if (k is naive.App and type(arg.fun) is not naive.Var
+                or k is naive.First or k is naive.Second):
+            arg = _nf_whnf_named(_whnf_named(arg, fuel, memo), fuel, memo)
+        elif k is not naive.Var:
+            arg = _nf_whnf_named(arg, fuel, memo)
         return term if arg is term.arg and fun is term.fun else naive.App(fun, arg)
     if kind is naive.Lam or kind is naive.Pi:
         chain = None  # (node, new domain, old body, rest)
@@ -208,14 +238,22 @@ def _nf_whnf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
                 domain = None
                 body = before = term.body.term
             else:
-                domain = _nf_whnf_named(_whnf_named(term.domain, fuel, memo), fuel, memo)
+                domain = term.domain
+                k = type(domain)
+                if (k is naive.App and type(domain.fun) is not naive.Var
+                        or k is naive.First or k is naive.Second):
+                    domain = _whnf_named(domain, fuel, memo)
+                domain = _nf_whnf_named(domain, fuel, memo)
                 body = before = term.codomain.term
             kind = type(body)
-            if kind is not naive.Lam and kind is not naive.Pi:
-                body = _whnf_named(body, fuel, memo)
-                kind = type(body)
+            if kind is not naive.Lam and kind is not naive.Pi:  # a binder goes on
+                if (kind is naive.App and type(body.fun) is not naive.Var
+                        or kind is naive.First or kind is naive.Second):
+                    body = _whnf_named(body, fuel, memo)
+                    kind = type(body)
                 if kind is not naive.Lam and kind is not naive.Pi:
-                    body = _nf_whnf_named(body, fuel, memo)
+                    if kind is not naive.Var:
+                        body = _nf_whnf_named(body, fuel, memo)
                     break
             chain = (term, domain, before, chain)
             term = body
@@ -235,8 +273,16 @@ def _nf_whnf_named(term: naive.Term, fuel: Fuel, memo: dict) -> naive.Term:
         t = _nf_whnf_named(term.term, fuel, memo)
         return term if t is term.term else kind(t)
     if kind is naive.Pair:
-        left = _nf_whnf_named(_whnf_named(term.left, fuel, memo), fuel, memo)
-        right = _nf_whnf_named(_whnf_named(term.right, fuel, memo), fuel, memo)
+        left, right = term.left, term.right
+        k = type(left)
+        if (k is naive.App and type(left.fun) is not naive.Var
+                or k is naive.First or k is naive.Second):
+            left = _whnf_named(left, fuel, memo)
+        k = type(right)
+        if (k is naive.App and type(right.fun) is not naive.Var
+                or k is naive.First or k is naive.Second):
+            right = _whnf_named(right, fuel, memo)
+        left, right = _nf_whnf_named(left, fuel, memo), _nf_whnf_named(right, fuel, memo)
         return term if left is term.left and right is term.right else naive.Pair(left, right)
     raise TypeError(f"not a term: {term!r}")
 

@@ -15,11 +15,15 @@ child is handled at its parent, so a variable is looked up and a subtree
 the mask lets pass is kept without a call.  Substitution and normalization
 enter a single-variable pattern inline with :func:`scopefoil.names.enter`
 and dispatch with ``type`` tests, most frequent case first; normalization
-leaves a variable child where it is, and returns a node whose subterms all
-come back as the same objects as it is, so a normal term is not copied.
+returns a node whose subterms all come back as the same objects as it is,
+so a normal term is not copied.
 Weak-head reduction is written once, by :func:`weak_head`, for this tree and
 the generic one of :mod:`scopefoil.lambda_pi`; neither normalizer reduces the
 head of a stuck spine twice, so the spine costs time linear in its length.
+Whether a child needs weak-head reduction is decided at its parent, with
+``type`` tests, before any call: only a projection, or an application whose
+head is not a variable, can reduce, so only those are sent into whnf, and a
+variable child is kept with no call at all.
 """
 
 from __future__ import annotations
@@ -211,32 +215,43 @@ def _reduce(scope: Scope, term, fuel: Fuel):
     # a ``ScopedAST``; a direct one's binder is its pattern.  A pair pattern
     # binds its parts to masked projections of the argument.  A beta, or the
     # projection of a pair, spends one unit of fuel; a whnf comes back as is.
+    # The head is tested here, before any call: an elimination of a variable
+    # returns at once, a lambda or a pair is contracted as it is, and only
+    # any other head is put in whnf first.
     kind = type(term)
     if kind is App:
         fun = term.fun
-        fun2 = _whnf(scope, fun, fuel)
-        if type(fun2) is Lam:
-            fuel.spend()
-            body = fun2.body
-            if type(body) is ScopedAST:
-                binder, body = body.binder, body.body
-            else:
-                binder = fun2.pattern
-                if type(binder) is PatternVar:
-                    binder = binder.binder
-            if type(binder) is NameBinder:
-                bindings = {binder.raw: term.arg}
-            else:
-                bindings = beta_bindings(binder, term.arg, *project)
-            return _whnf(scope, namespace[substitution](scope, bindings, body), fuel)
-        return term if fun2 is fun else App(fun2, term.arg)
+        head = type(fun)
+        if head is Var:
+            return term
+        if head is not Lam:
+            fun = _whnf(scope, fun, fuel)
+            if type(fun) is not Lam:
+                return term if fun is term.fun else App(fun, term.arg)
+        fuel.spend()
+        body = fun.body
+        if type(body) is ScopedAST:
+            binder, body = body.binder, body.body
+        else:
+            binder = fun.pattern
+            if type(binder) is PatternVar:
+                binder = binder.binder
+        if type(binder) is NameBinder:
+            bindings = {binder.raw: term.arg}
+        else:
+            bindings = beta_bindings(binder, term.arg, *project)
+        return _whnf(scope, namespace[substitution](scope, bindings, body), fuel)
     if kind is First or kind is Second:
         t = term.term
-        t2 = _whnf(scope, t, fuel)
-        if type(t2) is not Pair:
-            return term if t2 is t else kind(t2)
+        head = type(t)
+        if head is Var:
+            return term
+        if head is not Pair:
+            t = _whnf(scope, t, fuel)
+            if type(t) is not Pair:
+                return term if t is term.term else kind(t)
         fuel.spend()
-        return _whnf(scope, t2.left if kind is First else t2.right, fuel)
+        return _whnf(scope, t.left if kind is First else t.right, fuel)
     return term
 
 
@@ -250,9 +265,11 @@ def whnf_direct(scope: Scope, term: Term, fuel: int | None = None) -> Term:
 
 def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     """Normalize ``term``, a whnf, putting each child but a head (:data:`HEADS`)
-    in whnf first; a variable child of an application or under a binder is
-    left where it is, with no call.  A node whose subterms all come back as
-    the same objects is returned as it is.
+    in whnf first.  The test is made here, at the parent: only a child that
+    is a projection, or an application whose head is not a variable, is
+    sent into whnf, and a variable argument or body is left where it is,
+    with no call.  A node whose subterms all come back as the same objects
+    is returned as it is.
 
     A chain of binders is gone under in one loop.  Each binder is entered
     from the scope the one before it made (a Pi's domain is normalized in
@@ -264,7 +281,13 @@ def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
     if kind is App:
         fun, arg = term.fun, term.arg
         fun2 = fun if type(fun) is Var else _nf_whnf(scope, fun, fuel)
-        arg2 = arg if type(arg) is Var else _nf_whnf(scope, _whnf(scope, arg, fuel), fuel)
+        k = type(arg)
+        if k is Var:
+            arg2 = arg
+        elif k is App and type(arg.fun) is not Var or k is First or k is Second:
+            arg2 = _nf_whnf(scope, _whnf(scope, arg, fuel), fuel)
+        else:
+            arg2 = _nf_whnf(scope, arg, fuel)
         return term if fun2 is fun and arg2 is arg else App(fun2, arg2)
     if kind is Lam or kind is Pi:
         chain = None  # (node, new pattern, new domain, old body, rest)
@@ -284,18 +307,22 @@ def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
                 domain = None
                 body = before = term.body
             else:
-                domain = _nf_whnf(scope, _whnf(scope, term.domain, fuel), fuel)
+                domain = term.domain
+                k = type(domain)
+                if k is App and type(domain.fun) is not Var or k is First or k is Second:
+                    domain = _whnf(scope, domain, fuel)
+                domain = _nf_whnf(scope, domain, fuel)
                 body = before = term.codomain
             if rename:  # some binder was renamed
                 body = subst_direct(scope2, rename, body)
             kind = type(body)
-            if kind is Var:
-                break
-            if kind is not Lam and kind is not Pi:
-                body = _whnf(scope2, body, fuel)
-                kind = type(body)
+            if kind is not Lam and kind is not Pi:  # a binder goes on
+                if kind is App and type(body.fun) is not Var or kind is First or kind is Second:
+                    body = _whnf(scope2, body, fuel)
+                    kind = type(body)
                 if kind is not Lam and kind is not Pi:
-                    body = _nf_whnf(scope2, body, fuel)
+                    if kind is not Var:
+                        body = _nf_whnf(scope2, body, fuel)
                     break
             chain = (term, pattern, domain, before, chain)
             term, scope = body, scope2
@@ -315,8 +342,14 @@ def _nf_whnf(scope: Scope, term: Term, fuel: Fuel) -> Term:
         t = _nf_whnf(scope, term.term, fuel)
         return term if t is term.term else kind(t)
     if kind is Pair:
-        left = _nf_whnf(scope, _whnf(scope, term.left, fuel), fuel)
-        right = _nf_whnf(scope, _whnf(scope, term.right, fuel), fuel)
+        left, right = term.left, term.right
+        k = type(left)
+        if k is App and type(left.fun) is not Var or k is First or k is Second:
+            left = _whnf(scope, left, fuel)
+        k = type(right)
+        if k is App and type(right.fun) is not Var or k is First or k is Second:
+            right = _whnf(scope, right, fuel)
+        left, right = _nf_whnf(scope, left, fuel), _nf_whnf(scope, right, fuel)
         return term if left is term.left and right is term.right else Pair(left, right)
     raise TypeError(f"not a term: {term!r}")
 

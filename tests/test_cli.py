@@ -5,14 +5,15 @@ import errno
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from scopefoil import cli
-from scopefoil.cli import main
+from scopefoil import bench, cli
+from scopefoil.cli import ENGINES, main
 
 
 def _write(tmp_path, name, text):
@@ -278,7 +279,7 @@ def test_bench_rejects_an_unwritable_csv_path_before_running(tmp_path, capsys, m
     def run_benchmarks(config):
         raise AssertionError("the benchmark ran before the CSV path was checked")
 
-    monkeypatch.setattr(cli, "run_benchmarks", run_benchmarks)
+    monkeypatch.setattr(bench, "run_benchmarks", run_benchmarks)
     missing = tmp_path / "missing" / "x.csv"
     for path, code in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
         assert main(["bench", "--group", "random15", "--csv", str(path)]) == 1
@@ -340,3 +341,32 @@ def test_unbound_variable_on_a_later_line(tmp_path, capsys):
     path = _write(tmp_path, "bad2.lp", "check U : U ;\ncompute zz : U ;\n")
     assert main(["run", path]) == 1
     assert capsys.readouterr().err == f"error: {path}:2:9: unbound variable 'zz'\n"
+
+
+def test_a_mismatch_in_the_benchmark_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def run_benchmarks(config):
+        raise bench.ResultMismatchError("named and nbe disagree")
+
+    monkeypatch.setattr(bench, "run_benchmarks", run_benchmarks)
+    argv = ["bench", "--group", "random15", "--csv", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "internal error: named and nbe disagree\n")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_normalize_imports_only_what_it_runs(engine, tmp_path):
+    # Read from ``-X importtime``'s report of the process's imports.
+    path = _write(tmp_path, "t.lp", "(lam x . lam y . x) (lam z . z)")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "scopefoil.cli", "normalize",
+         "--engine", engine, path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "lam x1 . lam x0 . x0\n")
+    imported = set(re.findall(r"\|\s*scopefoil\.(\w+)$", proc.stderr, re.MULTILINE))
+    assert {"bridge", "syntax", "lambda_pi"} <= imported
+    unused = {"oracles", "encoding", "bench"} | ({"nbe"} - {engine})
+    assert not imported & unused, imported & unused
