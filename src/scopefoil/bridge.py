@@ -28,7 +28,6 @@ they fed ``to_foil_term``.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable
 
 from . import naive, terms
@@ -121,7 +120,6 @@ def _as_pattern(binder: NameBinder | Pattern) -> Pattern:
 # block between ``# each field`` and ``# end`` is repeated for each field,
 # with the parts marked for its role (:func:`~scopefoil.generic.compile_walk`);
 # the walk reads this module's names as its globals.
-_TO_TREE_LINE = sys._getframe().f_lineno + 2
 _TO_TREE = """\
 def to_tree(env, rename, scope, t):
     # each field
@@ -185,7 +183,7 @@ def _to_tree_walks(direct: bool) -> Compiled:
             raise TypeError(f"not a term: a {cls.__name__}")
         target = con.direct if direct else con.free
         return compile_walk(
-            cls, _TO_TREE, _TO_TREE_LINE, globals(), roles=con.roles,
+            cls, _TO_TREE, globals(), roles=con.roles,
             cls=target, direct=direct, walks=walks,
         )
 
@@ -277,7 +275,6 @@ def from_foil_pattern(raw_to_ident: IdentFn, pattern: Pattern | NameBinder) -> n
 # direct tree's pattern from its field and a generic tree's from a scoped
 # field's binder, after the body; a variable is read inline.  ``walks``
 # holds every class's walk.  The block is compiled as ``_TO_TREE``'s is.
-_FROM_TREE_LINE = sys._getframe().f_lineno + 2
 _FROM_TREE = """\
 def from_tree(ident, t):
     # each field
@@ -311,7 +308,7 @@ def _build_from_tree(cls: type) -> Callable:
     if con is None:
         raise TypeError(f"not a term: a {cls.__name__}")
     return compile_walk(
-        con.naive, _FROM_TREE, _FROM_TREE_LINE, globals(), roles=con.roles,
+        con.naive, _FROM_TREE, globals(), roles=con.roles,
         cls=con.naive, direct=cls is con.direct, walks=_FROM_TREES,
     )
 

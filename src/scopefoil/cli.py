@@ -61,15 +61,18 @@ def _read_source(path: str) -> str:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _located(path: str, exc: Exception) -> CliError:
+# The errors a source's text causes, which name their place in it.
+_LOCATED = (ParseError, UnboundVariableError, DuplicateBinderError)
+
+
+def _located(path: str, exc: Exception) -> str:
+    """``path:line:col: message`` for one of the :data:`_LOCATED` errors."""
     if isinstance(exc, ParseError):
-        return CliError(f"{path}:{exc.line}:{exc.col}: {exc.message}")
-    if isinstance(exc, (UnboundVariableError, DuplicateBinderError)):
-        if exc.ident.loc is not None:
-            line, col = exc.ident.loc
-            return CliError(f"{path}:{line}:{col}: {exc.message}")
-        return CliError(f"{path}: {exc.message}")
-    return CliError(f"{path}: {exc}")
+        return f"{path}:{exc.line}:{exc.col}: {exc.message}"
+    if exc.ident.loc is None:
+        return f"{path}: {exc.message}"
+    line, col = exc.ident.loc
+    return f"{path}:{line}:{col}: {exc.message}"
 
 
 def _normalizer(engine: str, whnf: bool) -> Callable[[naive.Term], naive.Term]:
@@ -99,21 +102,17 @@ def _normalizer(engine: str, whnf: bool) -> Callable[[naive.Term], naive.Term]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    src = _read_source(args.file)
-    try:
-        program = parse_program(src)
-        normalize = _normalizer(args.engine, whnf=False)
-        for command in program:
-            match command:
-                case naive.Check(term, annot):
-                    to_free_closed(term)
-                    to_free_closed(annot)
-                    print("scope-ok")
-                case naive.Compute(term, annot):
-                    to_free_closed(annot)
-                    print(pretty_term(normalize(term)))
-    except (ParseError, UnboundVariableError, DuplicateBinderError) as exc:
-        raise _located(args.file, exc) from exc
+    program = parse_program(_read_source(args.file))
+    normalize = _normalizer(args.engine, whnf=False)
+    for command in program:
+        match command:
+            case naive.Check(term, annot):
+                to_free_closed(term)
+                to_free_closed(annot)
+                print("scope-ok")
+            case naive.Compute(term, annot):
+                to_free_closed(annot)
+                print(pretty_term(normalize(term)))
     return 0
 
 
@@ -123,23 +122,13 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
             "--whnf is not available with the nbe engine "
             "(evaluation computes full normal forms); use --engine direct or free"
         )
-    src = _read_source(args.file)
-    try:
-        term = parse_term(src)
-        result = _normalizer(args.engine, args.whnf)(term)
-    except (ParseError, UnboundVariableError, DuplicateBinderError) as exc:
-        raise _located(args.file, exc) from exc
-    print(pretty_term(result))
+    term = parse_term(_read_source(args.file))
+    print(pretty_term(_normalizer(args.engine, args.whnf)(term)))
     return 0
 
 
 def _cmd_echo(args: argparse.Namespace) -> int:
-    src = _read_source(args.file)
-    try:
-        program = parse_program(src)
-    except ParseError as exc:
-        raise _located(args.file, exc) from exc
-    sys.stdout.write(pretty_program(program))
+    sys.stdout.write(pretty_program(parse_program(_read_source(args.file))))
     return 0
 
 
@@ -237,14 +226,10 @@ def main(argv: list[str] | None = None) -> int:
         # os.devnull so that the flush at exit has nowhere to fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (
-        CliError,
-        ParseError,
-        UnboundVariableError,
-        DuplicateBinderError,
-        FuelExceededError,
-        ValueError,
-    ) as exc:
+    except _LOCATED as exc:
+        print(f"error: {_located(args.file, exc)}", file=sys.stderr)
+        return 1
+    except (CliError, FuelExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

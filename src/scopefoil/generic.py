@@ -18,7 +18,6 @@ compiles its congruence step the same way.  Scope weakening is
 from __future__ import annotations
 
 import re
-import sys
 from operator import attrgetter
 from string import Template
 from textwrap import indent
@@ -202,7 +201,6 @@ _WALK_CODE: dict[str, CodeType] = {}
 def compile_walk(
     cls: type,
     template: str,
-    line: int,
     namespace: dict,
     /,
     head: str = "",
@@ -225,12 +223,12 @@ def compile_walk(
     process pays for the walks it uses.  The function runs in
     ``namespace``, a module's globals, and closes over ``closure``.  The
     source names no class, so classes whose fields share their names share
-    one code object.  It is compiled with the module's file name and with
-    its lines numbered from ``line``, the template's own, plus the count of
-    walks compiled before it: cProfile keys a function by file, first line
-    and name, so each walk's calls and time are counted in the module, under
-    the template's name, and no two walks share a key.  A value without
-    match arguments is not a tree and raises ``TypeError``.
+    one code object.  Each source is compiled under a file name of its own
+    beside the module's, its text registered for tracebacks
+    (:func:`naive.compile_generated`): cProfile keys a function by file,
+    first line and name, so each walk's calls and time are counted in the
+    module, under the template's name, and no two walks share a key.  A
+    value without match arguments is not a tree and raises ``TypeError``.
     """
     try:
         fields = cls.__match_args__
@@ -263,10 +261,7 @@ def compile_walk(
     source += f"    return {prologue.removeprefix('def ').split('(')[0]}\n"
     code = _WALK_CODE.get(source)
     if code is None:
-        file = namespace["__file__"]
-        before = sum(other.co_filename == file for other in _WALK_CODE.values())
-        padding = "\n" * (line + before - 2)
-        code = _WALK_CODE[source] = compile(padding + source, file, "exec", dont_inherit=True)
+        code = _WALK_CODE[source] = naive.compile_generated(source, namespace["__file__"])
     scratch: dict[str, Callable] = {}
     exec(code, namespace, scratch)
     return scratch["__create__"](**closure)
@@ -283,7 +278,6 @@ def _ignore_mask(node: AST, mask: int) -> None:
 # skipped.  The block between ``# each field`` and ``# end`` is repeated
 # for each field (:func:`compile_walk`); the walk reads this module's
 # names, ``enter``, ``with_pattern`` and the rest, as its globals.
-_SUBSTITUTE_LINE = sys._getframe().f_lineno + 2
 _SUBSTITUTE = """\
 def substitute(scope, subst, dom, ast):
     # each field
@@ -342,7 +336,6 @@ _SUBSTITUTES = Compiled(
     lambda cls: compile_walk(
         cls,
         _SUBSTITUTE,
-        _SUBSTITUTE_LINE,
         globals(),
         cls=cls,
         record=set_mask if issubclass(cls, Node) else _ignore_mask,

@@ -19,8 +19,6 @@ The ``as_*`` views return a node's fields, or ``None`` on mismatch.
 
 from __future__ import annotations
 
-import sys
-
 from . import terms
 from .fuel import Fuel
 from .generic import (
@@ -104,7 +102,6 @@ def _nf(scope: Scope, term: Term, fuel: Fuel) -> Term:
 # The block between ``# each field`` and ``# end`` is repeated for each
 # field (:func:`~scopefoil.generic.compile_walk`); the walk reads this
 # module's names, ``_whnf``, ``substitute`` and the rest, as its globals.
-_CONGRUENCE_LINE = sys._getframe().f_lineno + 2
 _CONGRUENCE = """\
 def _nf(scope, term, fuel):
     changed = False
@@ -149,7 +146,7 @@ def _nf(scope, term, fuel):
 _HEADS = {con.free: HEADS[con.naive] for con in CONSTRUCTORS if con.naive in HEADS}
 _NFS = Compiled(
     lambda cls: compile_walk(
-        cls, _CONGRUENCE, _CONGRUENCE_LINE, globals(), head=_HEADS.get(cls, ""), cls=cls
+        cls, _CONGRUENCE, globals(), head=_HEADS.get(cls, ""), cls=cls
     )
 )
 

@@ -4,10 +4,13 @@ package."""
 
 from __future__ import annotations
 
+import linecache
+import os
 import re
 from collections.abc import Callable
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from inspect import Parameter, Signature
+from itertools import count
 from reprlib import recursive_repr
 from types import CodeType
 
@@ -34,10 +37,11 @@ def node_class(
     that writes any of these methods itself is refused.
 
     ``dataclass`` is asked only for the field list (``fields``), the match
-    arguments and the slotted class; it writes no method.  The methods are
-    compiled here from one source per field layout that names no class, so
-    every class whose fields have the same names shares one code object per
-    method, and importing the package compiles a few dozen sources where
+    arguments and the slotted class; it writes no method.  The methods but
+    ``__init__`` are compiled here from one source per field layout that
+    names no class, so every class whose fields have the same names shares
+    one code object per method, and importing the package compiles a few
+    dozen such sources and one ``__init__`` for each class, where
     ``dataclass`` compiled five functions for each class.  With the
     docstring built from the field list rather than by
     ``inspect.signature``, re-importing the package takes 47 reference ms
@@ -48,7 +52,9 @@ def node_class(
     ``__set__``, where the one ``dataclass`` writes calls
     ``object.__setattr__(self, name, value)``, which finds the slot by its
     name on every call: a two-field node then takes about 30% less time to
-    build, a one-field node about 25% less (CPython 3.11).  A class with no
+    build, a one-field node about 25% less (CPython 3.11).  It is compiled
+    for its class alone, and reads the setters, the annotation types and
+    the defaults as globals of its own, not from a closure.  A class with no
     fields keeps ``object.__init__``.  The frozen ``__setattr__`` and
     ``__delattr__`` are shared by every class: the ones
     ``dataclass(slots=True)`` writes close over the class before its
@@ -109,8 +115,8 @@ _WRITTEN = (
     "__delattr__",
 )
 
-# Compiled sources, by their text: the ``__init__`` factories, and the
-# modules that define the other methods.
+# The compiled modules that define the methods other than ``__init__``, by
+# their text.
 _CODE: dict[str, CodeType] = {}
 
 # The globals of every method compiled from ``_METHODS``: one dict, so the
@@ -138,12 +144,33 @@ def __setstate__(self, state):
 
 
 def _compiled(source: str) -> CodeType:
-    # ``dont_inherit``: this module's ``from __future__ import annotations``
-    # would otherwise turn an ``__init__``'s annotations into strings.
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<node_class>", "exec", dont_inherit=True)
     return code
+
+
+# The sources :func:`compile_generated` has compiled, counted.
+_GENERATED = count(1)
+
+
+def compile_generated(source: str, module_file: str) -> CodeType:
+    """``source`` compiled under a file name of its own, with its text
+    registered in ``linecache``.
+
+    Each module that generates code (the walks of ``generic``,
+    ``lambda_pi`` and ``bridge``, and ``syntax``'s parse rules and printers)
+    compiles it here.  The name is the module's file name in a directory of
+    its own beside the module, ``<generated n>`` for the n-th source: so
+    ``traceback``, pytest and ``inspect.getsource`` show the generated line,
+    cProfile keys the functions of each source apart, and a profile reads
+    the module from the file's base name.  The code is compiled with no
+    ``__future__`` flag of this module.
+    """
+    directory, name = os.path.split(module_file)
+    file = os.path.join(directory, f"<generated {next(_GENERATED)}>", name)
+    linecache.cache[file] = (len(source), None, source.splitlines(True), file)
+    return compile(source, file, "exec", dont_inherit=True)
 
 
 def _install_methods(cls: type, node_fields: tuple) -> None:
@@ -180,14 +207,13 @@ def _setter_init(
     namespace: dict | None,
 ) -> Callable[..., None]:
     # An ``__init__`` with what ``dataclass`` would give it: the same
-    # parameters, annotations and defaults.  It reads the slot setters from
-    # its closure, or, in a class that computes fields, from its globals:
-    # each closure variable is copied into the frame on every call, which
-    # cost a ``debruijn`` pass of normbench's ``deep`` nests 5-8% on CPython
-    # 3.11 (``BENCH_26.json``).
-    closure: dict[str, object] = {}
+    # parameters, annotations and defaults.  It is compiled for this class
+    # alone and reads its slot setters, annotation types and defaults as
+    # globals of its own: a closure variable is copied into the frame on
+    # every call, which cost a ``debruijn`` pass of normbench's ``deep``
+    # nests 5-8% on CPython 3.11 (``BENCH_26.json``), and the reads a code
+    # object specializes are kept for one globals dict.
     globals_ = {"__name__": cls.__module__, **(namespace or {})}
-    setters = globals_ if compute else closure
     params, body = [], []
     for f in node_fields:
         plain = f.hash is None and not f.kw_only and f.default_factory is MISSING
@@ -195,37 +221,25 @@ def _setter_init(
             raise TypeError(
                 f"{cls.__name__}.{f.name}: node_class stores only plain fields"
             )
-        setters[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        globals_[f"_set_{f.name}"] = getattr(cls, f.name).__set__
         if not f.init:
             continue
-        closure[f"_type_{f.name}"] = f.type
+        globals_[f"_type_{f.name}"] = f.type
         param = f"{f.name}: _type_{f.name}"
         if f.default is not MISSING:
-            closure[f"_default_{f.name}"] = f.default
+            globals_[f"_default_{f.name}"] = f.default
             param += f" = _default_{f.name}"
         params.append(param)
-        body.append(f"        _set_{f.name}(self, {f.name})")
-    body.extend(f"        {line}" for line in compute)
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    body.extend(f"    {line}" for line in compute)
     if hasattr(cls, "__post_init__"):
-        body.append("        self.__post_init__()")
-    source = (
-        f"def __create__({', '.join(closure)}):\n"
-        f"    def __init__({', '.join(['self', *params])}) -> None:\n"
-        + "\n".join(body)
-        + "\n    return __init__\n"
-    )
-    # The source names no class, so classes whose fields share their names
-    # share one compiled code object (Pair, PatternPair, PairSig, VPair, ...).
-    # A class that computes fields has globals of its own, so it gets a code
-    # object of its own too: the reads a code object specializes are kept
-    # for one globals dict.
-    if compute:
-        code = compile(source, "<node_class>", "exec", dont_inherit=True)
-    else:
-        code = _compiled(source)
+        body.append("    self.__post_init__()")
+    source = f"def __init__({', '.join(['self', *params])}) -> None:\n" + "\n".join(body)
+    # ``dont_inherit``: this module's ``from __future__ import annotations``
+    # would otherwise turn the annotations into strings.
     defined: dict[str, Callable] = {}
-    exec(code, globals_, defined)
-    init = defined["__create__"](**closure)
+    exec(compile(source, "<node_class>", "exec", dont_inherit=True), globals_, defined)
+    init = defined["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
 

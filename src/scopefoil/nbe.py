@@ -68,28 +68,16 @@ class Thunk:
         return v
 
 
-@node_class
-class EApp:
-    arg: Thunk
-
-
-@node_class
-class EFirst:
-    pass
-
-
-@node_class
-class ESecond:
-    pass
-
-
-Elim = EApp | EFirst | ESecond
+# A frame of a stuck spine: an application's argument thunk itself, or a
+# projection's signature class, ``FirstSig`` or ``SecondSig``.
+Elim = Thunk | type
 
 
 @node_class
 class VNeutral:
     """A stuck elimination spine over a variable or over a value that an
-    elimination cannot take apart (a lambda projected, a pair applied)."""
+    elimination cannot take apart (a lambda projected, a pair applied),
+    its frames in the order they apply."""
 
     head: Name | Value
     spine: tuple[Elim, ...]
@@ -167,15 +155,15 @@ def apply_value(fun: Value, arg: Thunk) -> Value:
             env = (raw, value, env)
         return eval_term(env, fun.body)
     if kind is VNeutral:
-        return VNeutral(fun.head, fun.spine + (EApp(arg),))
-    return VNeutral(fun, (EApp(arg),))
+        return VNeutral(fun.head, fun.spine + (arg,))
+    return VNeutral(fun, (arg,))
 
 
-def _project(value: Value, which: int) -> Value:
+def _project(value: Value, elim: type) -> Value:
+    """``value`` projected by ``elim``, ``FirstSig`` or ``SecondSig``."""
     kind = type(value)
     if kind is VPair:
-        return _force(value.left if which == 0 else value.right)
-    elim = EFirst() if which == 0 else ESecond()
+        return _force(value.left if elim is FirstSig else value.right)
     if kind is VNeutral:
         return VNeutral(value.head, value.spine + (elim,))
     return VNeutral(value, (elim,))
@@ -192,10 +180,8 @@ def eval_term(env: Env, term: Term) -> Value:
     if kind is LamSig:
         scoped = term.body
         return VLam(env, scoped.binder, scoped.body)
-    if kind is FirstSig:
-        return _project(eval_term(env, term.term), 0)
-    if kind is SecondSig:
-        return _project(eval_term(env, term.term), 1)
+    if kind is FirstSig or kind is SecondSig:
+        return _project(eval_term(env, term.term), kind)
     if kind is PairSig:
         return VPair(Thunk(term.left, env), Thunk(term.right, env))
     if kind is PiSig:
@@ -214,13 +200,10 @@ def quote(scope: Scope, value: Value) -> Term:
             Var(value.head) if type(value.head) is Name else quote(scope, value.head)
         )
         for elim in value.spine:
-            elim_kind = type(elim)
-            if elim_kind is EApp:
-                acc = AppSig(acc, quote(scope, _force(elim.arg)))
-            elif elim_kind is EFirst:
-                acc = FirstSig(acc)
+            if type(elim) is Thunk:
+                acc = AppSig(acc, quote(scope, elim.force()))
             else:
-                acc = SecondSig(acc)
+                acc = elim(acc)
         return acc
     if kind is VLam:
         return _quote_binders(scope, value.env, None, value.binder, value.body)

@@ -276,8 +276,10 @@ def _compile_notation() -> tuple[dict, dict, type]:
     A term form is in the table of its level, a pattern or a command in that
     of its sort, and the form that starts ``"(" term`` in the table
     "grouped", under the token after the term.  All are compiled as one
-    source under this module's file name, so cProfile counts their time in
-    ``syntax``, each under its own line and name.
+    source under a file name of its own beside this module's
+    (:func:`naive.compile_generated`), so a traceback shows the generated
+    line and cProfile counts their time in ``syntax``, each under its own
+    line and name.
     """
     tables: dict = defaultdict(dict)
     namespace = dict(
@@ -303,7 +305,7 @@ def _compile_notation() -> tuple[dict, dict, type]:
             sources += rule
             table = "grouped" if grouped else level if sort == "term" else sort
             placed.append((table, tokens[2] if grouped else "ident" if first else tokens[0], cls))
-    exec(compile("\n".join(sources), __file__, "exec"), namespace)
+    exec(naive.compile_generated("\n".join(sources), __file__), namespace)
     for table, key, cls in placed:
         tables[table][key] = namespace[f"parse_{cls.__name__}"]
     namespace["P"] = {cls: namespace[f"pretty_{cls.__name__}"] for cls in naive.NOTATION}

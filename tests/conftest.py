@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random term/pattern generators.
+"""Shared helpers: seeded random term/pattern generators, and where a
+profiler key puts a function.
 
 Everything here is deterministic given the caller's ``random.Random``
 instance; tests construct their own with fixed seeds so failures
@@ -7,7 +8,9 @@ reproduce exactly.
 
 from __future__ import annotations
 
+import os
 import random
+from types import ModuleType
 
 import pytest
 
@@ -138,3 +141,11 @@ def extend_scope_pattern(pattern, scope):
         assert name.raw not in scope
         scope = scope.add(name.raw)
     return scope
+
+
+def profiled_in(file: str, module: ModuleType) -> bool:
+    """Whether a profiler key's ``file`` counts in ``module``: its base name
+    is the module's file and it lies in the package directory, as the
+    module's own file and the sources compiled for it do."""
+    home, name = os.path.split(module.__file__)
+    return os.path.basename(file) == name and file.startswith(home + os.sep)

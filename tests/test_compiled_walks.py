@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from conftest import gen_naive_term
+from conftest import gen_naive_term, profiled_in
 from test_generic import LET, BoxSig, HoleSig, IfSig, PlainLetSig
 
 from scopefoil import generic, lambda_pi, names
@@ -359,9 +359,10 @@ def test_classes_with_the_same_field_names_share_code():
 
 
 def test_cprofile_counts_the_walks_in_their_modules():
-    """Each compiled walk is keyed by its module's file, its own first line
-    and the name ``substitute`` or ``_nf``, so no two walks' counts are
-    merged and none is lost; the sums are the calls counted by hand."""
+    """Each compiled walk is keyed by a file that counts in its module, its
+    own first line and the name ``substitute`` or ``_nf``, so no two walks'
+    counts are merged and none is lost; the sums are the calls counted by
+    hand."""
     term = direct_to_free(to_foil_closed(church_fact(3)))
     walks, entries = 0, 0
 
@@ -396,15 +397,13 @@ def test_cprofile_counts_the_walks_in_their_modules():
     profiler.disable()
     assert out == expected
     profiler.create_stats()
-    calls: dict[tuple[str, str], int] = {}
-    keys: dict[tuple[str, str], int] = {}
-    for (file, _, name), (_, ncalls, *_) in profiler.stats.items():
-        calls[file, name] = calls.get((file, name), 0) + ncalls
-        keys[file, name] = keys.get((file, name), 0) + 1
-    subst_key = (generic.__file__, "substitute")
-    nf_key = (lambda_pi.__file__, "_nf")
-    assert keys[subst_key] >= 3 and keys[nf_key] >= 3  # the entry and the walks
+    modules = {"substitute": generic, "_nf": lambda_pi}
+    keys = [key for key in profiler.stats if key[2] in modules]
+    assert all(profiled_in(file, modules[name]) for file, _, name in keys)
+    codes = {walk.__code__ for walk in [*generic._SUBSTITUTES.values(), *lambda_pi._NFS.values()]}
+    assert len({(c.co_filename, c.co_firstlineno, c.co_name) for c in codes}) == len(codes)
+    for name in modules:  # the entry and the walks
+        assert len({file for file, _, key_name in keys if key_name == name}) >= 3
     # the entry is called by ``_whnf`` and ``_nf``'s renamings; ``nf_free``
     # calls the ``_nf`` entry once
-    assert calls[subst_key] + calls[nf_key] == walks + entries + 1
-    assert not any(name in ("substitute", "_nf") for file, name in calls if "<" in file)
+    assert sum(profiler.stats[key][1] for key in keys) == walks + entries + 1

@@ -2,8 +2,9 @@
 
 ``LAYERS`` is the order, bottom to top.  The module imports are read with
 ``ast``, so no module is imported to check them; the README's layout table
-and the package docstring list the modules in the same order.  And the
-package, imported again in a fresh process, lets its old modules go.
+and the package docstring list the modules in the same order.  Generated
+code is compiled in one place, read with ``ast`` too.  And the package,
+imported again in a fresh process, lets its old modules go.
 """
 
 import ast
@@ -51,6 +52,42 @@ def test_the_docs_list_the_layers_in_order():
     doc = ast.get_docstring(ast.parse((PACKAGE / "__init__.py").read_text()))
     mentions = re.findall(r":mod:`scopefoil\.(\w+)`", doc)
     assert list(dict.fromkeys(mentions)) == LAYERS
+
+
+def _compile_calls(path: Path) -> list[tuple[str, str]]:
+    """Each call of the builtin ``compile`` in ``path``: the innermost
+    function it is made in (``<module>`` at the top level), and the text of
+    its file-name argument."""
+    tree = ast.parse(path.read_text(), str(path))
+    where: dict[ast.AST, str] = {}
+    for func in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(func, ast.FunctionDef):
+            where.update((node, func.name) for node in ast.walk(func))
+    return [
+        (where.get(node, "<module>"), ast.unparse(node.args[1]))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "compile"
+    ]
+
+
+def test_generated_code_is_compiled_one_way():
+    """Walks, parse rules and printers are compiled by
+    ``naive.compile_generated``, which names each source's file; only
+    ``naive.node_class``'s own methods are compiled elsewhere, under
+    ``<node_class>``.  No module reads its own line numbers to place
+    generated code."""
+    calls = {module: _compile_calls(PACKAGE / f"{module}.py") for module in LAYERS}
+    for module, found in calls.items():
+        for function, file in found:
+            assert module == "naive", (module, function)
+            assert function == "compile_generated" or file == "'<node_class>'", function
+    assert ("compile_generated", "file") in calls["naive"]
+    for module in LAYERS:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        getframe = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_getframe"]
+        assert not getframe, module
 
 
 def test_a_reimported_package_lets_the_old_one_go():

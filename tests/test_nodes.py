@@ -8,9 +8,10 @@ must behave as the plain ``dataclass(frozen=True, slots=True)`` would:
 its signature, docstring, equality, hashing, ``repr``, pickling and
 copying are compared with those of a ``make_dataclass`` reference with
 the same fields.  None of its methods is written by ``dataclass``: each
-is compiled by ``node_class``, once for all the classes whose fields have
-the same names, and the initializer stores the fields through the slot
-setters.
+is compiled by ``node_class``, the initializer for its class alone and
+the others once for all the classes whose fields have the same names, and
+the initializer stores the fields through the slot setters, which it
+reads as globals of its own.
 """
 
 import copy
@@ -206,8 +207,16 @@ def test_the_setattr_check_sees_a_plain_dataclass():
 def test_every_init_is_compiled_by_node_class(cls):
     """No class writes its own ``__init__``, so no initializer is written
     per constructor: a field computed from the others is declared with
-    ``init=False`` and computed by the compiled one."""
-    assert cls.__init__.__code__.co_filename == "<node_class>"
+    ``init=False`` and computed by the compiled one.  Each is compiled for
+    its class alone, and reads its setters as globals, not from a
+    closure."""
+    init = cls.__init__
+    assert init.__code__.co_filename == "<node_class>"
+    assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert init.__module__ == cls.__module__
+    assert init.__closure__ is None
+    setters = {f"_set_{f.name}" for f in fields(cls)}
+    assert setters <= set(init.__code__.co_names) & set(init.__globals__)
 
 
 def _methods(cls: type) -> dict[str, object]:
@@ -237,9 +246,9 @@ def test_the_file_name_check_sees_a_plain_dataclass():
 
 
 def test_classes_with_the_same_fields_share_each_method_s_code():
-    """The sources name no class, so each is compiled once for every plain
-    class with the same field names (a class that computes a field compiles
-    its own ``__init__``)."""
+    """The sources of the methods other than ``__init__`` name no class, so
+    each is compiled once for every plain class with the same field
+    names."""
     groups = defaultdict(list)
     for cls in CLASSES:
         plain = all(
@@ -249,9 +258,9 @@ def test_classes_with_the_same_fields_share_each_method_s_code():
             groups[tuple(f.name for f in fields(cls))].append(cls)
     assert len(groups[("left", "right")]) >= 4  # Pair, PatternPair, PairSig, ...
     for group in groups.values():
-        first = {**_methods(group[0]), "__init__": group[0].__init__}
+        first = _methods(group[0])
         for cls in group[1:]:
-            for name, method in {**_methods(cls), "__init__": cls.__init__}.items():
+            for name, method in _methods(cls).items():
                 assert method.__code__ is first[name].__code__, (cls, name)
                 assert method.__qualname__ == f"{cls.__qualname__}.{name}"
                 assert method.__module__ == cls.__module__
