@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from scopefoil import generic, lambda_pi
 from scopefoil.bench import gen_random
 from scopefoil.bridge import (
@@ -13,7 +15,7 @@ from scopefoil.bridge import (
 )
 from scopefoil.lambda_pi import direct_to_free, free_to_direct, nf_free
 from scopefoil.names import Name, NameBinder, Scope, Var
-from scopefoil.nbe import Thunk, eval_term, nf_nbe, quote
+from scopefoil.nbe import Thunk, VNeutral, eval_term, nf_nbe, quote
 from scopefoil.oracles import alpha_eq, nf_debruijn, to_debruijn
 from scopefoil.syntax import parse_term
 
@@ -136,3 +138,29 @@ def test_eval_then_quote_composes():
         out = quote(Scope(), value)
         # quoting is stable: normalizing the quoted form changes nothing
         assert alpha_eq(nf_nbe(Scope(), out), out)
+
+
+_X = Var(Name(0))
+
+
+@pytest.mark.parametrize(
+    "term, frame",
+    [
+        (lambda_pi.AppSig(_X, lambda_pi.UniverseSig()), Thunk),
+        (lambda_pi.FirstSig(_X), lambda_pi.FirstSig),
+        (lambda_pi.SecondSig(_X), lambda_pi.SecondSig),
+    ],
+    ids=["application", "first", "second"],
+)
+def test_a_stuck_frame_is_what_it_eliminates_with(term, frame):
+    """A stuck application keeps its argument's thunk as the frame, and a
+    stuck projection the projection's class; quote reads each back as the
+    elimination it stands for."""
+    value = eval_term(None, term)
+    assert type(value) is VNeutral and value.head == Name(0)
+    (elim,) = value.spine
+    if frame is Thunk:
+        assert type(elim) is Thunk and elim.term == term.arg
+    else:
+        assert elim is frame
+    assert quote(Scope([0]), value) == term
